@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .graph import ContractableGraph, GraphError, Problem
 from .graphio import parse_graph_file
-from .solver import SolverConfig, SolveResult, solve
+from .solver import SolverConfig, solve_prepared
 
 
 @dataclass
@@ -201,7 +201,7 @@ def run_experiment(specs: Sequence[InstanceSpec],
         for name, config in algorithms.items():
             started = time.monotonic()
             try:
-                result = _solve_prepared(problem, config)
+                result = solve_prepared(problem.copy(), config)
             except Exception as exc:  # noqa: BLE001
                 rows.append({"instance": spec.name(), "algorithm": name,
                              "error": str(exc)})
@@ -229,13 +229,6 @@ def run_experiment(specs: Sequence[InstanceSpec],
             "geometric_mean": geometric_mean(vals) if vals else None,
         }
     return rows, profiles, summary
-
-
-def _solve_prepared(problem: Problem, config: SolverConfig) -> SolveResult:
-    """Run the solver on a copy of an already grown Problem."""
-    from .solver import solve_prepared
-
-    return solve_prepared(problem.copy(), config)
 
 
 def write_results_jsonl(path: str, rows: Sequence[dict]) -> None:

@@ -37,7 +37,6 @@ def _add_instance_args(cmd: argparse.ArgumentParser) -> None:
 
 def _add_solver_args(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--mode", choices=("exact", "inexact"), default="exact")
-    cmd.add_argument("--threads", type=int, default=1)
     cmd.add_argument("--time-limit", type=float, default=None)
     cmd.add_argument("--ilp-edge-limit", type=int, default=50000)
     cmd.add_argument("--ilp-timeout", type=float, default=60.0)
@@ -52,7 +51,6 @@ def _config_from(args) -> SolverConfig:
     return SolverConfig(
         mode=args.mode,
         time_limit=args.time_limit,
-        thread_count=args.threads,
         ilp_edge_limit=args.ilp_edge_limit,
         ilp_timeout_seconds=args.ilp_timeout,
         delta=args.delta,

@@ -150,9 +150,6 @@ class ContractableGraph:
                 if u < v:
                     yield u, v, a[v]
 
-    def total_weight(self) -> int:
-        return sum(w for _, _, w in self.edges())
-
     def cut_value(self, labels: Sequence[int] | dict) -> int:
         """Weight of live edges whose endpoints carry different labels."""
         total = 0
@@ -189,7 +186,31 @@ class ContractableGraph:
         av.pop(u)
         self._wdeg[u] -= w_uv
         self.num_edges -= 1
-        for x, w in av.items():
+        self._absorb(u, v)
+
+    def contract_vertices(self, vertices: Iterable[int], into: int) -> int:
+        """Merge every vertex of the set into ``into``; returns merge count.
+
+        The set does not need to be connected: members with no edge to
+        ``into`` are merged by relabeling, which the reduction rules rely on
+        when they contract scattered vertex sets.
+        """
+        target = self.find(into)
+        members = sorted({self.find(x) for x in vertices} - {target})
+        for v in members:
+            if v in self._adj[target]:
+                self.contract_edge(target, v)
+            else:
+                self._absorb(target, v)
+        return len(members)
+
+    def _absorb(self, u: int, v: int) -> None:
+        """Move v's edges onto u, coalescing parallel edges, and tombstone v.
+
+        u and v must not be adjacent (any edge between them is removed first).
+        """
+        au = self._adj[u]
+        for x, w in self._adj[v].items():
             ax = self._adj[x]
             del ax[v]
             if x in au:
@@ -204,38 +225,6 @@ class ContractableGraph:
         self._wdeg[v] = 0
         self._parent[v] = u
         self.num_vertices -= 1
-
-    def contract_vertices(self, vertices: Iterable[int], into: int) -> int:
-        """Merge every vertex of the set into ``into``; returns merge count.
-
-        The set does not need to be connected: members with no edge to
-        ``into`` are merged by relabeling, which the reduction rules rely on
-        when they contract scattered vertex sets.
-        """
-        target = self.find(into)
-        members = sorted({self.find(x) for x in vertices} - {target})
-        for v in members:
-            au = self._adj[target]
-            if v in au:
-                self.contract_edge(target, v)
-                continue
-            av = self._adj[v]
-            for x, w in list(av.items()):
-                ax = self._adj[x]
-                del ax[v]
-                if x in au:
-                    au[x] += w
-                    ax[target] += w
-                    self.num_edges -= 1
-                else:
-                    au[x] = w
-                    ax[target] = w
-                self._wdeg[target] += w
-            self._adj[v] = None
-            self._wdeg[v] = 0
-            self._parent[v] = target
-            self.num_vertices -= 1
-        return len(members)
 
     # -- validation helpers (used by the test suite) ----------------------
 
@@ -324,9 +313,6 @@ class Problem:
     def copy(self) -> "Problem":
         return Problem(self.graph.copy(), self.terminal_vertices, list(self.active),
                        self.deleted_weight, self.lower_bound, self.original)
-
-    def live_terminal(self, i: int) -> int:
-        return self.graph.find(self.terminal_vertices[i])
 
     def terminal_roots(self) -> dict[int, int]:
         """Map live representative -> block index, for every terminal."""

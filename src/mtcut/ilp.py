@@ -14,8 +14,7 @@ import os
 import shlex
 import subprocess
 import tempfile
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 from .graph import GraphError, Problem
 

@@ -17,7 +17,8 @@ from .flow import max_flow_st
 from .graph import ContractableGraph, cut_value
 
 
-def _expired(deadline: float | None) -> bool:
+def expired(deadline: float | None) -> bool:
+    """Whether the monotonic clock has reached ``deadline`` (None: never)."""
     return deadline is not None and time.monotonic() >= deadline
 
 
@@ -148,6 +149,9 @@ def pairwise_flow_refine(graph: ContractableGraph, terminal_vertices: Sequence[i
     node_of: dict[int, int] = {}
     members: list[int] = []
     for v in range(graph.n_original):
+        # a contracted-away vertex keeps its terminal's label, which never moves
+        if not graph.is_live(v):
+            continue
         if labels[v] == i:
             node_of[v] = 0 if v in anchor_i else -1
         elif labels[v] == j:
@@ -202,7 +206,7 @@ def refine(graph: ContractableGraph, terminal_vertices: Sequence[int],
 
     def kl_rounds() -> None:
         table = GainTable(graph, labels, k)
-        while not _expired(deadline):
+        while not expired(deadline):
             if kl_pass(table, terminal_set) <= 0:
                 break
 
@@ -215,7 +219,7 @@ def refine(graph: ContractableGraph, terminal_vertices: Sequence[int],
     queued = set(pairs)
     last_seen: dict[tuple[int, int], int] = {}
     budget = 20 * max(1, len(pairs))
-    while queue and budget > 0 and not _expired(deadline):
+    while queue and budget > 0 and not expired(deadline):
         pair = queue.popleft()
         queued.discard(pair)
         current = _pair_weights(graph, labels)

@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 
 from .flow import FlowResult, isolating_bounds, max_flow_st
 from .graph import BoundState, ContractableGraph, Problem
+from .localsearch import expired
 
 
 @dataclass
@@ -37,9 +38,6 @@ class ReductionReport:
     def total_contracted(self) -> int:
         return sum(self.contracted.values())
 
-    def total_deleted(self) -> int:
-        return sum(self.deleted.values())
-
     def to_dict(self) -> dict:
         return {
             "contracted": dict(self.contracted),
@@ -52,10 +50,6 @@ class ReductionReport:
             "edges_before": self.edges_before,
             "edges_after": self.edges_after,
         }
-
-
-def _expired(deadline: float | None) -> bool:
-    return deadline is not None and time.monotonic() >= deadline
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +90,7 @@ def contract_isolating_cuts(p: Problem, bound_state: BoundState | None = None,
     active_roots = [r for r, _ in actives]
     flows: list[tuple[int, int, FlowResult]] = []
     for r, idx in actives:
-        if _expired(deadline):
+        if expired(deadline):
             break
         others = [x for x in active_roots if x != r]
         flows.append((r, idx, max_flow_st(g, r, others)))
@@ -398,37 +392,6 @@ def _adjacent_twins(g: ContractableGraph, u: int, v: int) -> bool:
     return True
 
 
-def equal_neighborhood_pairs(g: ContractableGraph, excluded: set[int],
-                             limit: int = 5) -> set[frozenset]:
-    """Detect contractible equal-neighborhood pairs without mutating.
-
-    Adjacent pairs are found by comparing sorted neighborhoods with the
-    respective partner removed; non-adjacent pairs by grouping vertices on
-    their full sorted neighborhood (dict lookup verifies equality exactly,
-    so hash collisions can not produce false pairs).
-    """
-    pairs: set[frozenset] = set()
-    for u, v, _ in g.edges():
-        if u in excluded or v in excluded:
-            continue
-        if g.degree(u) > limit or g.degree(v) > limit:
-            continue
-        if _adjacent_twins(g, u, v):
-            pairs.add(frozenset((u, v)))
-    groups: dict[tuple, list[int]] = {}
-    for v in g.live_vertices():
-        if v in excluded or g.degree(v) > limit:
-            continue
-        groups.setdefault(_twin_key(g, v), []).append(v)
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                pairs.add(frozenset((a, b)))
-    return pairs
-
-
 def reduce_equal_neighborhoods(p: Problem, limit: int = 5) -> tuple[int, int]:
     """Merge non-terminal vertices with identical weighted neighborhoods."""
     g = p.graph
@@ -570,8 +533,6 @@ def run_reduction_loop(p: Problem, bound_state: BoundState | None = None,
         nbhd_limit = getattr(config, "neighborhood_limit", 5)
         flow_candidates = getattr(config, "flow_candidates", 5)
 
-    best = bound_state.best_value if bound_state is not None else math.inf
-
     rules: dict[str, Callable[[], tuple[int, int]]] = {
         "inter_terminal": lambda: delete_inter_terminal_edges(p),
         "isolating_cuts": lambda: contract_isolating_cuts(p, bound_state, deadline),
@@ -590,11 +551,11 @@ def run_reduction_loop(p: Problem, bound_state: BoundState | None = None,
 
     _cleanup(p, report)
     while not p.is_solved():
-        if _expired(deadline):
+        if expired(deadline):
             break
         changed = 0
         for name in order:
-            if _expired(deadline):
+            if expired(deadline):
                 break
             nc, nd = rules[name]()
             report.contracted[name] += nc

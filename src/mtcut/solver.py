@@ -4,8 +4,8 @@ Subproblems live in a best-first priority queue keyed by lower bound; a
 popped problem is reduced to a fixpoint, closed if solved or dominated,
 handed to the external MILP solver when small enough, and branched
 otherwise. Whenever the incumbent improves, the projected solution is
-polished by local search before publication. Workers share only the queue
-and the incumbent; each problem is mutated by one worker at a time.
+polished by local search before publication. The search runs in the
+calling thread: under the GIL, worker threads only added contention.
 """
 
 from __future__ import annotations
@@ -13,15 +13,13 @@ from __future__ import annotations
 import heapq
 import math
 import os
-import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from . import ilp
-from .flow import max_flow_st
-from .graph import BoundState, ContractableGraph, GraphError, Problem, cut_value
-from .localsearch import refine
+from .graph import BoundState, ContractableGraph, GraphError, Problem
+from .localsearch import expired, refine
 from .reductions import run_reduction_loop
 
 
@@ -36,7 +34,8 @@ class SolverConfig:
     The defaults mirror the method's standard operating point: shrink
     factor 0.1 and branching cap 5 for the inexact mode, neighborhood
     limit 5 for the twin reduction, and the 50000-edge / 60-second
-    dispatch rule for the external ILP solver.
+    dispatch rule for the external ILP solver. ``thread_count`` is kept
+    for callers that pass it; the search is single-threaded, so it must be 1.
     """
 
     mode: str = "exact"
@@ -63,8 +62,8 @@ class SolverConfig:
             raise ValueError("delta must lie in [0, 1)")
         if self.beta < 1:
             raise ValueError("beta must be at least 1")
-        if self.thread_count < 1:
-            raise ValueError("thread_count must be at least 1")
+        if self.thread_count != 1:
+            raise ValueError("thread_count must be 1: the search is single-threaded")
         if self.time_limit is not None and self.time_limit <= 0:
             raise ValueError("time_limit must be positive")
         if self.ilp_edge_limit < 0 or self.ilp_timeout_seconds < 0:
@@ -236,14 +235,10 @@ class _Search:
         self.deadline = deadline
         self.heap: list[tuple[int, int, Problem]] = []
         self.seq = 0
-        self.inflight = 0
         self.stopped = False
-        self.error: BaseException | None = None
         self.nodes = 0
         self.refines = 0
         self.root_kernel: tuple[int, int] | None = None
-        self.lock = threading.Lock()
-        self.ready = threading.Condition(self.lock)
         command = config.ilp_command or os.environ.get(ilp.ENV_COMMAND)
         self.ilp_command = command
         self.ilp_enabled = bool(command)
@@ -253,16 +248,12 @@ class _Search:
         heapq.heappush(self.heap, (p.lower_bound, self.seq, p))
         self.seq += 1
 
-    def expired(self) -> bool:
-        return self.deadline is not None and time.monotonic() >= self.deadline
-
     def publish(self, p: Problem, labels: list[int], value: int) -> None:
         improved = self.bound.improve(value, labels, now=time.monotonic())
         if not improved or not self.config.local_search:
             return
-        with self.lock:
-            seed = self.config.seed * 1000003 + self.refines
-            self.refines += 1
+        seed = self.config.seed * 1000003 + self.refines
+        self.refines += 1
         anchors = p.anchor_sets()
         better, better_value = refine(p.original, p.terminal_vertices, labels,
                                       anchors, seed=seed, deadline=self.deadline)
@@ -280,7 +271,7 @@ class _Search:
             return []
         if p.lower_bound >= self.bound.best_value:
             return []
-        if self.expired():
+        if expired(self.deadline):
             self.stopped = True
             return [p]
 
@@ -320,37 +311,19 @@ class _Search:
         beta = cfg.beta if cfg.mode == "inexact" else None
         return branch_vertex(p, x, best, beta)
 
-    def worker(self) -> None:
-        while True:
-            with self.ready:
-                while not self.heap and self.inflight > 0 and not self.stopped:
-                    self.ready.wait(0.02)
-                if self.stopped or self.error is not None or not self.heap:
-                    return
-                lb, seq, p = heapq.heappop(self.heap)
-                if lb >= self.bound.best_value:
-                    self.ready.notify_all()
-                    continue
-                self.inflight += 1
-            children: list[Problem] = []
-            try:
-                if self.expired():
-                    self.stopped = True
-                    children = [p]
-                else:
-                    self.nodes += 1
-                    children = self.process(p, is_root=seq == 0)
-            except BaseException as exc:  # noqa: BLE001 - reported to caller
-                with self.ready:
-                    self.error = exc
-                    self.inflight -= 1
-                    self.ready.notify_all()
-                raise
-            with self.ready:
-                self.inflight -= 1
-                for c in children:
-                    self._push(c)
-                self.ready.notify_all()
+    def run(self) -> None:
+        """Best-first loop: pop the lowest bound, prune, process, push."""
+        while self.heap and not self.stopped:
+            lb, seq, p = heapq.heappop(self.heap)
+            if lb >= self.bound.best_value:
+                continue
+            if expired(self.deadline):
+                self.stopped = True
+                self._push(p)  # the heap keeps every unresolved subproblem
+                return
+            self.nodes += 1
+            for c in self.process(p, is_root=seq == 0):
+                self._push(c)
 
 
 def solve(graph: ContractableGraph, terminals: Sequence[int],
@@ -381,22 +354,7 @@ def solve_prepared(root: Problem, config: SolverConfig | None = None) -> SolveRe
     bound.improve(root.solution_value(trivial), trivial, now=t0)
     deadline = None if config.time_limit is None else t0 + config.time_limit
     search = _Search(root, config, bound, deadline)
-
-    try:
-        if config.thread_count == 1:
-            search.worker()
-        else:
-            threads = [threading.Thread(target=search.worker, daemon=True)
-                       for _ in range(config.thread_count)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-    except BaseException:
-        if search.error is None:
-            raise
-    if search.error is not None:
-        raise search.error
+    search.run()
 
     value, labels = bound.snapshot()
     kernel_v, kernel_e = search.root_kernel or (root.graph.num_vertices,

@@ -1,7 +1,14 @@
 import random
 
-from helpers import FIXTURES, fixture_graph, random_instance, brute_force_opt
+from helpers import (
+    FIXTURES,
+    brute_force_opt,
+    fixture_graph,
+    random_connected_graph,
+    random_instance,
+)
 from mtcut import ContractableGraph, cut_value, max_flow_st, refine
+from mtcut.bench import generate_terminals, grow_terminal_blocks
 from mtcut.localsearch import GainTable, kl_pass, pairwise_flow_refine
 
 
@@ -163,3 +170,21 @@ class TestRefine:
                 labels[t] = i
             _, value = refine(g, terminals, labels, seed=3)
             assert value == best
+
+    def test_grown_instance(self):
+        # grown blocks leave contracted-away vertices in the problem's
+        # original graph; refine must leave them with their terminals
+        rng = random.Random(27)
+        improved = 0
+        for trial in range(30):
+            n, edges = random_connected_graph(rng, n_min=20, n_max=35, m_max=90)
+            g = ContractableGraph.from_edge_list(n, edges)
+            terminals = generate_terminals(g, 4, seed=trial)
+            p = grow_terminal_blocks(g, terminals, 0.3)
+            labels = p.trivial_labels()
+            before = p.solution_value(labels)
+            out, value = refine(p.original, p.terminal_vertices, labels,
+                                p.anchor_sets(), seed=trial)
+            assert value == cut_value(g, terminals, out) <= before
+            improved += value < before
+        assert improved > 0

@@ -11,13 +11,19 @@ from helpers import (
     random_connected_graph,
     random_instance,
 )
-from mtcut import BoundState, ContractableGraph, Problem, max_flow_st, run_reduction_loop
+from mtcut import (
+    BoundState,
+    ContractableGraph,
+    Problem,
+    SolverConfig,
+    max_flow_st,
+    run_reduction_loop,
+)
 from mtcut.reductions import (
     articulation_points,
     capforest_bounds,
     contract_isolating_cuts,
     delete_inter_terminal_edges,
-    equal_neighborhood_pairs,
     reduce_articulation_points,
     reduce_connectivity,
     reduce_equal_neighborhoods,
@@ -241,13 +247,18 @@ class TestEqualNeighborhoods:
         assert reduce_equal_neighborhoods(p) == (0, 0)
 
     def test_detection_matches_quadratic_scan(self):
+        # unit weights make twins, adjacent and not, common
         rng = random.Random(7)
+        config = SolverConfig(reduction_order=("equal_neighborhoods",))
+        contracted = 0
         for _ in range(120):
-            n, edges = random_connected_graph(rng, n_min=4, n_max=12, m_max=24)
-            g = ContractableGraph.from_edge_list(n, edges)
-            excluded = set(rng.sample(range(n), rng.randint(0, 2)))
-            assert equal_neighborhood_pairs(g, excluded, 5) == \
-                naive_twin_pairs(g, excluded, 5)
+            n, edges = random_connected_graph(rng, n_min=4, n_max=12, m_max=24, w_max=1)
+            p = make_problem(n, edges, rng.sample(range(n), 2))
+            report = run_reduction_loop(p, BoundState(), config)
+            assert report.fixpoint
+            assert naive_twin_pairs(p.graph, set(p.terminal_roots()), 5) == set()
+            contracted += report.total_contracted()
+        assert contracted > 0
 
 
 class TestNonTerminalFlows:

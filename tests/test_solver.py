@@ -39,6 +39,8 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(thread_count=0)
         with pytest.raises(ValueError):
+            SolverConfig(thread_count=2)
+        with pytest.raises(ValueError):
             SolverConfig(time_limit=0)
 
 
@@ -215,12 +217,6 @@ class TestSolve:
             values = [v for _, v in r.events]
             assert values == sorted(values, reverse=True)
             assert values[-1] == r.value
-
-    def test_multithreaded_matches(self, corpus):
-        for case in corpus[:25]:
-            g = ContractableGraph.from_edge_list(case.n, case.edges)
-            r = solve(g, case.terminals, SolverConfig(thread_count=4))
-            assert r.value == case.opt
 
     def test_inexact_with_full_beta_and_zero_delta_is_exact(self, corpus):
         for case in corpus[:60]:
