@@ -108,11 +108,15 @@ def _cmd_kernelize(args) -> int:
 def _cmd_bench(args) -> int:
     with open(args.spec) as fh:
         spec_doc = json.load(fh)
-    specs = [InstanceSpec(**entry) for entry in spec_doc["instances"]]
-    algorithms = {}
-    for name, overrides in spec_doc.get("algorithms", {"exact": {}}).items():
-        algorithms[name] = SolverConfig(**overrides)
-    taus = spec_doc.get("taus", list(DEFAULT_TAUS))
+    try:
+        specs = [InstanceSpec(**entry) for entry in spec_doc["instances"]]
+        algorithms = {}
+        for name, overrides in spec_doc.get("algorithms", {"exact": {}}).items():
+            algorithms[name] = SolverConfig(**overrides)
+        taus = spec_doc.get("taus", list(DEFAULT_TAUS))
+    except (TypeError, KeyError, AttributeError) as exc:
+        print(f"error: malformed spec {args.spec}: {exc!r}", file=sys.stderr)
+        return EXIT_PARSE
     rows, profiles, summary = run_experiment(specs, algorithms, taus)
     if args.output:
         write_results_jsonl(args.output, rows)

@@ -2,12 +2,15 @@
 
 A flow from a source to a set of sinks is reduced to a single-sink problem
 by attaching a super-sink with unsaturable edges (capacity one more than
-the total edge weight, which no finite cut can reach). Two backends compute
-the flow: scipy's C implementation when available, and a pure-Python
-blocking-flow fallback. Both extract the same canonical source side: the
-complement, within the source's component, of the vertices that can still
-reach a sink in the residual network. That set is the unique largest source
-side among all minimum cuts, which is the side the contraction rules need.
+the total edge weight, which no finite cut can reach). Each flow collects
+the source component's edges once, as parallel lists of tails, heads and
+capacities, and hands them to one of two implementations: scipy's C
+implementation, or a pure-Python blocking flow when scipy is missing or the
+capacities (super-sink included) exceed int32, scipy's integer type.
+Both extract the same canonical source side: the complement, within the
+source's component, of the vertices that can still reach a sink in the
+residual network. That set is the unique largest source side among all
+minimum cuts, which is the side the contraction rules need.
 """
 
 from __future__ import annotations
@@ -36,22 +39,24 @@ class FlowResult:
     source_side: frozenset[int]
 
 
-def _component(g: ContractableGraph, s: int) -> list[int]:
-    seen = {s}
-    order = [s]
-    queue = deque([s])
+def hop_distances(g: ContractableGraph, sources: Sequence[int]) -> dict[int, int]:
+    """BFS hop distance from the nearest source to every vertex reached.
+
+    The keys are in visit order, so for one source they list its component.
+    """
+    dist = {s: 0 for s in sources}
+    queue = deque(sorted(sources))
     while queue:
         v = queue.popleft()
+        d = dist[v] + 1
         for x in g.neighbors(v):
-            if x not in seen:
-                seen.add(x)
-                order.append(x)
+            if x not in dist:
+                dist[x] = d
                 queue.append(x)
-    return order
+    return dist
 
 
-def max_flow_st(g: ContractableGraph, source: int, sinks: Iterable[int],
-                backend: str | None = None) -> FlowResult:
+def max_flow_st(g: ContractableGraph, source: int, sinks: Iterable[int]) -> FlowResult:
     """Minimum cut separating ``source`` from every vertex in ``sinks``.
 
     Returns the cut value and the largest source side. A source that cannot
@@ -68,39 +73,31 @@ def max_flow_st(g: ContractableGraph, source: int, sinks: Iterable[int],
         if not g.is_live(t):
             raise GraphError(f"sink {t} is not live")
 
-    comp = _component(g, source)
-    comp_set = set(comp)
-    reachable_sinks = sink_set & comp_set
-    if not reachable_sinks:
-        return FlowResult(0, frozenset(comp_set))
-
+    comp = list(hop_distances(g, [source]))
     index = {v: i for i, v in enumerate(comp)}
-    edges = []
-    total = 0
+    sink_ids = sorted(index[t] for t in sink_set if t in index)
+    if not sink_ids:
+        return FlowResult(0, frozenset(comp))
+
+    tails: list[int] = []
+    heads: list[int] = []
+    caps: list[int] = []
     for v in comp:
         iv = index[v]
         for x, w in g.neighbors(v).items():
             if v < x:
-                edges.append((iv, index[x], w))
-                total += w
-    inf = total + 1
-    sink_ids = sorted(index[t] for t in reachable_sinks)
-
-    if backend is None:
-        backend = "scipy" if HAVE_SCIPY and inf <= _INT32_MAX else "python"
-    if backend == "scipy":
-        value, sink_reaching = _scipy_flow(len(comp), edges, index[source], sink_ids, inf)
-    elif backend == "python":
-        value, sink_reaching = _dinic(len(comp), edges, index[source], sink_ids, inf)
-    else:
-        raise ValueError(f"unknown flow backend {backend!r}")
-
-    side = frozenset(v for v in comp if index[v] not in sink_reaching)
-    return FlowResult(value, side)
+                tails.append(iv)
+                heads.append(index[x])
+                caps.append(w)
+    inf = sum(caps) + 1
+    flow = _scipy_flow if HAVE_SCIPY and inf <= _INT32_MAX else _dinic
+    value, reaches_sink = flow(len(comp), tails, heads, caps, index[source], sink_ids, inf)
+    return FlowResult(value, frozenset(v for v, r in zip(comp, reaches_sink) if not r))
 
 
-def _dinic(n: int, edges, s: int, sinks: Sequence[int], inf: int):
-    """Blocking-flow max flow; returns (value, residual sink-reaching set)."""
+def _dinic(n: int, tails: list[int], heads: list[int], caps: list[int], s: int,
+           sinks: list[int], inf: int) -> tuple[int, list[bool]]:
+    """Blocking-flow max flow; returns (value, residual sink-reaching flags)."""
     ss = n
     size = n + 1
     to: list[int] = []
@@ -115,7 +112,7 @@ def _dinic(n: int, edges, s: int, sinks: Sequence[int], inf: int):
         to.append(a)
         cap.append(cba)
 
-    for a, b, w in edges:
+    for a, b, w in zip(tails, heads, caps):
         add_arc(a, b, w, w)
     for t in sinks:
         add_arc(t, ss, inf, 0)
@@ -181,46 +178,35 @@ def _dinic(n: int, edges, s: int, sinks: Sequence[int], inf: int):
             if not reach[u] and cap[a ^ 1] > 0:
                 reach[u] = True
                 stack.append(u)
-    return flow, {v for v in range(n) if reach[v]}
+    return flow, reach
 
 
-def _scipy_flow(n: int, edges, s: int, sinks: Sequence[int], inf: int):
+def _scipy_flow(n: int, tails: list[int], heads: list[int], caps: list[int], s: int,
+                sinks: list[int], inf: int) -> tuple[int, list[bool]]:
+    """scipy's max flow; returns (value, residual sink-reaching flags)."""
     ss = n
     size = n + 1
-    rows = []
-    cols = []
-    data = []
-    for a, b, w in edges:
-        rows.append(a)
-        cols.append(b)
-        data.append(w)
-        rows.append(b)
-        cols.append(a)
-        data.append(w)
-    for t in sinks:
-        rows.append(t)
-        cols.append(ss)
-        data.append(inf)
-    cap = csr_matrix((np.asarray(data, dtype=np.int32),
-                      (np.asarray(rows), np.asarray(cols))),
-                     shape=(size, size))
+    rows = np.asarray(tails + heads + sinks)
+    cols = np.asarray(heads + tails + [ss] * len(sinks))
+    data = np.asarray(caps + caps + [inf] * len(sinks), dtype=np.int32)
+    cap = csr_matrix((data, (rows, cols)), shape=(size, size))
     res = _scipy_maximum_flow(cap, s, ss)
     residual = cap - res.flow
     residual.data = np.maximum(residual.data, 0)
     residual.eliminate_zeros()
     # reverse reachability to the super-sink along positive residual arcs
     rev = residual.transpose().tocsr()
-    reach = np.zeros(size, dtype=bool)
+    indptr, indices = rev.indptr.tolist(), rev.indices.tolist()
+    reach = [False] * size
     reach[ss] = True
     stack = [ss]
-    indptr, indices = rev.indptr, rev.indices
     while stack:
         v = stack.pop()
         for u in indices[indptr[v]:indptr[v + 1]]:
             if not reach[u]:
                 reach[u] = True
-                stack.append(int(u))
-    return int(res.flow_value), {v for v in range(n) if reach[v]}
+                stack.append(u)
+    return int(res.flow_value), reach
 
 
 def isolating_cuts(p_graph: ContractableGraph,

@@ -16,7 +16,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .flow import FlowResult, isolating_bounds, max_flow_st
+from .flow import FlowResult, hop_distances, isolating_bounds, max_flow_st
 from .graph import BoundState, ContractableGraph, Problem
 from .localsearch import expired
 
@@ -74,6 +74,25 @@ def delete_inter_terminal_edges(p: Problem) -> tuple[int, int]:
 # isolating cuts
 
 
+def _contract_source_sides(p: Problem, flows: Sequence[tuple[int, FlowResult]]) -> int:
+    """Contract each (source, flow) side into the source's representative.
+
+    The sides were computed on the same graph and are applied in order. A
+    side keeps out every terminal but the source's own, so no two
+    terminals ever merge.
+    """
+    g = p.graph
+    troots = p.terminal_roots()
+    contracted = 0
+    for source, res in flows:
+        root = g.find(source)
+        own = troots.get(root)
+        side = {x for x in map(g.find, res.source_side) if troots.get(x, own) == own}
+        if len(side) > 1:
+            contracted += g.contract_vertices(side, root)
+    return contracted
+
+
 def contract_isolating_cuts(p: Problem, bound_state: BoundState | None = None,
                             deadline: float | None = None) -> tuple[int, int]:
     """Contract each terminal's largest minimum isolating cut source side.
@@ -94,14 +113,7 @@ def contract_isolating_cuts(p: Problem, bound_state: BoundState | None = None,
             break
         others = [x for x in active_roots if x != r]
         flows.append((r, idx, max_flow_st(g, r, others)))
-
-    troots = p.terminal_roots()
-    contracted = 0
-    for r, idx, res in flows:
-        side = {g.find(x) for x in res.source_side}
-        side = {x for x in side if troots.get(x, idx) == idx}
-        if len(side) > 1:
-            contracted += g.contract_vertices(side, g.find(r))
+    contracted = _contract_source_sides(p, [(r, res) for r, _, res in flows])
 
     if len(flows) == len(actives):
         lower, upper = isolating_bounds([res for _, _, res in flows])
@@ -433,26 +445,15 @@ def reduce_equal_neighborhoods(p: Problem, limit: int = 5) -> tuple[int, int]:
 # flows from non-terminal vertices
 
 
-def _hop_distances(g: ContractableGraph, sources: Sequence[int]) -> dict[int, int]:
-    dist = {s: 0 for s in sources}
-    queue = deque(sorted(sources))
-    while queue:
-        v = queue.popleft()
-        d = dist[v] + 1
-        for x in g.neighbors(v):
-            if x not in dist:
-                dist[x] = d
-                queue.append(x)
-    return dist
-
-
-def reduce_non_terminal_flows(p: Problem, per_kind: int = 5) -> tuple[int, int]:
+def reduce_non_terminal_flows(p: Problem, per_kind: int = 5,
+                              deadline: float | None = None) -> tuple[int, int]:
     """Contract isolating-cut source sides of promising non-terminals.
 
     Runs one flow per candidate: the highest weighted-degree non-terminal
     vertices plus the ones farthest (hop distance) from every terminal.
     The flow problems are independent; their source sides are applied in
-    sequence, skipping vertices a previous application already merged.
+    sequence. Flows stop at the deadline; the sides already computed are
+    still contracted.
     """
     g = p.graph
     troots = p.terminal_roots()
@@ -463,21 +464,16 @@ def reduce_non_terminal_flows(p: Problem, per_kind: int = 5) -> tuple[int, int]:
     if not nonterms:
         return 0, 0
     by_degree = sorted(nonterms, key=lambda v: (-g.weighted_degree(v), v))[:per_kind]
-    dist = _hop_distances(g, actives)
+    dist = hop_distances(g, actives)
     unreachable = g.n_original + 1
     by_distance = sorted(nonterms, key=lambda v: (-dist.get(v, unreachable), v))[:per_kind]
     candidates = sorted(set(by_degree) | set(by_distance))
-    flows = [(v, max_flow_st(g, v, actives)) for v in candidates]
-    contracted = 0
-    for v, res in flows:
-        vr = g.find(v)
-        if vr in troots:
-            continue
-        side = {g.find(x) for x in res.source_side}
-        side -= set(troots)
-        if len(side) > 1:
-            contracted += g.contract_vertices(side, vr)
-    return contracted, 0
+    flows = []
+    for v in candidates:
+        if expired(deadline):
+            break
+        flows.append((v, max_flow_st(g, v, actives)))
+    return _contract_source_sides(p, flows), 0
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +539,7 @@ def run_reduction_loop(p: Problem, bound_state: BoundState | None = None,
             p, bound_state.best_value if bound_state is not None else math.inf),
         "articulation": lambda: reduce_articulation_points(p),
         "equal_neighborhoods": lambda: reduce_equal_neighborhoods(p, nbhd_limit),
-        "non_terminal_flows": lambda: reduce_non_terminal_flows(p, flow_candidates),
+        "non_terminal_flows": lambda: reduce_non_terminal_flows(p, flow_candidates, deadline),
     }
     unknown = set(order) - set(rules)
     if unknown:

@@ -68,6 +68,8 @@ class SolverConfig:
             raise ValueError("time_limit must be positive")
         if self.ilp_edge_limit < 0 or self.ilp_timeout_seconds < 0:
             raise ValueError("ILP limits must be non-negative")
+        if self.neighborhood_limit < 0 or self.flow_candidates < 0:
+            raise ValueError("neighborhood_limit and flow_candidates must be non-negative")
 
 
 @dataclass

@@ -204,6 +204,17 @@ class TestCli:
         summary = json.loads(capsys.readouterr().out)
         assert summary["exact"]["geometric_mean"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("doc", [
+        {"instances": [{"graph": "g", "k": 2, "frac": 0.1}]},
+        {"instances": [], "algorithms": {"exact": {"thread": 1}}},
+        [{"graph": "g", "k": 2}],
+    ], ids=["instance_key", "algorithm_key", "not_an_object"])
+    def test_malformed_spec_exit_code(self, tmp_path, capsys, doc):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["bench", "--spec", str(spec)]) == 3
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.graph"
         bad.write_text("3 5\n2\n1 3\n2\n")

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 from helpers import (
     FIXTURES,
@@ -19,6 +20,7 @@ from mtcut import (
     max_flow_st,
     run_reduction_loop,
 )
+import mtcut.reductions
 from mtcut.reductions import (
     articulation_points,
     capforest_bounds,
@@ -276,6 +278,22 @@ class TestNonTerminalFlows:
     def test_all_terminals_noop(self):
         p = fixture_problem("F2")
         assert reduce_non_terminal_flows(p) == (0, 0)
+
+    def test_past_deadline_runs_no_flow(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return max_flow_st(*args)
+
+        monkeypatch.setattr(mtcut.reductions, "max_flow_st", counting)
+        p = fixture_problem("F4")
+        before = p.graph.num_vertices
+        assert reduce_non_terminal_flows(p, deadline=time.monotonic() - 1.0) == (0, 0)
+        assert calls == [] and p.graph.num_vertices == before
+        # the same rule without a deadline runs flows and contracts
+        assert reduce_non_terminal_flows(p)[0] >= 1
+        assert calls
 
 
 class TestReductionLoop:

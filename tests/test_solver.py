@@ -2,8 +2,16 @@ import random
 
 import pytest
 
-from helpers import FIXTURES, brute_force_opt, fixture_problem, random_instance
+from helpers import (
+    FIXTURES,
+    brute_force_block_opt,
+    brute_force_opt,
+    fixture_problem,
+    random_connected_graph,
+    random_instance,
+)
 from mtcut import BoundState, ContractableGraph, Problem, cut_value, max_flow_st
+from mtcut.bench import generate_terminals, grow_terminal_blocks
 from mtcut.reductions import run_reduction_loop
 from mtcut.solver import (
     ReductionIncomplete,
@@ -13,6 +21,7 @@ from mtcut.solver import (
     select_branch_vertex,
     shrink_terminals,
     solve,
+    solve_prepared,
 )
 
 
@@ -42,6 +51,10 @@ class TestConfig:
             SolverConfig(thread_count=2)
         with pytest.raises(ValueError):
             SolverConfig(time_limit=0)
+        with pytest.raises(ValueError):
+            SolverConfig(flow_candidates=-1)
+        with pytest.raises(ValueError):
+            SolverConfig(neighborhood_limit=-1)
 
 
 class TestSelectBranchVertex:
@@ -239,3 +252,24 @@ class TestSolve:
         r = solve(g, terminals, SolverConfig(time_limit=1e-9))
         assert cut_value(g, terminals, r.labels) == r.value
         assert not r.optimal
+
+
+class TestGrownOracle:
+    def test_grown_instances_match_brute_force(self):
+        # the CLI's set-up: farthest-point terminals, then grown blocks,
+        # which fix every vertex of a block to its terminal's label
+        rng = random.Random(31)
+        for _ in range(150):
+            n, edges = random_connected_graph(rng, n_min=7, n_max=12)
+            g = ContractableGraph.from_edge_list(n, edges)
+            terminals = generate_terminals(g, rng.randint(3, 4), seed=rng.randrange(100))
+            grown = grow_terminal_blocks(g, terminals, rng.uniform(0.2, 0.4))
+            roots = {grown.graph.find(t): i for i, t in enumerate(terminals)}
+            anchors = {v: roots[grown.graph.find(v)] for v in range(n)
+                       if grown.graph.find(v) in roots}
+            opt = brute_force_block_opt(edges, list(range(n)), anchors)
+            for rule in ("vertex", "edge"):
+                res = solve_prepared(grown.copy(), SolverConfig(branch_rule=rule))
+                assert res.optimal and res.value == opt
+                assert all(res.labels[v] == i for v, i in anchors.items())
+                assert cut_value(g, terminals, res.labels) == res.value
