@@ -126,6 +126,13 @@ def grow_terminal_blocks(g: ContractableGraph, terminals: Sequence[int],
     return Problem.from_instance(work, terminals)
 
 
+def prepare_instance(spec: InstanceSpec) -> Problem:
+    """Parse the graph, place the terminals and grow their blocks."""
+    g = parse_graph_file(spec.graph)
+    terminals = generate_terminals(g, spec.k, spec.seed)
+    return grow_terminal_blocks(g, terminals, spec.fraction, spec.seed)
+
+
 def performance_profile(results: dict[str, Sequence[float | None]],
                         taus: Sequence[float]) -> dict[str, list[ProfilePoint]]:
     """Fraction of instances within factor tau of the best, per algorithm.
@@ -189,9 +196,7 @@ def run_experiment(specs: Sequence[InstanceSpec],
     objectives: dict[str, list[float | None]] = {a: [] for a in algorithms}
     for spec in specs:
         try:
-            g = parse_graph_file(spec.graph)
-            terminals = generate_terminals(g, spec.k, spec.seed)
-            problem = grow_terminal_blocks(g, terminals, spec.fraction, spec.seed)
+            problem = prepare_instance(spec)
         except Exception as exc:  # noqa: BLE001 - recorded per instance
             for name in algorithms:
                 rows.append({"instance": spec.name(), "algorithm": name,

@@ -10,16 +10,14 @@ import sys
 from .bench import (
     DEFAULT_TAUS,
     InstanceSpec,
-    generate_terminals,
-    grow_terminal_blocks,
+    prepare_instance,
     run_experiment,
     write_profile_csv,
     write_results_jsonl,
 )
-from .graph import GraphError
-from .graphio import GraphParseError, parse_graph_file
+from .graph import BoundState, GraphError
+from .graphio import GraphParseError
 from .reductions import run_reduction_loop
-from .graph import BoundState
 from .solver import SolverConfig, save_events, solve_prepared
 
 EXIT_OK = 0
@@ -62,9 +60,7 @@ def _config_from(args) -> SolverConfig:
 
 
 def _prepare_instance(args):
-    g = parse_graph_file(args.graph)
-    terminals = generate_terminals(g, args.k, args.seed)
-    return grow_terminal_blocks(g, terminals, args.preset_fraction, args.seed)
+    return prepare_instance(InstanceSpec(args.graph, args.k, args.preset_fraction, args.seed))
 
 
 def _cmd_solve(args) -> int:
@@ -114,7 +110,10 @@ def _cmd_bench(args) -> int:
         for name, overrides in spec_doc.get("algorithms", {"exact": {}}).items():
             algorithms[name] = SolverConfig(**overrides)
         taus = spec_doc.get("taus", list(DEFAULT_TAUS))
-    except (TypeError, KeyError, AttributeError) as exc:
+        if not isinstance(taus, list) or not all(
+                isinstance(t, (int, float)) and t >= 1 for t in taus):
+            raise ValueError(f"taus must be a list of numbers >= 1, got {taus!r}")
+    except (TypeError, KeyError, AttributeError, ValueError) as exc:
         print(f"error: malformed spec {args.spec}: {exc!r}", file=sys.stderr)
         return EXIT_PARSE
     rows, profiles, summary = run_experiment(specs, algorithms, taus)

@@ -379,43 +379,39 @@ class Problem:
 
     # -- solution plumbing --------------------------------------------------
 
-    def project(self, kernel_labels) -> list[int]:
-        """Lift a per-live-vertex labeling to all original vertices."""
+    def project(self, kernel_labels: dict[int, int] | None = None,
+                fill: int | None = None) -> list[int]:
+        """Lift a labeling of the live vertices to all original vertices.
+
+        A terminal's representative keeps its terminal's block; any other
+        live vertex takes its ``kernel_labels`` entry, else ``fill``.
+        """
         g = self.graph
+        roots = self.terminal_roots()
+        kernel = kernel_labels or {}
         out = []
         for v in range(g.n_original):
             r = g.find(v)
-            try:
-                b = kernel_labels[r]
-            except (KeyError, IndexError):
-                b = None
+            b = roots.get(r)
+            if b is None:
+                b = kernel.get(r, fill)
             if b is None:
                 raise IncompleteSolution(f"live vertex {r} has no label")
             out.append(b)
         return out
 
-    def solved_kernel_labels(self) -> dict[int, int]:
-        """Labels for a subproblem with at most one active terminal left.
+    def solved_labels(self) -> list[int]:
+        """Labels of a solved subproblem (at most one active terminal left).
 
-        Every terminal representative keeps its own block; everything else
-        joins the last active terminal (or block 0 when none remains),
-        which cannot introduce cut edges because inactive terminals are
-        isolated.
+        Every non-terminal joins the active terminal's block, or block 0
+        when none is active; inactive terminals are isolated, so this adds
+        no cut edge.
         """
-        roots = self.terminal_roots()
-        actives = [i for i, a in enumerate(self.active) if a]
-        fallback = actives[0] if actives else 0
-        labels = {}
-        for v in self.graph.live_vertices():
-            labels[v] = roots.get(v, fallback)
-        return labels
+        return self.project(fill=next((i for i, a in enumerate(self.active) if a), 0))
 
     def solution_value(self, labels: Sequence[int]) -> int:
         """Cut value of a full assignment, checked feasible, on the root graph."""
         return cut_value(self.original, self.terminal_vertices, labels)
-
-    def kernel_cut_value(self, kernel_labels) -> int:
-        return self.graph.cut_value(kernel_labels)
 
     def anchor_sets(self) -> list[list[int]]:
         """Original vertices merged into each terminal, including itself."""
@@ -428,29 +424,20 @@ class Problem:
                 out[i].append(v)
         return out
 
-    def trivial_labels(self) -> list[int]:
-        """Feasible baseline: everything not tied to a terminal joins block 0."""
-        roots = {self.original.find(t): i
-                 for i, t in enumerate(self.terminal_vertices)}
-        return [roots.get(self.original.find(v), 0)
-                for v in range(self.original.n_original)]
-
 
 class BoundState:
     """Shared best-known solution; updates are atomic compare-and-improve.
 
-    ``best_value`` only ever decreases and always equals the cut value of
-    ``best_labels``. Every improvement is timestamped for progress plots.
+    ``best_value`` only ever decreases. Every source offers its labels at
+    their :meth:`Problem.solution_value`, so it equals the cut value of
+    ``best_labels``. Each improvement is stamped with its time since ``t0``.
     """
 
-    def __init__(self):
+    def __init__(self, t0: float | None = None):
         self.best_value: float = math.inf
         self.best_labels: list[int] | None = None
         self.events: list[tuple[float, int]] = []
         self._lock = threading.Lock()
-        self._t0: float | None = None
-
-    def start_clock(self, t0: float) -> None:
         self._t0 = t0
 
     def improve(self, value: int, labels: Sequence[int], now: float | None = None) -> bool:

@@ -196,20 +196,13 @@ def solve_problem(p: Problem, command: str | None, timeout_seconds: float) -> Il
     """Solve a subproblem's kernel exactly through the external solver.
 
     On success the decoded kernel labeling is projected to the original
-    vertices and the returned value is recomputed from the graph, so it is
-    correct even if the solver reports a loose objective.
+    vertices (the isolated vertices the model leaves out join the first
+    active block) and the returned value is scored on the original graph,
+    so it is correct even if the solver reports a loose objective.
     """
     model = build_model(p)
     out = solve_external(model, command, timeout_seconds)
     if out.status != SOLVED:
         return out
-    kernel = dict(zip(model.vertices, out.labels))
-    actives = p.active_terminals()
-    fallback = actives[0][1]
-    troots = p.terminal_roots()
-    for v in p.graph.live_vertices():
-        if v not in kernel:
-            kernel[v] = troots.get(v, fallback)
-    labels = p.project(kernel)
-    value = p.deleted_weight + p.kernel_cut_value(kernel)
-    return IlpOutcome(SOLVED, labels=labels, value=value)
+    labels = p.project(dict(zip(model.vertices, out.labels)), fill=model.blocks[0])
+    return IlpOutcome(SOLVED, labels=labels, value=p.solution_value(labels))

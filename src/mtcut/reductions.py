@@ -119,11 +119,8 @@ def contract_isolating_cuts(p: Problem, bound_state: BoundState | None = None,
         lower, upper = isolating_bounds([res for _, _, res in flows])
         p.lower_bound = max(p.lower_bound, p.deleted_weight + lower)
         if bound_state is not None and p.deleted_weight + upper < bound_state.best_value:
-            values = [res.value for _, _, res in flows]
-            heaviest = flows[max(range(len(values)), key=lambda i: (values[i], -flows[i][1]))][1]
-            roots_now = p.terminal_roots()
-            kernel = {v: roots_now.get(v, heaviest) for v in g.live_vertices()}
-            labels = p.project(kernel)
+            heaviest = max(flows, key=lambda f: (f[2].value, -f[1]))[1]
+            labels = p.project(fill=heaviest)
             bound_state.improve(p.solution_value(labels), labels, now=time.monotonic())
     return contracted, 0
 

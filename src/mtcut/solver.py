@@ -3,9 +3,11 @@
 Subproblems live in a best-first priority queue keyed by lower bound; a
 popped problem is reduced to a fixpoint, closed if solved or dominated,
 handed to the external MILP solver when small enough, and branched
-otherwise. Whenever the incumbent improves, the projected solution is
-polished by local search before publication. The search runs in the
-calling thread: under the GIL, worker threads only added contention.
+otherwise. Every incumbent is scored on the original graph before it is
+offered. A solved leaf or an ILP solution that improves the incumbent is
+then polished by local search; the trivial start and the isolating-cut
+heuristic are not. The search runs in the calling thread: under the GIL,
+worker threads only added contention.
 """
 
 from __future__ import annotations
@@ -250,7 +252,9 @@ class _Search:
         heapq.heappush(self.heap, (p.lower_bound, self.seq, p))
         self.seq += 1
 
-    def publish(self, p: Problem, labels: list[int], value: int) -> None:
+    def publish(self, p: Problem, labels: list[int]) -> None:
+        """Offer ``labels`` at their cut on the original graph; polish if new."""
+        value = p.solution_value(labels)
         improved = self.bound.improve(value, labels, now=time.monotonic())
         if not improved or not self.config.local_search:
             return
@@ -262,15 +266,18 @@ class _Search:
         if better_value < value:
             self.bound.improve(better_value, better, now=time.monotonic())
 
+    def close(self, p: Problem) -> list[Problem]:
+        """Publish a solved leaf; it has no children."""
+        self.publish(p, p.solved_labels())
+        return []
+
     def process(self, p: Problem, is_root: bool) -> list[Problem]:
         cfg = self.config
         report = run_reduction_loop(p, self.bound, cfg, self.deadline)
         if is_root:
             self.root_kernel = (report.vertices_after, report.edges_after)
         if report.solved:
-            labels = p.project(p.solved_kernel_labels())
-            self.publish(p, labels, p.deleted_weight)
-            return []
+            return self.close(p)
         if p.lower_bound >= self.bound.best_value:
             return []
         if expired(self.deadline):
@@ -284,7 +291,7 @@ class _Search:
                 budget = min(budget, self.deadline - time.monotonic())
             out = ilp.solve_problem(p, self.ilp_command, budget)
             if out.status == ilp.SOLVED:
-                self.publish(p, out.labels, out.value)
+                self.publish(p, out.labels)
                 return []
             if out.status == ilp.UNAVAILABLE:
                 self.ilp_enabled = False
@@ -293,20 +300,15 @@ class _Search:
             shrink_terminals(p, cfg.delta)
             p.refresh_active()
             if p.is_solved():
-                labels = p.project(p.solved_kernel_labels())
-                self.publish(p, labels, p.deleted_weight)
-                return []
+                return self.close(p)
 
         best = self.bound.best_value
         try:
             x = select_branch_vertex(p)
         except ReductionIncomplete:
             # shrinking or deletions can expose new trivial reductions
-            report = run_reduction_loop(p, self.bound, cfg, self.deadline)
-            if report.solved:
-                labels = p.project(p.solved_kernel_labels())
-                self.publish(p, labels, p.deleted_weight)
-                return []
+            if run_reduction_loop(p, self.bound, cfg, self.deadline).solved:
+                return self.close(p)
             x = select_branch_vertex(p)
         if cfg.branch_rule == "edge":
             return branch_edge(p, x, best)
@@ -349,10 +351,9 @@ def solve_prepared(root: Problem, config: SolverConfig | None = None) -> SolveRe
     """
     if config is None:
         config = SolverConfig()
-    bound = BoundState()
     t0 = time.monotonic()
-    bound.start_clock(t0)
-    trivial = root.trivial_labels()
+    bound = BoundState(t0)
+    trivial = root.project(fill=0)
     bound.improve(root.solution_value(trivial), trivial, now=t0)
     deadline = None if config.time_limit is None else t0 + config.time_limit
     search = _Search(root, config, bound, deadline)

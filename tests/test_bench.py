@@ -208,7 +208,14 @@ class TestCli:
         {"instances": [{"graph": "g", "k": 2, "frac": 0.1}]},
         {"instances": [], "algorithms": {"exact": {"thread": 1}}},
         [{"graph": "g", "k": 2}],
-    ], ids=["instance_key", "algorithm_key", "not_an_object"])
+        {"instances": [{"graph": "g", "k": 2}], "taus": [0.5]},
+        {"instances": [{"graph": "g", "k": 2}], "taus": ["x"]},
+        {"instances": [{"graph": "g", "k": 2}], "taus": 5},
+        {"instances": [{"graph": "g", "k": 1}]},
+        {"instances": [], "algorithms": {"exact": {"flow_candidates": -1}}},
+    ], ids=["instance_key", "algorithm_key", "not_an_object", "tau_below_one",
+            "tau_not_a_number", "taus_not_a_list", "k_below_two",
+            "negative_flow_candidates"])
     def test_malformed_spec_exit_code(self, tmp_path, capsys, doc):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(doc))
@@ -223,6 +230,7 @@ class TestCli:
     def test_infeasible_exit_code(self, tmp_path):
         graph = self._write_f1(tmp_path)
         assert main(["solve", "--graph", graph, "--k", "9"]) == 2
+        assert main(["solve", "--graph", graph, "--k", "2", "--preset-fraction", "1.0"]) == 2
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["solve", "--graph", str(tmp_path / "nope"), "--k", "2"]) == 3

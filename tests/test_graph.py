@@ -191,6 +191,23 @@ class TestProjection:
         with pytest.raises(IncompleteSolution):
             p.project({0: 0})
 
+    def test_fill_labels_unlabelled_non_terminals(self):
+        p = fixture_problem("F3")  # star: centre 0, terminals 1, 2, 3
+        assert p.project(fill=2) == [2, 0, 1, 2]
+        assert p.project({0: 1}, fill=2) == [1, 0, 1, 2]
+
+    def test_terminal_keeps_its_block_under_any_fill(self):
+        p = fixture_problem("F1")
+        p.contract_edge(0, 1)
+        for fill in (0, 1):
+            assert p.project(fill=fill) == [0, 0, 1]
+
+    def test_inactive_isolated_terminal_keeps_its_block(self):
+        p = fixture_problem("F3")
+        p.delete_edge(0, 3)
+        assert p.refresh_active() == 1 and not p.active[2]
+        assert p.project(fill=0) == [0, 0, 1, 2]
+
 
 class TestProperties:
     """Randomized invariants over contraction/deletion sequences."""

@@ -35,7 +35,7 @@ class TestModel:
         m = ilp.build_model(p)
         labels = {0: 0, 1: 0, 2: 1}
         assert m.objective_value(labels) == \
-            p.kernel_cut_value(labels) + p.deleted_weight == 1
+            p.graph.cut_value(labels) + p.deleted_weight == 1
 
     def test_fixture_optima_through_model(self):
         for name in ("F1", "F2", "F3"):

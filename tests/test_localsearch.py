@@ -181,7 +181,7 @@ class TestRefine:
             g = ContractableGraph.from_edge_list(n, edges)
             terminals = generate_terminals(g, 4, seed=trial)
             p = grow_terminal_blocks(g, terminals, 0.3)
-            labels = p.trivial_labels()
+            labels = p.project(fill=0)
             before = p.solution_value(labels)
             out, value = refine(p.original, p.terminal_vertices, labels,
                                 p.anchor_sets(), seed=trial)

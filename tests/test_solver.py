@@ -16,6 +16,7 @@ from mtcut.reductions import run_reduction_loop
 from mtcut.solver import (
     ReductionIncomplete,
     SolverConfig,
+    _Search,
     branch_edge,
     branch_vertex,
     select_branch_vertex,
@@ -252,6 +253,23 @@ class TestSolve:
         r = solve(g, terminals, SolverConfig(time_limit=1e-9))
         assert cut_value(g, terminals, r.labels) == r.value
         assert not r.optimal
+
+
+class TestPublish:
+    def test_published_value_is_the_labels_cut(self):
+        # deleting both edges of the path 0-2-1 commits 3 + 2 to the cut and
+        # solves the problem; its labels put 2 with terminal 0, so they cut
+        # only the edge (2, 1). Local search is off: it would mend the value.
+        p = make_problem(3, [(0, 2, 3), (2, 1, 2)], (0, 1))
+        p.delete_edge(0, 2)
+        p.delete_edge(2, 1)
+        p.refresh_active()
+        assert p.is_solved() and p.deleted_weight == 5
+        bound = BoundState()
+        search = _Search(p.copy(), SolverConfig(local_search=False), bound, None)
+        search.publish(p, p.solved_labels())
+        assert bound.best_labels == [0, 1, 0]
+        assert bound.best_value == cut_value(p.original, (0, 1), bound.best_labels) == 2
 
 
 class TestGrownOracle:
