@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .graph import ContractableGraph, GraphError, Problem
 from .graphio import parse_graph_file
-from .solver import SolverConfig, solve_prepared
+from .solver import SolverConfig, require_integers, solve_prepared
 
 
 @dataclass
@@ -29,6 +29,7 @@ class InstanceSpec:
     seed: int = 0
 
     def __post_init__(self):
+        require_integers(self, "k", "seed")
         if self.k < 2:
             raise ValueError("k must be at least 2")
         if not 0.0 <= self.fraction < 1.0:

@@ -6,6 +6,10 @@ dicts in O(deg) and coalesces parallel edges on the fly. Original vertex ids
 are mapped to their surviving representative through a union-find, which is
 what lets a solution found on a heavily contracted graph be projected back
 to the input graph.
+
+Every terminal is its own live representative: ``Problem.contract_set`` is
+the one guarded merge, and it never joins two terminals and always keeps
+the terminal's vertex. Terminal lookups therefore need no ``find``.
 """
 
 from __future__ import annotations
@@ -281,6 +285,10 @@ class Problem:
     is the block index), which of them are still active, and the weight of
     edges already committed to the cut. Any feasible cut of the subproblem
     plus ``deleted_weight`` is a feasible cut value of the original.
+
+    Every terminal is its own live representative; :meth:`contract_set` is
+    the one guarded merge, so the working graph is only ever contracted
+    through it.
     """
 
     __slots__ = ("graph", "terminal_vertices", "active", "deleted_weight",
@@ -315,13 +323,12 @@ class Problem:
                        self.deleted_weight, self.lower_bound, self.original)
 
     def terminal_roots(self) -> dict[int, int]:
-        """Map live representative -> block index, for every terminal."""
-        return {self.graph.find(t): i for i, t in enumerate(self.terminal_vertices)}
+        """Map live vertex -> block index, for every terminal."""
+        return {t: i for i, t in enumerate(self.terminal_vertices)}
 
     def active_terminals(self) -> list[tuple[int, int]]:
         """(live vertex, block index) for each active terminal, by index."""
-        return [(self.graph.find(t), i)
-                for i, t in enumerate(self.terminal_vertices) if self.active[i]]
+        return [(t, i) for i, t in enumerate(self.terminal_vertices) if self.active[i]]
 
     def active_count(self) -> int:
         return sum(self.active)
@@ -330,7 +337,7 @@ class Problem:
         """Deactivate terminals that have become isolated; returns count."""
         dropped = 0
         for i, t in enumerate(self.terminal_vertices):
-            if self.active[i] and self.graph.degree(self.graph.find(t)) == 0:
+            if self.active[i] and self.graph.degree(t) == 0:
                 self.active[i] = False
                 dropped += 1
         return dropped
@@ -340,42 +347,25 @@ class Problem:
 
     # -- guarded mutation --------------------------------------------------
 
-    def contract_edge(self, u: int, v: int, into: int | None = None) -> None:
-        """Contract edge (u, v), keeping a terminal endpoint alive.
-
-        Contracting an edge between two distinct terminals is invalid: it
-        would merge two blocks.
-        """
-        roots = self.terminal_roots()
-        bu, bv = roots.get(u), roots.get(v)
-        if bu is not None and bv is not None and bu != bv:
-            raise InvalidContraction(f"edge ({u},{v}) joins terminals {bu} and {bv}")
-        if into is None:
-            into = v if bv is not None else u
-        elif into not in (u, v):
-            raise GraphError("into must be an endpoint")
-        if into == u and bv is not None and bu is None:
-            raise InvalidContraction("cannot absorb a terminal into a non-terminal")
-        if into == v and bu is not None and bv is None:
-            raise InvalidContraction("cannot absorb a terminal into a non-terminal")
-        other = v if into == u else u
-        self.graph.contract_edge(into, other)
-
     def delete_edge(self, u: int, v: int) -> int:
         w = self.graph.delete_edge(u, v)
         self.deleted_weight += w
         return w
 
     def contract_set(self, vertices: Iterable[int], into: int) -> int:
-        """Contract a vertex set containing at most one terminal."""
+        """Merge ``into`` and ``vertices`` into one vertex; returns merge count.
+
+        A terminal in the set survives the merge, otherwise ``into`` does.
+        A set holding two terminals raises :class:`InvalidContraction`.
+        """
         g = self.graph
+        members = {g.find(x) for x in vertices}
         target = g.find(into)
-        roots = self.terminal_roots()
-        live = {g.find(x) for x in vertices} | {target}
-        term_roots = {r for r in live if r in roots}
-        if term_roots - {target}:
-            raise InvalidContraction("set contains a terminal other than the target")
-        return g.contract_vertices(live, target)
+        members.add(target)
+        terms = [t for t in self.terminal_vertices if t in members]
+        if len(terms) > 1:
+            raise InvalidContraction(f"set joins terminals {terms}")
+        return g.contract_vertices(members, terms[0] if terms else target)
 
     # -- solution plumbing --------------------------------------------------
 
@@ -416,7 +406,7 @@ class Problem:
     def anchor_sets(self) -> list[list[int]]:
         """Original vertices merged into each terminal, including itself."""
         g = self.graph
-        roots = {g.find(t): i for i, t in enumerate(self.terminal_vertices)}
+        roots = self.terminal_roots()
         out: list[list[int]] = [[] for _ in self.terminal_vertices]
         for v in range(g.n_original):
             i = roots.get(g.find(v))

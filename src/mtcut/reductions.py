@@ -58,11 +58,9 @@ class ReductionReport:
 
 def delete_inter_terminal_edges(p: Problem) -> tuple[int, int]:
     """Delete every edge joining two terminals; it must be in any cut."""
-    roots = set(p.terminal_roots())
+    roots = p.terminal_roots()
     deleted = 0
     for r in sorted(roots):
-        if not p.graph.is_live(r):
-            continue
         for x in sorted(p.graph.neighbors(r)):
             if x in roots and r < x:
                 p.delete_edge(r, x)
@@ -89,7 +87,7 @@ def _contract_source_sides(p: Problem, flows: Sequence[tuple[int, FlowResult]]) 
         own = troots.get(root)
         side = {x for x in map(g.find, res.source_side) if troots.get(x, own) == own}
         if len(side) > 1:
-            contracted += g.contract_vertices(side, root)
+            contracted += p.contract_set(side, root)
     return contracted
 
 
@@ -138,7 +136,7 @@ def reduce_low_degree(p: Problem) -> tuple[int, int]:
     placement of the vertex.
     """
     g = p.graph
-    troots = set(p.terminal_roots())
+    troots = p.terminal_roots()
     queue = deque(v for v in g.live_vertices()
                   if v not in troots and 1 <= g.degree(v) <= 2)
     contracted = 0
@@ -151,7 +149,7 @@ def reduce_low_degree(p: Problem) -> tuple[int, int]:
             continue
         u = min(nbrs, key=lambda x: (-nbrs[x], x))
         affected = [x for x in nbrs if x != u] + [u]
-        g.contract_edge(u, v)
+        p.contract_set((u, v), u)
         contracted += 1
         for x in affected:
             if g.is_live(x) and x not in troots and 1 <= g.degree(x) <= 2:
@@ -167,7 +165,7 @@ def reduce_heavy_edge(p: Problem) -> tuple[int, int]:
     terminals cannot move.
     """
     g = p.graph
-    troots = set(p.terminal_roots())
+    troots = p.terminal_roots()
     contracted = 0
     for u, v, _ in list(g.edges()):
         a, b = g.find(u), g.find(v)
@@ -178,11 +176,7 @@ def reduce_heavy_edge(p: Problem) -> tuple[int, int]:
             continue
         if (a not in troots and 2 * w >= g.weighted_degree(a)) or \
            (b not in troots and 2 * w >= g.weighted_degree(b)):
-            if b in troots:
-                a, b = b, a
-            elif a not in troots and b < a:
-                a, b = b, a
-            g.contract_edge(a, b)
+            p.contract_set((a, b), min(a, b))
             contracted += 1
     return contracted, 0
 
@@ -196,7 +190,7 @@ def reduce_heavy_triangle(p: Problem) -> tuple[int, int]:
     either of them depending on where x sits); the apex x is unrestricted.
     """
     g = p.graph
-    troots = set(p.terminal_roots())
+    troots = p.terminal_roots()
     contracted = 0
     for u, v, _ in list(g.edges()):
         a, b = g.find(u), g.find(v)
@@ -218,9 +212,7 @@ def reduce_heavy_triangle(p: Problem) -> tuple[int, int]:
                 hit = True
                 break
         if hit:
-            if b < a:
-                a, b = b, a
-            g.contract_edge(a, b)
+            p.contract_set((a, b), min(a, b))
             contracted += 1
     return contracted, 0
 
@@ -267,7 +259,7 @@ def reduce_connectivity(p: Problem, best_value: float) -> tuple[int, int]:
     g = p.graph
     threshold = best_value - p.deleted_weight
     q = capforest_bounds(g)
-    troots = set(p.terminal_roots())
+    troots = p.terminal_roots()
     contracted = 0
     for (u, v), qe in sorted(q.items()):
         if qe <= threshold:
@@ -275,11 +267,7 @@ def reduce_connectivity(p: Problem, best_value: float) -> tuple[int, int]:
         a, b = g.find(u), g.find(v)
         if a == b or a in troots and b in troots:
             continue
-        if b in troots:
-            a, b = b, a
-        elif a not in troots and b < a:
-            a, b = b, a
-        g.contract_edge(a, b)
+        p.contract_set((a, b), min(a, b))
         contracted += 1
     return contracted, 0
 
@@ -363,7 +351,7 @@ def reduce_articulation_points(p: Problem) -> tuple[int, int]:
     """
     g = p.graph
     order, tin, tout, low, parent = _dfs_tree(g)
-    troots = set(p.terminal_roots())
+    troots = p.terminal_roots()
     is_term = [1 if v in troots else 0 for v in order]
     prefix = [0]
     for t in is_term:
@@ -377,7 +365,7 @@ def reduce_articulation_points(p: Problem) -> tuple[int, int]:
             continue
         members = set(order[tin[v]:tout[v]])
         members.add(pv)
-        contracted += g.contract_vertices(members, g.find(pv))
+        contracted += p.contract_set(members, pv)
     return contracted, 0
 
 
@@ -404,7 +392,7 @@ def _adjacent_twins(g: ContractableGraph, u: int, v: int) -> bool:
 def reduce_equal_neighborhoods(p: Problem, limit: int = 5) -> tuple[int, int]:
     """Merge non-terminal vertices with identical weighted neighborhoods."""
     g = p.graph
-    troots = set(p.terminal_roots())
+    troots = p.terminal_roots()
     contracted = 0
     # adjacent twins, re-verified right before each contraction
     for u, v, _ in list(g.edges()):
@@ -415,7 +403,7 @@ def reduce_equal_neighborhoods(p: Problem, limit: int = 5) -> tuple[int, int]:
         if g.degree(u) > limit or g.degree(v) > limit:
             continue
         if _adjacent_twins(g, u, v):
-            g.contract_edge(min(u, v), max(u, v))
+            p.contract_set((u, v), min(u, v))
             contracted += 1
     # non-adjacent twins, grouped on the (post-adjacent-scan) neighborhoods
     groups: dict[tuple, list[int]] = {}
@@ -434,7 +422,7 @@ def reduce_equal_neighborhoods(p: Problem, limit: int = 5) -> tuple[int, int]:
                 fresh.setdefault(_twin_key(g, v), []).append(v)
         for sub in fresh.values():
             if len(sub) >= 2:
-                contracted += g.contract_vertices(sub, sub[0])
+                contracted += p.contract_set(sub, sub[0])
     return contracted, 0
 
 
@@ -497,12 +485,10 @@ def _cleanup(p: Problem, report: ReductionReport) -> None:
     if not actives:
         return
     g = p.graph
-    troots = set(p.terminal_roots())
+    troots = p.terminal_roots()
     isolated = [v for v in g.live_vertices() if v not in troots and g.degree(v) == 0]
     if isolated:
-        target = actives[0][0]
-        n = g.contract_vertices(set(isolated) | {target}, target)
-        report.contracted["isolated"] += n
+        report.contracted["isolated"] += p.contract_set(isolated, actives[0][0])
 
 
 def run_reduction_loop(p: Problem, bound_state: BoundState | None = None,
@@ -517,12 +503,9 @@ def run_reduction_loop(p: Problem, bound_state: BoundState | None = None,
     report.vertices_before = p.graph.num_vertices
     report.edges_before = p.graph.num_edges
 
-    order = DEFAULT_ORDER
     nbhd_limit = 5
     flow_candidates = 5
     if config is not None:
-        if getattr(config, "reduction_order", None):
-            order = tuple(config.reduction_order)
         nbhd_limit = getattr(config, "neighborhood_limit", 5)
         flow_candidates = getattr(config, "flow_candidates", 5)
 
@@ -538,16 +521,13 @@ def run_reduction_loop(p: Problem, bound_state: BoundState | None = None,
         "equal_neighborhoods": lambda: reduce_equal_neighborhoods(p, nbhd_limit),
         "non_terminal_flows": lambda: reduce_non_terminal_flows(p, flow_candidates, deadline),
     }
-    unknown = set(order) - set(rules)
-    if unknown:
-        raise ValueError(f"unknown reduction rules: {sorted(unknown)}")
 
     _cleanup(p, report)
     while not p.is_solved():
         if expired(deadline):
             break
         changed = 0
-        for name in order:
+        for name in DEFAULT_ORDER:
             if expired(deadline):
                 break
             nc, nd = rules[name]()

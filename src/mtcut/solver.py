@@ -29,6 +29,14 @@ class ReductionIncomplete(GraphError):
     """Internal error: branching was asked for a fully reduced problem."""
 
 
+def require_integers(obj, *names: str) -> None:
+    """Raise ValueError unless every named attribute of ``obj`` is an int."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass
 class SolverConfig:
     """All tunables of the solver.
@@ -53,9 +61,10 @@ class SolverConfig:
     flow_candidates: int = 5
     local_search: bool = True
     ilp_command: str | None = None
-    reduction_order: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        require_integers(self, "ilp_edge_limit", "beta", "seed", "neighborhood_limit",
+                         "flow_candidates")
         if self.mode not in ("exact", "inexact"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.branch_rule not in ("vertex", "edge"):
@@ -101,7 +110,7 @@ def save_events(path: str, events: Sequence[tuple[float, int]]) -> None:
 def select_branch_vertex(p: Problem) -> int:
     """Highest weighted-degree non-terminal adjacent to an active terminal."""
     g = p.graph
-    troots = set(p.terminal_roots())
+    troots = p.terminal_roots()
     best = None
     for r, _ in p.active_terminals():
         for x in g.neighbors(r):
@@ -113,6 +122,17 @@ def select_branch_vertex(p: Problem) -> int:
     if best is None:
         raise ReductionIncomplete("no branch vertex: reductions should have solved this")
     return best[1]
+
+
+def _child(p: Problem, x: int, cut: Sequence[int], join: int | None = None) -> Problem:
+    """Branch child: delete the edges from x to ``cut``, then merge x into ``join``."""
+    c = p.copy()
+    for r in cut:
+        c.delete_edge(x, r)
+    if join is not None:
+        c.contract_set((x,), join)
+    c.lower_bound = max(p.lower_bound, c.deleted_weight)
+    return c
 
 
 def branch_vertex(p: Problem, x: int, best_value: float,
@@ -138,38 +158,17 @@ def branch_vertex(p: Problem, x: int, best_value: float,
         surviving = sorted(surviving, key=lambda ri: (-adj[ri[0]], ri[1]))[:beta]
         surviving.sort(key=lambda ri: ri[1])
 
-    def contraction_child(r: int, idx: int) -> Problem:
-        c = p.copy()
-        for r2, idx2 in adj_terms:
-            if idx2 != idx:
-                c.delete_edge(x, r2)
-        c.contract_edge(r, x, into=r)
-        c.lower_bound = max(p.lower_bound, c.deleted_weight)
-        return c
+    def assign(r: int, idx: int) -> Problem:
+        return _child(p, x, [r2 for r2, idx2 in adj_terms if idx2 != idx], r)
 
-    children = []
-    emitted = 0
-    for r, idx in surviving:
-        c = contraction_child(r, idx)
-        emitted += 1
-        if c.lower_bound < best_value:
-            children.append(c)
+    children = [assign(r, idx) for r, idx in surviving]
     if w_nonterm > w_max and len(adj_terms) < p.active_count():
-        c = p.copy()
-        for r2, _ in adj_terms:
-            c.delete_edge(x, r2)
-        c.lower_bound = max(p.lower_bound, c.deleted_weight)
-        emitted += 1
-        if c.lower_bound < best_value:
-            children.append(c)
-    if emitted == 0:
+        children.append(_child(p, x, [r for r, _ in adj_terms]))
+    if not children:
         # every candidate block was pruned; the heaviest-edge block is never
         # worse than any of them, so keep exactly that one
-        r, idx = max(adj_terms, key=lambda ri: (adj[ri[0]], -ri[1]))
-        c = contraction_child(r, idx)
-        if c.lower_bound < best_value:
-            children.append(c)
-    return children
+        children.append(assign(*max(adj_terms, key=lambda ri: (adj[ri[0]], -ri[1]))))
+    return [c for c in children if c.lower_bound < best_value]
 
 
 def branch_edge(p: Problem, x: int, best_value: float) -> list[Problem]:
@@ -180,18 +179,8 @@ def branch_edge(p: Problem, x: int, best_value: float) -> list[Problem]:
     if not adj_terms:
         raise ReductionIncomplete(f"vertex {x} is not terminal-adjacent")
     r, _ = max(adj_terms, key=lambda ri: (adj[ri[0]], -ri[1]))
-    children = []
-    keep = p.copy()
-    keep.contract_edge(r, x, into=r)
-    keep.lower_bound = max(p.lower_bound, keep.deleted_weight)
-    if keep.lower_bound < best_value:
-        children.append(keep)
-    cut = p.copy()
-    cut.delete_edge(x, r)
-    cut.lower_bound = max(p.lower_bound, cut.deleted_weight)
-    if cut.lower_bound < best_value:
-        children.append(cut)
-    return children
+    children = [_child(p, x, [], r), _child(p, x, [r])]
+    return [c for c in children if c.lower_bound < best_value]
 
 
 def shrink_terminals(p: Problem, delta: float) -> int:
@@ -219,11 +208,11 @@ def shrink_terminals(p: Problem, delta: float) -> int:
         return changed
     h_root, _ = max(remaining, key=lambda ri: (g.weighted_degree(ri[0]), -ri[1]))
     other_roots = {r for r, _ in remaining if r != h_root}
-    troots = set(p.terminal_roots())
+    troots = p.terminal_roots()
     grab = [v for v in sorted(g.neighbors(h_root))
             if v not in troots and not other_roots & set(g.neighbors(v))]
     if grab:
-        changed += p.contract_set(grab + [h_root], h_root)
+        changed += p.contract_set(grab, h_root)
     return changed
 
 

@@ -213,9 +213,13 @@ class TestCli:
         {"instances": [{"graph": "g", "k": 2}], "taus": 5},
         {"instances": [{"graph": "g", "k": 1}]},
         {"instances": [], "algorithms": {"exact": {"flow_candidates": -1}}},
+        {"instances": [{"graph": "g", "k": 2.5}]},
+        {"instances": [], "algorithms": {"exact": {"seed": "x"}}},
+        {"instances": [], "algorithms": {"exact": {"beta": 2.5}}},
     ], ids=["instance_key", "algorithm_key", "not_an_object", "tau_below_one",
             "tau_not_a_number", "taus_not_a_list", "k_below_two",
-            "negative_flow_candidates"])
+            "negative_flow_candidates", "k_not_an_integer", "seed_not_an_integer",
+            "beta_not_an_integer"])
     def test_malformed_spec_exit_code(self, tmp_path, capsys, doc):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(doc))

@@ -79,12 +79,12 @@ class TestContraction:
         p = fixture_problem("F1")
         p.graph.contract_edge(0, 1)  # raw graph op: merge a into t1
         with pytest.raises(InvalidContraction):
-            p.contract_edge(0, 2)
+            p.contract_set((0, 2), 0)
 
     def test_terminal_survives_by_default(self):
         p = fixture_problem("F1")
-        p.contract_edge(0, 1)
-        assert p.graph.is_live(0)
+        p.contract_set((0, 1), 1)  # into the non-terminal: t1 still survives
+        assert p.graph.is_live(0) and not p.graph.is_live(1)
         assert p.graph.find(1) == 0
 
 
@@ -172,7 +172,7 @@ class TestCutValue:
 class TestProjection:
     def test_after_contraction(self):
         p = fixture_problem("F1")
-        p.contract_edge(0, 1)
+        p.contract_set((0, 1), 0)
         labels = p.project({0: 0, 2: 1})
         assert labels == [0, 0, 1]
 
@@ -198,7 +198,7 @@ class TestProjection:
 
     def test_terminal_keeps_its_block_under_any_fill(self):
         p = fixture_problem("F1")
-        p.contract_edge(0, 1)
+        p.contract_set((0, 1), 0)
         for fill in (0, 1):
             assert p.project(fill=fill) == [0, 0, 1]
 
@@ -226,7 +226,7 @@ class TestProperties:
             if not same:
                 continue
             u, v = same[rng.randrange(len(same))]
-            p.contract_edge(u, v)
+            p.contract_set((u, v), u)
             kernel = {x: labels[x] for x in p.graph.live_vertices()}
             projected = p.project(kernel)
             assert cut_value(p.original, terminals, projected) == \
@@ -275,7 +275,7 @@ class TestProperties:
                 if not candidates:
                     break
                 u, v = candidates[rng.randrange(len(candidates))]
-                p.contract_edge(u, v)
+                p.contract_set((u, v), u)
                 troots = set(p.terminal_roots())
             roots = p.terminal_roots()
             kernel = {v: roots.get(v, 0) for v in p.graph.live_vertices()}

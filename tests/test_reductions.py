@@ -16,7 +16,6 @@ from mtcut import (
     BoundState,
     ContractableGraph,
     Problem,
-    SolverConfig,
     max_flow_st,
     run_reduction_loop,
 )
@@ -251,15 +250,13 @@ class TestEqualNeighborhoods:
     def test_detection_matches_quadratic_scan(self):
         # unit weights make twins, adjacent and not, common
         rng = random.Random(7)
-        config = SolverConfig(reduction_order=("equal_neighborhoods",))
         contracted = 0
         for _ in range(120):
             n, edges = random_connected_graph(rng, n_min=4, n_max=12, m_max=24, w_max=1)
             p = make_problem(n, edges, rng.sample(range(n), 2))
-            report = run_reduction_loop(p, BoundState(), config)
-            assert report.fixpoint
+            while (step := reduce_equal_neighborhoods(p)) != (0, 0):
+                contracted += step[0]
             assert naive_twin_pairs(p.graph, set(p.terminal_roots()), 5) == set()
-            contracted += report.total_contracted()
         assert contracted > 0
 
 
@@ -325,15 +322,6 @@ class TestReductionLoop:
             assert before - p.graph.num_vertices == report.total_contracted()
             assert report.solved or report.fixpoint
 
-    def test_custom_order(self):
-        from mtcut.solver import SolverConfig
-
-        p = fixture_problem("F1")
-        cfg = SolverConfig(reduction_order=("low_degree", "inter_terminal"))
-        report = run_reduction_loop(p, BoundState(), cfg)
-        assert report.solved
-        assert p.deleted_weight == 1
-
 
 class TestPerRuleSafetySpot:
     """Small spot check; the full 500-instance sweep runs in acceptance."""
@@ -358,6 +346,7 @@ class TestPerRuleSafetySpot:
             for name, rule in self.RULES.items():
                 p = make_problem(n, edges, terminals)
                 rule(p, opt)
+                assert all(p.graph.find(t) == t for t in terminals), name
                 p.refresh_active()
                 p.graph.check_consistency()
                 assert kernel_opt(p) + p.deleted_weight == opt, name
