@@ -16,7 +16,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .flow import FlowResult, hop_distances, isolating_bounds, max_flow_st
+from .flow import FlowNetwork, FlowResult, isolating_bounds, max_flow_st
 from .graph import BoundState, ContractableGraph, Problem
 from .localsearch import expired
 
@@ -98,19 +98,20 @@ def contract_isolating_cuts(p: Problem, bound_state: BoundState | None = None,
     Also derives the isolating-cut bounds: the lower bound tightens the
     problem's own bound, and the upper bound (sum minus the heaviest cut,
     realized by sending every leftover vertex to the terminal with the
-    heaviest cut) is offered to the shared incumbent.
+    heaviest cut) is offered to the shared incumbent. All flows run on one
+    snapshot of the graph; the sides are contracted after the last flow.
     """
-    g = p.graph
     actives = p.active_terminals()
     if len(actives) < 2:
         return 0, 0
+    net = FlowNetwork(p.graph)
     active_roots = [r for r, _ in actives]
     flows: list[tuple[int, int, FlowResult]] = []
     for r, idx in actives:
         if expired(deadline):
             break
         others = [x for x in active_roots if x != r]
-        flows.append((r, idx, max_flow_st(g, r, others)))
+        flows.append((r, idx, max_flow_st(net, r, others)))
     contracted = _contract_source_sides(p, [(r, res) for r, _, res in flows])
 
     if len(flows) == len(actives):
@@ -430,15 +431,29 @@ def reduce_equal_neighborhoods(p: Problem, limit: int = 5) -> tuple[int, int]:
 # flows from non-terminal vertices
 
 
+def hop_distances(g: ContractableGraph, sources: Sequence[int]) -> dict[int, int]:
+    """BFS hop distance from the nearest source to every vertex reached."""
+    dist = {s: 0 for s in sources}
+    queue = deque(sorted(sources))
+    while queue:
+        v = queue.popleft()
+        d = dist[v] + 1
+        for x in g.neighbors(v):
+            if x not in dist:
+                dist[x] = d
+                queue.append(x)
+    return dist
+
+
 def reduce_non_terminal_flows(p: Problem, per_kind: int = 5,
                               deadline: float | None = None) -> tuple[int, int]:
     """Contract isolating-cut source sides of promising non-terminals.
 
     Runs one flow per candidate: the highest weighted-degree non-terminal
     vertices plus the ones farthest (hop distance) from every terminal.
-    The flow problems are independent; their source sides are applied in
-    sequence. Flows stop at the deadline; the sides already computed are
-    still contracted.
+    The flow problems are independent and run on one snapshot of the graph;
+    their source sides are applied in sequence after the last flow. Flows
+    stop at the deadline; the sides already computed are still contracted.
     """
     g = p.graph
     troots = p.terminal_roots()
@@ -453,11 +468,12 @@ def reduce_non_terminal_flows(p: Problem, per_kind: int = 5,
     unreachable = g.n_original + 1
     by_distance = sorted(nonterms, key=lambda v: (-dist.get(v, unreachable), v))[:per_kind]
     candidates = sorted(set(by_degree) | set(by_distance))
+    net = FlowNetwork(g)
     flows = []
     for v in candidates:
         if expired(deadline):
             break
-        flows.append((v, max_flow_st(g, v, actives)))
+        flows.append((v, max_flow_st(net, v, actives)))
     return _contract_source_sides(p, flows), 0
 
 
@@ -533,6 +549,8 @@ def run_reduction_loop(p: Problem, bound_state: BoundState | None = None,
             nc, nd = rules[name]()
             report.contracted[name] += nc
             report.deleted[name] += nd
+            if nc + nd == 0:
+                continue  # an unchanged graph gives _cleanup nothing to do
             changed += nc + nd
             _cleanup(p, report)
             if p.is_solved():

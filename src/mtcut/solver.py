@@ -65,6 +65,10 @@ class SolverConfig:
     def __post_init__(self):
         require_integers(self, "ilp_edge_limit", "beta", "seed", "neighborhood_limit",
                          "flow_candidates")
+        if not isinstance(self.local_search, bool):
+            raise ValueError(f"local_search must be a bool, got {self.local_search!r}")
+        if self.ilp_command is not None and not isinstance(self.ilp_command, str):
+            raise ValueError(f"ilp_command must be a string or None, got {self.ilp_command!r}")
         if self.mode not in ("exact", "inexact"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.branch_rule not in ("vertex", "edge"):
