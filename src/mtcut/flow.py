@@ -124,20 +124,20 @@ class _Component:
 class FlowNetwork:
     """Snapshot of a graph for many flows, relabeled one component at a time.
 
-    The graph must not change while the network is in use: every mutation
-    (contraction or edge deletion) lowers its vertex or edge count, and a
-    flow on a network whose graph changed raises :class:`GraphError`.
+    The graph must not change while the network is in use: a flow on a
+    network whose graph's :meth:`~ContractableGraph.version` moved raises
+    :class:`GraphError`.
     """
 
     def __init__(self, g: ContractableGraph):
         self.graph = g
-        self._size = (g.num_vertices, g.num_edges)
+        self._version = g.version()
         self._components: list[_Component] = []
 
     def component(self, v: int) -> _Component:
         """The relabeled component holding live vertex ``v``."""
         g = self.graph
-        if (g.num_vertices, g.num_edges) != self._size:
+        if g.version() != self._version:
             raise GraphError("graph changed since the flow network was built")
         for comp in self._components:
             if v in comp.index:

@@ -15,7 +15,6 @@ the terminal's vertex. Terminal lookups therefore need no ``find``.
 from __future__ import annotations
 
 import math
-import threading
 from typing import Iterable, Iterator, Sequence
 
 
@@ -112,6 +111,15 @@ class ContractableGraph:
         while parent[v] != root:
             parent[v], v = root, parent[v]
         return root
+
+    def version(self) -> tuple[int, int]:
+        """``(num_vertices, num_edges)``, which every mutation changes.
+
+        A contraction lowers the vertex count and an edge deletion the edge
+        count, and once built nothing raises either. So a graph whose
+        version is the same as before has not been changed since.
+        """
+        return self.num_vertices, self.num_edges
 
     def is_live(self, v: int) -> bool:
         return self._adj[v] is not None
@@ -229,34 +237,6 @@ class ContractableGraph:
         self._wdeg[v] = 0
         self._parent[v] = u
         self.num_vertices -= 1
-
-    # -- validation helpers (used by the test suite) ----------------------
-
-    def check_consistency(self) -> None:
-        n_live = 0
-        m = 0
-        for v, a in enumerate(self._adj):
-            if a is None:
-                continue
-            n_live += 1
-            wsum = 0
-            for x, w in a.items():
-                if x == v:
-                    raise GraphError(f"self-loop at {v}")
-                ax = self._adj[x]
-                if ax is None or ax.get(v) != w:
-                    raise GraphError(f"asymmetric edge ({v},{x})")
-                if w < 1:
-                    raise GraphError(f"non-positive weight on ({v},{x})")
-                wsum += w
-                m += 1
-            if wsum != self._wdeg[v]:
-                raise GraphError(f"stale weighted degree at {v}")
-        if n_live != self.num_vertices or m != 2 * self.num_edges:
-            raise GraphError("stale vertex/edge counters")
-        for v in range(self.n_original):
-            if self._adj[self.find(v)] is None:
-                raise GraphError(f"vertex {v} maps to a dead representative")
 
 
 def cut_value(graph: ContractableGraph, terminal_vertices: Sequence[int], labels: Sequence[int]) -> int:
@@ -416,7 +396,7 @@ class Problem:
 
 
 class BoundState:
-    """Shared best-known solution; updates are atomic compare-and-improve.
+    """Best-known solution of one search, owned by the thread that runs it.
 
     ``best_value`` only ever decreases. Every source offers its labels at
     their :meth:`Problem.solution_value`, so it equals the cut value of
@@ -427,22 +407,15 @@ class BoundState:
         self.best_value: float = math.inf
         self.best_labels: list[int] | None = None
         self.events: list[tuple[float, int]] = []
-        self._lock = threading.Lock()
         self._t0 = t0
 
     def improve(self, value: int, labels: Sequence[int], now: float | None = None) -> bool:
-        with self._lock:
-            if value >= self.best_value:
-                return False
-            self.best_value = value
-            self.best_labels = list(labels)
-            stamp = 0.0
-            if now is not None and self._t0 is not None:
-                stamp = max(0.0, now - self._t0)
-            self.events.append((stamp, value))
-            return True
-
-    def snapshot(self) -> tuple[float, list[int] | None]:
-        with self._lock:
-            labels = None if self.best_labels is None else list(self.best_labels)
-            return self.best_value, labels
+        if value >= self.best_value:
+            return False
+        self.best_value = value
+        self.best_labels = list(labels)
+        stamp = 0.0
+        if now is not None and self._t0 is not None:
+            stamp = max(0.0, now - self._t0)
+        self.events.append((stamp, value))
+        return True

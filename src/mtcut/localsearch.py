@@ -74,11 +74,6 @@ class GainTable:
                 del tx[old]
             tx[block] = tx.get(block, 0) + w
 
-    def gains_from_scratch(self) -> dict[int, tuple[int, int]]:
-        """Recompute every gain directly from the labels (test oracle)."""
-        fresh = GainTable(self.graph, list(self.labels), self.num_blocks)
-        return {v: fresh.best_move(v) for v in range(self.graph.n_original)}
-
 
 def kl_pass(table: GainTable, terminal_set: set[int]) -> int:
     """One sweep of single and pair moves; returns the total gain applied.

@@ -508,8 +508,19 @@ def _cleanup(p: Problem, report: ReductionReport) -> None:
 
 
 def run_reduction_loop(p: Problem, bound_state: BoundState | None = None,
-                       config=None, deadline: float | None = None) -> ReductionReport:
-    """Apply all reduction rules repeatedly until none of them fires.
+                       config=None, deadline: float | None = None,
+                       order: Sequence[str] = DEFAULT_ORDER) -> ReductionReport:
+    """Apply the rules named in ``order`` in passes until none of them fires.
+
+    ``order`` defaults to all nine rules; the solver's nodes below the root
+    pass it without the non-terminal flows. Each pass offers every rule a
+    turn, in order; the loop stops after a pass in which nothing changed.
+    A rule that changed nothing is skipped until the graph's
+    :meth:`~ContractableGraph.version` or the incumbent's value moves: the
+    rules are deterministic, so on a state one has already seen it would
+    change nothing again. The incumbent is part of that state because
+    ``reduce_connectivity`` reads it, and the isolating-cut heuristic can
+    lower it without changing the graph.
 
     Terminals isolated along the way are deactivated; once at most one
     active terminal remains the subproblem is solved and its value is the
@@ -525,31 +536,40 @@ def run_reduction_loop(p: Problem, bound_state: BoundState | None = None,
         nbhd_limit = getattr(config, "neighborhood_limit", 5)
         flow_candidates = getattr(config, "flow_candidates", 5)
 
+    def best_value() -> float:
+        return bound_state.best_value if bound_state is not None else math.inf
+
+    def state() -> tuple:
+        return p.graph.version(), best_value()
+
     rules: dict[str, Callable[[], tuple[int, int]]] = {
         "inter_terminal": lambda: delete_inter_terminal_edges(p),
         "isolating_cuts": lambda: contract_isolating_cuts(p, bound_state, deadline),
         "low_degree": lambda: reduce_low_degree(p),
         "heavy_edge": lambda: reduce_heavy_edge(p),
         "heavy_triangle": lambda: reduce_heavy_triangle(p),
-        "connectivity": lambda: reduce_connectivity(
-            p, bound_state.best_value if bound_state is not None else math.inf),
+        "connectivity": lambda: reduce_connectivity(p, best_value()),
         "articulation": lambda: reduce_articulation_points(p),
         "equal_neighborhoods": lambda: reduce_equal_neighborhoods(p, nbhd_limit),
         "non_terminal_flows": lambda: reduce_non_terminal_flows(p, flow_candidates, deadline),
     }
+    idle: dict[str, tuple] = {}  # rule -> the state on which it last changed nothing
 
     _cleanup(p, report)
     while not p.is_solved():
         if expired(deadline):
             break
         changed = 0
-        for name in DEFAULT_ORDER:
+        for name in order:
             if expired(deadline):
                 break
+            if idle.get(name) == state():
+                continue
             nc, nd = rules[name]()
             report.contracted[name] += nc
             report.deleted[name] += nd
             if nc + nd == 0:
+                idle[name] = state()
                 continue  # an unchanged graph gives _cleanup nothing to do
             changed += nc + nd
             _cleanup(p, report)

@@ -3,11 +3,14 @@
 Subproblems live in a best-first priority queue keyed by lower bound; a
 popped problem is reduced to a fixpoint, closed if solved or dominated,
 handed to the external MILP solver when small enough, and branched
-otherwise. Every incumbent is scored on the original graph before it is
-offered. A solved leaf or an ILP solution that improves the incumbent is
-then polished by local search; the trivial start and the isolating-cut
-heuristic are not. The search runs in the calling thread: under the GIL,
-worker threads only added contention.
+otherwise. The root is reduced with every rule of
+:data:`~mtcut.reductions.DEFAULT_ORDER`; the nodes below it leave out the
+non-terminal flows (:data:`NODE_ORDER`), the costliest rule, which hardly
+ever fires once the root has run it. Every incumbent is scored on the
+original graph before it is offered. A solved leaf or an ILP solution that
+improves the incumbent is then polished by local search; the trivial start
+and the isolating-cut heuristic are not. The search runs in the calling
+thread: under the GIL, worker threads only added contention.
 """
 
 from __future__ import annotations
@@ -22,7 +25,11 @@ from typing import Sequence
 from . import ilp
 from .graph import BoundState, ContractableGraph, GraphError, Problem
 from .localsearch import expired, refine
-from .reductions import run_reduction_loop
+from .reductions import DEFAULT_ORDER, run_reduction_loop
+
+
+# the rules of every node below the root
+NODE_ORDER: tuple[str, ...] = tuple(r for r in DEFAULT_ORDER if r != "non_terminal_flows")
 
 
 class ReductionIncomplete(GraphError):
@@ -266,7 +273,8 @@ class _Search:
 
     def process(self, p: Problem, is_root: bool) -> list[Problem]:
         cfg = self.config
-        report = run_reduction_loop(p, self.bound, cfg, self.deadline)
+        order = DEFAULT_ORDER if is_root else NODE_ORDER
+        report = run_reduction_loop(p, self.bound, cfg, self.deadline, order)
         if is_root:
             self.root_kernel = (report.vertices_after, report.edges_after)
         if report.solved:
@@ -300,7 +308,7 @@ class _Search:
             x = select_branch_vertex(p)
         except ReductionIncomplete:
             # shrinking or deletions can expose new trivial reductions
-            if run_reduction_loop(p, self.bound, cfg, self.deadline).solved:
+            if run_reduction_loop(p, self.bound, cfg, self.deadline, order).solved:
                 return self.close(p)
             x = select_branch_vertex(p)
         if cfg.branch_rule == "edge":
@@ -352,12 +360,11 @@ def solve_prepared(root: Problem, config: SolverConfig | None = None) -> SolveRe
     search = _Search(root, config, bound, deadline)
     search.run()
 
-    value, labels = bound.snapshot()
     kernel_v, kernel_e = search.root_kernel or (root.graph.num_vertices,
                                                 root.graph.num_edges)
     return SolveResult(
-        labels=labels,
-        value=int(value),
+        labels=bound.best_labels,
+        value=int(bound.best_value),
         optimal=not search.stopped and config.mode == "exact",
         events=list(bound.events),
         root_kernel_vertices=kernel_v,

@@ -1,8 +1,10 @@
-"""Independent oracles and instance generators shared by the test suite.
+"""Independent oracles, consistency checks and instance generators shared
+by the test suite.
 
 Everything here is deliberately brute force: enumeration over assignments,
-cut enumeration over subsets, remove-and-check articulation points. These
-stay independent of the solver's own code paths.
+cut enumeration over subsets, remove-and-check articulation points, a full
+rescan of a graph's adjacency. These stay independent of the solver's own
+code paths.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ import random
 
 import numpy as np
 
-from mtcut import ContractableGraph, Problem
+from mtcut import ContractableGraph, GraphError, Problem
+from mtcut.localsearch import GainTable
 
 
 # F1 path, F2 unit triangle, F3 star, F4 path plus pendant cycle, F5 twin
@@ -34,6 +37,37 @@ def fixture_graph(name: str) -> ContractableGraph:
 def fixture_problem(name: str) -> Problem:
     n, edges, terminals, _ = FIXTURES[name]
     return Problem.from_instance(ContractableGraph.from_edge_list(n, edges), terminals)
+
+
+def check_consistency(g: ContractableGraph) -> None:
+    """Raise GraphError unless adjacency, degrees, counters and find agree."""
+    n_live = 0
+    m = 0
+    for v in g.live_vertices():
+        n_live += 1
+        wsum = 0
+        for x, w in g.neighbors(v).items():
+            if x == v:
+                raise GraphError(f"self-loop at {v}")
+            if not g.is_live(x) or g.neighbors(x).get(v) != w:
+                raise GraphError(f"asymmetric edge ({v},{x})")
+            if w < 1:
+                raise GraphError(f"non-positive weight on ({v},{x})")
+            wsum += w
+            m += 1
+        if wsum != g.weighted_degree(v):
+            raise GraphError(f"stale weighted degree at {v}")
+    if n_live != g.num_vertices or m != 2 * g.num_edges:
+        raise GraphError("stale vertex/edge counters")
+    for v in range(g.n_original):
+        if not g.is_live(g.find(v)):
+            raise GraphError(f"vertex {v} maps to a dead representative")
+
+
+def gains_from_scratch(table: GainTable) -> dict[int, tuple[int, int]]:
+    """Every vertex's best move, from a table rebuilt from the labels."""
+    fresh = GainTable(table.graph, list(table.labels), table.num_blocks)
+    return {v: fresh.best_move(v) for v in range(table.graph.n_original)}
 
 
 def brute_force_opt(n, edges, terminals):

@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from helpers import FIXTURES, brute_force_opt, fixture_graph, fixture_problem, random_instance
+from helpers import (
+    FIXTURES,
+    brute_force_opt,
+    check_consistency,
+    fixture_graph,
+    fixture_problem,
+    random_instance,
+)
 from mtcut import (
     ContractableGraph,
     EdgeNotFound,
@@ -260,7 +267,7 @@ class TestProperties:
                     g.contract_edge(u, v)
                 else:
                     g.delete_edge(u, v)
-                g.check_consistency()
+                check_consistency(g)
 
     def test_projection_feasible_after_contractions(self):
         rng = random.Random(4)

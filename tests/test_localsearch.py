@@ -4,6 +4,7 @@ from helpers import (
     FIXTURES,
     brute_force_opt,
     fixture_graph,
+    gains_from_scratch,
     random_connected_graph,
     random_instance,
 )
@@ -39,7 +40,7 @@ class TestGainTable:
             for _ in range(15):
                 v = rng.choice(movable)
                 table.move(v, rng.randrange(k))
-                scratch = table.gains_from_scratch()
+                scratch = gains_from_scratch(table)
                 for u in range(n):
                     assert table.best_move(u) == scratch[u]
 

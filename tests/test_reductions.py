@@ -5,12 +5,14 @@ import time
 from helpers import (
     FIXTURES,
     brute_force_opt,
+    check_consistency,
     fixture_problem,
     kernel_opt,
     naive_articulation_points,
     naive_twin_pairs,
     random_connected_graph,
     random_instance,
+    torus_graph,
 )
 from mtcut import (
     BoundState,
@@ -21,6 +23,7 @@ from mtcut import (
 )
 import mtcut.reductions
 from mtcut.reductions import (
+    DEFAULT_ORDER,
     articulation_points,
     capforest_bounds,
     contract_isolating_cuts,
@@ -348,5 +351,106 @@ class TestPerRuleSafetySpot:
                 rule(p, opt)
                 assert all(p.graph.find(t) == t for t in terminals), name
                 p.refresh_active()
-                p.graph.check_consistency()
+                check_consistency(p.graph)
                 assert kernel_opt(p) + p.deleted_weight == opt, name
+
+
+# DEFAULT_ORDER name -> its function in mtcut.reductions
+RULE_FUNCTIONS = {
+    "inter_terminal": "delete_inter_terminal_edges",
+    "isolating_cuts": "contract_isolating_cuts",
+    "low_degree": "reduce_low_degree",
+    "heavy_edge": "reduce_heavy_edge",
+    "heavy_triangle": "reduce_heavy_triangle",
+    "connectivity": "reduce_connectivity",
+    "articulation": "reduce_articulation_points",
+    "equal_neighborhoods": "reduce_equal_neighborhoods",
+    "non_terminal_flows": "reduce_non_terminal_flows",
+}
+
+
+def record_rule_calls(monkeypatch, bound: BoundState) -> list:
+    """Wrap every rule; each call appends (rule, state before, result, state after).
+
+    A state is the graph's version and the incumbent's value.
+    """
+    log = []
+    for name, func in RULE_FUNCTIONS.items():
+        def wrapped(p, *args, _name=name, _real=getattr(mtcut.reductions, func)):
+            before = (p.graph.version(), bound.best_value)
+            res = _real(p, *args)
+            log.append((_name, before, res, (p.graph.version(), bound.best_value)))
+            return res
+        monkeypatch.setattr(mtcut.reductions, func, wrapped)
+    return log
+
+
+class TestSchedule:
+    def test_no_rerun_on_a_seen_state_and_none_missed(self, monkeypatch):
+        rng = random.Random(12)
+        skipped = 0
+        for _ in range(80):
+            n, edges, terminals = random_instance(rng, n_min=6, n_max=12)
+            p = make_problem(n, edges, terminals)
+            bound = BoundState()
+            log = record_rule_calls(monkeypatch, bound)
+            report = run_reduction_loop(p, bound)
+            last = {}
+            for name, before, res, after in log:
+                if name in last and last[name][0] == (0, 0):
+                    # it changed nothing on that state, so it must not see it again
+                    assert before != last[name][1], name
+                last[name] = (res, after)
+            if report.fixpoint:
+                # every rule last ran on the final graph and changed nothing
+                assert set(last) == set(DEFAULT_ORDER)
+                for name, (res, after) in last.items():
+                    assert res == (0, 0) and after[0] == p.graph.version(), name
+            skipped += report.passes * len(DEFAULT_ORDER) - len(log)
+        assert skipped > 0
+
+    def test_connectivity_reruns_when_only_the_incumbent_falls(self, monkeypatch):
+        # low_degree contracts in the first pass, before connectivity runs.
+        # In the second pass it changes nothing but lowers the incumbent, so
+        # connectivity meets the graph it has seen under a new incumbent.
+        p = fixture_problem("F4")
+        bound = BoundState()
+        low_degree_calls = 0
+
+        def low_degree(q):
+            nonlocal low_degree_calls
+            low_degree_calls += 1
+            if low_degree_calls == 1:
+                return reduce_low_degree(q)
+            labels = q.project(fill=0)
+            bound.improve(q.solution_value(labels), labels)
+            return 0, 0
+
+        seen = []
+
+        def connectivity(q, best_value):
+            seen.append((q.graph.version(), best_value))
+            return 0, 0
+
+        for func in RULE_FUNCTIONS.values():
+            monkeypatch.setattr(mtcut.reductions, func, lambda q, *args: (0, 0))
+        monkeypatch.setattr(mtcut.reductions, "reduce_low_degree", low_degree)
+        monkeypatch.setattr(mtcut.reductions, "reduce_connectivity", connectivity)
+        report = run_reduction_loop(p, bound)
+        assert report.fixpoint and report.passes == 2
+        assert bound.best_value < math.inf
+        version = p.graph.version()
+        assert seen == [(version, math.inf), (version, bound.best_value)]
+
+    def test_defaults_run_all_nine_rules_and_an_order_picks_them(self, monkeypatch):
+        assert len(DEFAULT_ORDER) == 9
+        node_order = [name for name in DEFAULT_ORDER if name != "non_terminal_flows"]
+        for order, kwargs in ((DEFAULT_ORDER, {}), (node_order, {"order": node_order})):
+            p = Problem.from_instance(torus_graph(6, 6), (0, 15, 26))
+            bound = BoundState()
+            log = record_rule_calls(monkeypatch, bound)
+            report = run_reduction_loop(p, bound, **kwargs)
+            assert not report.solved
+            # the first pass runs every rule of the order, in order, and no other
+            assert [name for name, *_ in log[:len(order)]] == list(order)
+            assert {name for name, *_ in log} == set(report.contracted) == set(order)

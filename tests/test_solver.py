@@ -12,6 +12,7 @@ from helpers import (
 )
 from mtcut import BoundState, ContractableGraph, Problem, cut_value, max_flow_st
 from mtcut.bench import generate_terminals, grow_terminal_blocks
+import mtcut.reductions
 from mtcut.reductions import run_reduction_loop
 from mtcut.solver import (
     ReductionIncomplete,
@@ -253,6 +254,41 @@ class TestSolve:
         r = solve(g, terminals, SolverConfig(time_limit=1e-9))
         assert cut_value(g, terminals, r.labels) == r.value
         assert not r.optimal
+
+
+class TestSchedule:
+    def test_non_terminal_flows_run_at_the_root_only(self, monkeypatch):
+        roots = []  # is_root of each node being processed, innermost last
+        real_process = _Search.process
+
+        def process(self, p, is_root):
+            roots.append(is_root)
+            try:
+                return real_process(self, p, is_root)
+            finally:
+                roots.pop()
+
+        flows_at = []
+        real_flows = mtcut.reductions.reduce_non_terminal_flows
+
+        def flows(p, *args):
+            flows_at.append(roots[-1])
+            return real_flows(p, *args)
+
+        monkeypatch.setattr(_Search, "process", process)
+        monkeypatch.setattr(mtcut.reductions, "reduce_non_terminal_flows", flows)
+        rng = random.Random(36)
+        branched = 0
+        for _ in range(40):
+            n, edges, terminals = random_instance(rng, n_min=9, n_max=12)
+            g = ContractableGraph.from_edge_list(n, edges)
+            opt, _ = brute_force_opt(n, edges, terminals)
+            exact = solve(g, terminals)
+            assert exact.value == opt
+            inexact = solve(g, terminals, SolverConfig(mode="inexact", delta=0.5))
+            branched += (exact.nodes > 1) + (inexact.nodes > 1)
+        assert branched >= 10
+        assert flows_at and all(flows_at)
 
 
 class TestPublish:
