@@ -11,8 +11,8 @@ from .graph import (
     Problem,
     cut_value,
 )
-from .flow import FlowResult, isolating_bounds, isolating_cuts, max_flow_st
-from .reductions import ReductionReport, run_reduction_loop
+from .flow import FlowResult, isolating_bounds, max_flow_st
+from .reductions import ReductionReport, isolating_cuts, run_reduction_loop
 from .localsearch import refine
 from .solver import SolveResult, SolverConfig, solve, solve_prepared
 from .graphio import GraphParseError, parse_graph, parse_graph_file, write_graph

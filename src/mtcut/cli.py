@@ -34,14 +34,15 @@ def _add_instance_args(cmd: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_args(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument("--mode", choices=("exact", "inexact"), default="exact")
-    cmd.add_argument("--time-limit", type=float, default=None)
-    cmd.add_argument("--ilp-edge-limit", type=int, default=50000)
-    cmd.add_argument("--ilp-timeout", type=float, default=60.0)
-    cmd.add_argument("--delta", type=float, default=0.1)
-    cmd.add_argument("--beta", type=int, default=5)
-    cmd.add_argument("--branch-rule", choices=("vertex", "edge"), default="vertex")
-    cmd.add_argument("--ilp-command", default=None,
+    defaults = SolverConfig()
+    cmd.add_argument("--mode", choices=("exact", "inexact"), default=defaults.mode)
+    cmd.add_argument("--time-limit", type=float, default=defaults.time_limit)
+    cmd.add_argument("--ilp-edge-limit", type=int, default=defaults.ilp_edge_limit)
+    cmd.add_argument("--ilp-timeout", type=float, default=defaults.ilp_timeout_seconds)
+    cmd.add_argument("--delta", type=float, default=defaults.delta)
+    cmd.add_argument("--beta", type=int, default=defaults.beta)
+    cmd.add_argument("--branch-rule", choices=("vertex", "edge"), default=defaults.branch_rule)
+    cmd.add_argument("--ilp-command", default=defaults.ilp_command,
                      help="solver command template with {model} and {solution}")
 
 
@@ -88,7 +89,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_kernelize(args) -> int:
     problem = _prepare_instance(args)
-    report = run_reduction_loop(problem, BoundState(), _config_from(args))
+    report = run_reduction_loop(problem, BoundState())
     payload = report.to_dict()
     payload["deleted_weight"] = problem.deleted_weight
     payload["active_terminals"] = problem.active_count()
@@ -139,7 +140,6 @@ def main(argv=None) -> int:
 
     cmd = sub.add_parser("kernelize", help="run the reductions and report")
     _add_instance_args(cmd)
-    _add_solver_args(cmd)
     cmd.add_argument("--output", default=None, help="write report JSON here")
     cmd.set_defaults(func=_cmd_kernelize)
 

@@ -1,4 +1,4 @@
-"""Maximum s-T-flow, minimum isolating cuts and the derived bounds.
+"""Maximum s-T-flow, and the bounds derived from isolating cut values.
 
 A flow from a source to a set of sinks is reduced to a single-sink problem
 by attaching a super-sink with unsaturable edges (capacity one more than
@@ -275,20 +275,6 @@ def _scipy_flow(comp: _Component, s: int, sinks: list[int]) -> tuple[int, list[i
     reach = np.zeros(size, dtype=bool)
     reach[order] = True
     return int(res.flow_value), np.flatnonzero(~reach[:ss]).tolist()
-
-
-def isolating_cuts(p_graph: ContractableGraph,
-                   terminals: Sequence[int]) -> list[FlowResult]:
-    """Minimum isolating cut of each terminal against all the others.
-
-    The flow problems are independent of each other (they could run in
-    parallel); they are all computed against the same input graph.
-    """
-    if len(terminals) < 2:
-        raise GraphError("isolating cuts need at least two terminals")
-    net = FlowNetwork(p_graph)
-    term_set = set(terminals)
-    return [max_flow_st(net, t, term_set - {t}) for t in terminals]
 
 
 def isolating_bounds(results: Sequence[FlowResult]) -> tuple[int, int]:

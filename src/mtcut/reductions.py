@@ -14,10 +14,10 @@ import math
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .flow import FlowNetwork, FlowResult, isolating_bounds, max_flow_st
-from .graph import BoundState, ContractableGraph, Problem
+from .graph import BoundState, ContractableGraph, GraphError, Problem
 from .localsearch import expired
 
 
@@ -34,9 +34,6 @@ class ReductionReport:
     vertices_after: int = 0
     edges_before: int = 0
     edges_after: int = 0
-
-    def total_contracted(self) -> int:
-        return sum(self.contracted.values())
 
     def to_dict(self) -> dict:
         return {
@@ -72,8 +69,37 @@ def delete_inter_terminal_edges(p: Problem) -> tuple[int, int]:
 # isolating cuts
 
 
-def _contract_source_sides(p: Problem, flows: Sequence[tuple[int, FlowResult]]) -> int:
-    """Contract each (source, flow) side into the source's representative.
+def _flows(g: ContractableGraph, sources: Sequence[int], sinks: Sequence[int],
+           deadline: float | None = None) -> list[FlowResult]:
+    """Minimum cut from each source to every sink but itself.
+
+    All flows run on one :class:`FlowNetwork` snapshot of ``g``. The deadline
+    is checked before each flow, so the cuts may cover a prefix of ``sources``.
+    """
+    net = FlowNetwork(g)
+    flows = []
+    for s in sources:
+        if expired(deadline):
+            break
+        flows.append(max_flow_st(net, s, [t for t in sinks if t != s]))
+    return flows
+
+
+def isolating_cuts(g: ContractableGraph, terminals: Sequence[int],
+                   deadline: float | None = None) -> list[FlowResult]:
+    """Minimum isolating cut of each terminal against all the others.
+
+    Once the deadline passes no flow starts, so the cuts may cover a prefix
+    of ``terminals``.
+    """
+    if len(terminals) < 2:
+        raise GraphError("isolating cuts need at least two terminals")
+    return _flows(g, terminals, terminals, deadline)
+
+
+def _contract_source_sides(p: Problem, sources: Sequence[int],
+                           flows: Sequence[FlowResult]) -> int:
+    """Contract each flow's source side into its source's representative.
 
     The sides were computed on the same graph and are applied in order. A
     side keeps out every terminal but the source's own, so no two
@@ -82,7 +108,7 @@ def _contract_source_sides(p: Problem, flows: Sequence[tuple[int, FlowResult]]) 
     g = p.graph
     troots = p.terminal_roots()
     contracted = 0
-    for source, res in flows:
+    for source, res in zip(sources, flows):
         root = g.find(source)
         own = troots.get(root)
         side = {x for x in map(g.find, res.source_side) if troots.get(x, own) == own}
@@ -104,21 +130,16 @@ def contract_isolating_cuts(p: Problem, bound_state: BoundState | None = None,
     actives = p.active_terminals()
     if len(actives) < 2:
         return 0, 0
-    net = FlowNetwork(p.graph)
-    active_roots = [r for r, _ in actives]
-    flows: list[tuple[int, int, FlowResult]] = []
-    for r, idx in actives:
-        if expired(deadline):
-            break
-        others = [x for x in active_roots if x != r]
-        flows.append((r, idx, max_flow_st(net, r, others)))
-    contracted = _contract_source_sides(p, [(r, res) for r, _, res in flows])
+    roots = [r for r, _ in actives]
+    flows = isolating_cuts(p.graph, roots, deadline)
+    contracted = _contract_source_sides(p, roots, flows)
 
     if len(flows) == len(actives):
-        lower, upper = isolating_bounds([res for _, _, res in flows])
+        lower, upper = isolating_bounds(flows)
         p.lower_bound = max(p.lower_bound, p.deleted_weight + lower)
         if bound_state is not None and p.deleted_weight + upper < bound_state.best_value:
-            heaviest = max(flows, key=lambda f: (f[2].value, -f[1]))[1]
+            top = max(res.value for res in flows)
+            heaviest = min(idx for (_, idx), res in zip(actives, flows) if res.value == top)
             labels = p.project(fill=heaviest)
             bound_state.improve(p.solution_value(labels), labels, now=time.monotonic())
     return contracted, 0
@@ -126,6 +147,23 @@ def contract_isolating_cuts(p: Problem, bound_state: BoundState | None = None,
 
 # ---------------------------------------------------------------------------
 # local rules
+
+
+def _current_edges(p: Problem,
+                   scanned: list[tuple[int, int, int]]) -> Iterator[tuple[int, int, int]]:
+    """Re-read scanned edges ``(u, v, _)`` on the graph as it is now.
+
+    Yields ``(a, b, w)``: the ends' current representatives and their edge
+    weight, skipping ends that have merged or are both terminals. It is lazy,
+    so each edge sees the contractions made for the edges before it. The ends
+    stay adjacent until they merge, because the rules using it delete no edge.
+    """
+    g = p.graph
+    troots = p.terminal_roots()
+    for u, v, _ in scanned:
+        a, b = g.find(u), g.find(v)
+        if a != b and not (a in troots and b in troots):
+            yield a, b, g.neighbors(a)[b]
 
 
 def reduce_low_degree(p: Problem) -> tuple[int, int]:
@@ -168,17 +206,10 @@ def reduce_heavy_edge(p: Problem) -> tuple[int, int]:
     g = p.graph
     troots = p.terminal_roots()
     contracted = 0
-    for u, v, _ in list(g.edges()):
-        a, b = g.find(u), g.find(v)
-        if a == b or a in troots and b in troots:
-            continue
-        w = g.neighbors(a).get(b)
-        if w is None:
-            continue
+    for a, b, w in _current_edges(p, list(g.edges())):
         if (a not in troots and 2 * w >= g.weighted_degree(a)) or \
            (b not in troots and 2 * w >= g.weighted_degree(b)):
-            p.contract_set((a, b), min(a, b))
-            contracted += 1
+            contracted += p.contract_set((a, b), min(a, b))
     return contracted, 0
 
 
@@ -193,28 +224,19 @@ def reduce_heavy_triangle(p: Problem) -> tuple[int, int]:
     g = p.graph
     troots = p.terminal_roots()
     contracted = 0
-    for u, v, _ in list(g.edges()):
-        a, b = g.find(u), g.find(v)
-        if a == b or a in troots or b in troots:
+    for a, b, w in _current_edges(p, list(g.edges())):
+        if a in troots or b in troots:
             continue
         na, nb = g.neighbors(a), g.neighbors(b)
-        w = na.get(b)
-        if w is None:
-            continue
         small, other = (na, nb) if len(na) <= len(nb) else (nb, na)
         hit = False
-        for x in small:
-            wx_other = other.get(x)
-            if wx_other is None or x == a or x == b:
-                continue
-            wa = na[x]
-            wb = nb[x]
-            if w + 2 * wa >= g.weighted_degree(a) and w + 2 * wb >= g.weighted_degree(b):
+        for x in small:  # the apex x is a common neighbor, so neither a nor b
+            if x in other and w + 2 * na[x] >= g.weighted_degree(a) \
+                    and w + 2 * nb[x] >= g.weighted_degree(b):
                 hit = True
                 break
         if hit:
-            p.contract_set((a, b), min(a, b))
-            contracted += 1
+            contracted += p.contract_set((a, b), min(a, b))
     return contracted, 0
 
 
@@ -257,19 +279,12 @@ def reduce_connectivity(p: Problem, best_value: float) -> tuple[int, int]:
     """
     if not math.isfinite(best_value):
         return 0, 0
-    g = p.graph
     threshold = best_value - p.deleted_weight
-    q = capforest_bounds(g)
-    troots = p.terminal_roots()
+    scanned = [(u, v, qe) for (u, v), qe in sorted(capforest_bounds(p.graph).items())
+               if qe > threshold]
     contracted = 0
-    for (u, v), qe in sorted(q.items()):
-        if qe <= threshold:
-            continue
-        a, b = g.find(u), g.find(v)
-        if a == b or a in troots and b in troots:
-            continue
-        p.contract_set((a, b), min(a, b))
-        contracted += 1
+    for a, b, _ in _current_edges(p, scanned):
+        contracted += p.contract_set((a, b), min(a, b))
     return contracted, 0
 
 
@@ -468,13 +483,8 @@ def reduce_non_terminal_flows(p: Problem, per_kind: int = 5,
     unreachable = g.n_original + 1
     by_distance = sorted(nonterms, key=lambda v: (-dist.get(v, unreachable), v))[:per_kind]
     candidates = sorted(set(by_degree) | set(by_distance))
-    net = FlowNetwork(g)
-    flows = []
-    for v in candidates:
-        if expired(deadline):
-            break
-        flows.append((v, max_flow_st(net, v, actives)))
-    return _contract_source_sides(p, flows), 0
+    flows = _flows(g, candidates, actives, deadline)
+    return _contract_source_sides(p, candidates, flows), 0
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import random
 
 import numpy as np
 
-from mtcut import ContractableGraph, GraphError, Problem
+from mtcut import ContractableGraph, GraphError, Problem, ReductionReport
 from mtcut.localsearch import GainTable
 
 
@@ -62,6 +62,11 @@ def check_consistency(g: ContractableGraph) -> None:
     for v in range(g.n_original):
         if not g.is_live(g.find(v)):
             raise GraphError(f"vertex {v} maps to a dead representative")
+
+
+def total_contracted(report: ReductionReport) -> int:
+    """Vertices a reduction run merged away, summed over its rules."""
+    return sum(report.contracted.values())
 
 
 def gains_from_scratch(table: GainTable) -> dict[int, tuple[int, int]]:

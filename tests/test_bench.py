@@ -16,7 +16,9 @@ from mtcut.bench import (
     write_profile_csv,
     write_results_jsonl,
 )
+import mtcut.cli
 from mtcut.cli import main
+from mtcut.reductions import DEFAULT_ORDER
 from mtcut.solver import SolverConfig
 
 
@@ -185,6 +187,43 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["solved"] is True
         assert payload["vertices_after"] < payload["vertices_before"]
+
+    def test_kernelize_report(self, tmp_path, capsys):
+        n, edges = random_connected_graph(random.Random(3), 30, 30, 80, 10)
+        graph = tmp_path / "r30.graph"
+        graph.write_text(write_graph(ContractableGraph.from_edge_list(n, edges)))
+        assert main(["kernelize", "--graph", str(graph), "--k", "4", "--seed", "5"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        contracted = dict.fromkeys(DEFAULT_ORDER, 0)
+        contracted.update(isolating_cuts=1, low_degree=5, heavy_edge=8, non_terminal_flows=11)
+        assert payload == {
+            "contracted": contracted, "deleted": dict.fromkeys(contracted, 0),
+            "passes": 2, "solved": False, "fixpoint": True,
+            "vertices_before": 30, "vertices_after": 5, "edges_before": 50, "edges_after": 4,
+            "deleted_weight": 0, "active_terminals": 4,
+        }
+
+    @pytest.mark.parametrize("flag", ["--mode=inexact", "--time-limit=5", "--ilp-edge-limit=9",
+                                      "--ilp-timeout=1", "--delta=0.5", "--beta=2",
+                                      "--branch-rule=edge", "--ilp-command=x"])
+    def test_kernelize_rejects_solver_flags(self, tmp_path, capsys, flag):
+        graph = self._write_f1(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["kernelize", "--graph", graph, "--k", "2", flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_solve_defaults_come_from_solver_config(self, tmp_path, capsys, monkeypatch):
+        configs = []
+        real = mtcut.cli.solve_prepared
+
+        def recording(problem, config):
+            configs.append(config)
+            return real(problem, config)
+
+        monkeypatch.setattr(mtcut.cli, "solve_prepared", recording)
+        assert main(["solve", "--graph", self._write_f1(tmp_path), "--k", "2"]) == 0
+        assert configs == [SolverConfig(seed=0)]
 
     def test_bench(self, tmp_path, capsys):
         graph = self._write_f1(tmp_path)

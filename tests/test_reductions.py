@@ -13,6 +13,7 @@ from helpers import (
     random_connected_graph,
     random_instance,
     torus_graph,
+    total_contracted,
 )
 from mtcut import (
     BoundState,
@@ -28,6 +29,7 @@ from mtcut.reductions import (
     capforest_bounds,
     contract_isolating_cuts,
     delete_inter_terminal_edges,
+    isolating_cuts,
     reduce_articulation_points,
     reduce_connectivity,
     reduce_equal_neighborhoods,
@@ -83,6 +85,44 @@ class TestIsolatingCutContraction:
         assert bs.best_labels == [0, 0, 1, 2]
 
 
+def count_calls(monkeypatch, name: str) -> list:
+    """Wrap ``mtcut.reductions.<name>``; each call appends its arguments."""
+    calls = []
+    real = getattr(mtcut.reductions, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(mtcut.reductions, name, counting)
+    return calls
+
+
+class TestFlowLoop:
+    def test_isolating_cuts_past_deadline_runs_no_flow(self, monkeypatch):
+        flows = count_calls(monkeypatch, "max_flow_st")
+        g = torus_graph(4, 4)
+        assert isolating_cuts(g, (0, 5, 10), deadline=time.monotonic() - 1.0) == []
+        assert flows == []
+        assert len(isolating_cuts(g, (0, 5, 10), deadline=time.monotonic() + 60.0)) == 3
+        assert len(flows) == 3
+
+    def test_one_flow_network_per_rule_call(self, monkeypatch):
+        networks = count_calls(monkeypatch, "FlowNetwork")
+        flows = count_calls(monkeypatch, "max_flow_st")
+        rules = {
+            "isolating_cuts": lambda p: isolating_cuts(p.graph, (0, 15, 26)),
+            "contract_isolating_cuts": contract_isolating_cuts,
+            "reduce_non_terminal_flows": reduce_non_terminal_flows,
+        }
+        for name, rule in rules.items():
+            p = Problem.from_instance(torus_graph(6, 6), (0, 15, 26))
+            networks.clear()
+            flows.clear()
+            rule(p)
+            assert len(networks) == 1 and len(flows) >= 3, name
+
+
 class TestLowDegree:
     def test_f1_heavier_edge_wins(self):
         p = fixture_problem("F1")
@@ -129,6 +169,24 @@ class TestHeavyEdge:
                 edges.add(tuple(sorted((v, ((y + 1) % 3) * 3 + x))) + (1,))
         p = make_problem(9, sorted(edges), (0, 4))
         assert reduce_heavy_edge(p) == (0, 0)
+
+    def test_pairs_are_reread_after_each_contraction(self, monkeypatch):
+        # (0,1) and then (0,2) contract, which merges the ends of (1,2): it
+        # is skipped. (1,3) is re-read as (0,3) and contracts into t3.
+        p = make_problem(5, [(0, 1, 5), (0, 2, 5), (1, 2, 1), (1, 3, 1), (2, 4, 1)],
+                         (3, 4))
+        merges = []
+        real = Problem.contract_set
+
+        def logged(q, vertices, into):
+            merges.append((tuple(vertices), into))
+            return real(q, vertices, into)
+
+        monkeypatch.setattr(Problem, "contract_set", logged)
+        assert reduce_heavy_edge(p) == (3, 0)
+        assert merges == [((0, 1), 0), ((0, 2), 0), ((0, 3), 0)]
+        assert [p.graph.find(v) for v in range(5)] == [3, 3, 3, 3, 4]
+        assert p.graph.edge_weight(3, 4) == 1
 
 
 class TestHeavyTriangle:
@@ -193,6 +251,14 @@ class TestConnectivityReduction:
     def test_zero_bound_edges_stay(self):
         p = fixture_problem("F2")
         assert reduce_connectivity(p, best_value=1) == (0, 0)
+
+    def test_pair_that_became_two_terminals_is_skipped(self):
+        # An incumbent below this subproblem's optimum, as at a branch node
+        # that cannot improve on it: both edges qualify, and once (0,1) is
+        # contracted, (1,2) joins the two terminals.
+        p = make_problem(3, [(0, 1, 3), (1, 2, 2)], (0, 2))
+        assert reduce_connectivity(p, best_value=1) == (1, 0)
+        assert p.graph.find(1) == 0 and p.graph.edge_weight(0, 2) == 2
 
 
 class TestArticulationPoints:
@@ -280,13 +346,7 @@ class TestNonTerminalFlows:
         assert reduce_non_terminal_flows(p) == (0, 0)
 
     def test_past_deadline_runs_no_flow(self, monkeypatch):
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return max_flow_st(*args)
-
-        monkeypatch.setattr(mtcut.reductions, "max_flow_st", counting)
+        calls = count_calls(monkeypatch, "max_flow_st")
         p = fixture_problem("F4")
         before = p.graph.num_vertices
         assert reduce_non_terminal_flows(p, deadline=time.monotonic() - 1.0) == (0, 0)
@@ -322,7 +382,7 @@ class TestReductionLoop:
             p = make_problem(n, edges, terminals)
             before = p.graph.num_vertices
             report = run_reduction_loop(p, BoundState())
-            assert before - p.graph.num_vertices == report.total_contracted()
+            assert before - p.graph.num_vertices == total_contracted(report)
             assert report.solved or report.fixpoint
 
 
