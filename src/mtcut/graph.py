@@ -1,15 +1,17 @@
 """Mutable weighted graph with contraction, plus the subproblem containers.
 
-The solver spends most of its time contracting edges, so the adjacency is a
-per-vertex dict mapping neighbor id to weight: a contraction merges two such
-dicts in O(deg) and coalesces parallel edges on the fly. Original vertex ids
-are mapped to their surviving representative through a union-find, which is
-what lets a solution found on a heavily contracted graph be projected back
-to the input graph.
+The solver spends most of its time contracting vertices, so the adjacency
+is a per-vertex dict mapping neighbor id to weight: merging one vertex into
+another moves its dict in O(deg) and coalesces parallel edges on the fly.
+``ContractableGraph.contract_vertices`` is the one merge, one such move per
+member. Original vertex ids are mapped to their surviving representative
+through a union-find, which is what lets a solution found on a heavily
+contracted graph be projected back to the input graph.
 
 Every terminal is its own live representative: ``Problem.contract_set`` is
 the one guarded merge, and it never joins two terminals and always keeps
-the terminal's vertex. Terminal lookups therefore need no ``find``.
+the terminal's vertex. ``Problem.block_of`` maps each terminal vertex to
+its block, and terminal lookups need no ``find``.
 """
 
 from __future__ import annotations
@@ -42,9 +44,9 @@ class ContractableGraph:
     """Undirected graph with positive integer edge weights.
 
     Vertices are dense integer ids ``0..n_original-1``. Contracting merges
-    one endpoint into the other; the dead vertex keeps its slot (tombstone)
-    so ids stay stable, and ``find`` maps any original id to its live
-    representative. Parallel edges are merged by weight summation and
+    a set of vertices into one of them; each dead vertex keeps its slot
+    (tombstone) so ids stay stable, and ``find`` maps any original id to its
+    live representative. Parallel edges are merged by weight summation and
     self-loops are discarded, so the graph stays simple at all times.
     """
 
@@ -184,22 +186,6 @@ class ContractableGraph:
         self.num_edges -= 1
         return w
 
-    def contract_edge(self, u: int, v: int) -> None:
-        """Merge v into u along the edge (u, v).
-
-        Parallel edges produced by the merge are coalesced, the self-loop
-        (u, u) is discarded, and v is tombstoned with parent u.
-        """
-        au = self._adj[u]
-        av = self._adj[v]
-        if au is None or av is None or v not in au:
-            raise EdgeNotFound(f"no live edge ({u},{v})")
-        w_uv = au.pop(v)
-        av.pop(u)
-        self._wdeg[u] -= w_uv
-        self.num_edges -= 1
-        self._absorb(u, v)
-
     def contract_vertices(self, vertices: Iterable[int], into: int) -> int:
         """Merge every vertex of the set into ``into``; returns merge count.
 
@@ -210,19 +196,23 @@ class ContractableGraph:
         target = self.find(into)
         members = sorted({self.find(x) for x in vertices} - {target})
         for v in members:
-            if v in self._adj[target]:
-                self.contract_edge(target, v)
-            else:
-                self._absorb(target, v)
+            self._absorb(target, v)
         return len(members)
 
     def _absorb(self, u: int, v: int) -> None:
         """Move v's edges onto u, coalescing parallel edges, and tombstone v.
 
-        u and v must not be adjacent (any edge between them is removed first).
+        An edge between u and v would become a self-loop, so it is dropped
+        with its weight.
         """
         au = self._adj[u]
-        for x, w in self._adj[v].items():
+        av = self._adj[v]
+        w_uv = au.pop(v, None)
+        if w_uv is not None:
+            del av[u]
+            self._wdeg[u] -= w_uv
+            self.num_edges -= 1
+        for x, w in av.items():
             ax = self._adj[x]
             del ax[v]
             if x in au:
@@ -262,21 +252,23 @@ class Problem:
 
     Owns a working graph plus the bookkeeping that relates it back to the
     root instance: the fixed terminal vertices (original ids, list position
-    is the block index), which of them are still active, and the weight of
-    edges already committed to the cut. Any feasible cut of the subproblem
-    plus ``deleted_weight`` is a feasible cut value of the original.
+    is the block index, ``block_of`` the inverse map), which of them are
+    still active, and the weight of edges already committed to the cut.
+    Any feasible cut of the subproblem plus ``deleted_weight`` is a feasible
+    cut value of the original.
 
     Every terminal is its own live representative; :meth:`contract_set` is
     the one guarded merge, so the working graph is only ever contracted
     through it.
     """
 
-    __slots__ = ("graph", "terminal_vertices", "active", "deleted_weight",
+    __slots__ = ("graph", "terminal_vertices", "block_of", "active", "deleted_weight",
                  "lower_bound", "original")
 
     def __init__(self, graph, terminal_vertices, active, deleted_weight, lower_bound, original):
         self.graph: ContractableGraph = graph
         self.terminal_vertices: tuple[int, ...] = terminal_vertices
+        self.block_of: dict[int, int] = {t: i for i, t in enumerate(terminal_vertices)}
         self.active: list[bool] = active
         self.deleted_weight: int = deleted_weight
         self.lower_bound: int = lower_bound
@@ -302,13 +294,9 @@ class Problem:
         return Problem(self.graph.copy(), self.terminal_vertices, list(self.active),
                        self.deleted_weight, self.lower_bound, self.original)
 
-    def terminal_roots(self) -> dict[int, int]:
-        """Map live vertex -> block index, for every terminal."""
-        return {t: i for i, t in enumerate(self.terminal_vertices)}
-
-    def active_terminals(self) -> list[tuple[int, int]]:
-        """(live vertex, block index) for each active terminal, by index."""
-        return [(t, i) for i, t in enumerate(self.terminal_vertices) if self.active[i]]
+    def active_terminals(self) -> list[int]:
+        """The active terminal vertices, in block order."""
+        return [t for t, a in zip(self.terminal_vertices, self.active) if a]
 
     def active_count(self) -> int:
         return sum(self.active)
@@ -357,7 +345,7 @@ class Problem:
         live vertex takes its ``kernel_labels`` entry, else ``fill``.
         """
         g = self.graph
-        roots = self.terminal_roots()
+        roots = self.block_of
         kernel = kernel_labels or {}
         out = []
         for v in range(g.n_original):
@@ -386,7 +374,7 @@ class Problem:
     def anchor_sets(self) -> list[list[int]]:
         """Original vertices merged into each terminal, including itself."""
         g = self.graph
-        roots = self.terminal_roots()
+        roots = self.block_of
         out: list[list[int]] = [[] for _ in self.terminal_vertices]
         for v in range(g.n_original):
             i = roots.get(g.find(v))

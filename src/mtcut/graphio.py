@@ -2,7 +2,8 @@
 common partitioning tool chains: a header line ``n m [fmt]`` followed by
 one whitespace-separated neighbor list per vertex, 1-indexed, every edge
 listed from both endpoints. A ``1`` in the format's ones digit means each
-neighbor id is followed by the edge weight."""
+neighbor id is followed by the edge weight. After the header a blank line
+is the neighbor list of an isolated vertex; ``%`` lines are comments."""
 
 from __future__ import annotations
 
@@ -18,10 +19,11 @@ class GraphParseError(ValueError):
 def parse_graph(text: str) -> ContractableGraph:
     """Parse graph text; raises :class:`GraphParseError` with a line number."""
     numbered = [(i + 1, line.strip()) for i, line in enumerate(text.splitlines())]
-    rows = [(no, line) for no, line in numbered if line and not line.startswith("%")]
-    if not rows:
+    rows = [(no, line) for no, line in numbered if not line.startswith("%")]
+    start = next((j for j, (_, line) in enumerate(rows) if line), None)
+    if start is None:
         raise GraphParseError("empty graph file", 1)
-    header_no, header = rows[0]
+    header_no, header = rows[start]
     fields = header.split()
     if len(fields) not in (2, 3):
         raise GraphParseError("header must be 'n m [fmt]'", header_no)
@@ -36,7 +38,9 @@ def parse_graph(text: str) -> ContractableGraph:
         raise GraphParseError(f"unsupported format {fmt}: vertex weights", header_no)
     weighted = fmt % 10 == 1
 
-    body = rows[1:]
+    body = rows[start + 1:]
+    while len(body) > n and not body[-1][1]:  # trailing blank lines
+        body.pop()
     if len(body) != n:
         raise GraphParseError(f"expected {n} vertex lines, found {len(body)}",
                               body[-1][0] if body else header_no)

@@ -76,9 +76,9 @@ def build_model(p: Problem) -> IlpModel:
     if len(actives) < 2:
         raise GraphError("model needs at least two active terminals")
     vertices = [v for v in g.live_vertices() if g.degree(v) >= 1]
-    blocks = sorted(idx for _, idx in actives)
+    fixed = {r: p.block_of[r] for r in actives}
+    blocks = list(fixed.values())
     edges = list(g.edges())
-    fixed = {r: idx for r, idx in actives}
     return IlpModel(vertices, blocks, edges, fixed, p.deleted_weight)
 
 
@@ -148,7 +148,8 @@ def solve_external(model: IlpModel, command: str | None,
     placeholders are replaced with file paths; the solver must write
     ``name value`` lines to the solution path. Returns a solved outcome,
     a timeout (caller should branch instead), or unavailability (missing
-    or broken solver; caller should disable the ILP path).
+    or broken solver, or a template that does not parse; caller should
+    disable the ILP path).
     """
     if command is None:
         command = os.environ.get(ENV_COMMAND)
@@ -165,8 +166,11 @@ def solve_external(model: IlpModel, command: str | None,
         solution_path = os.path.join(workdir, "model.sol")
         with open(model_path, "w") as fh:
             fh.write(emit_lp(model))
-        argv = [tok.format(model=model_path, solution=solution_path)
-                for tok in shlex.split(command)]
+        try:
+            argv = [tok.format(model=model_path, solution=solution_path)
+                    for tok in shlex.split(command)]
+        except (ValueError, LookupError, AttributeError, TypeError) as exc:
+            return IlpOutcome(UNAVAILABLE, detail=f"bad solver command {command!r}: {exc!r}")
         try:
             proc = subprocess.run(argv, capture_output=True, text=True,
                                   timeout=timeout_seconds)

@@ -20,6 +20,10 @@ from .flow import FlowNetwork, FlowResult, isolating_bounds, max_flow_st
 from .graph import BoundState, ContractableGraph, GraphError, Problem
 from .localsearch import expired
 
+# Defaults of the two rule parameters; SolverConfig's fields start from these.
+NEIGHBORHOOD_LIMIT = 5  # largest degree reduce_equal_neighborhoods compares
+FLOW_CANDIDATES = 5  # reduce_non_terminal_flows' sources per kind
+
 
 @dataclass
 class ReductionReport:
@@ -55,7 +59,7 @@ class ReductionReport:
 
 def delete_inter_terminal_edges(p: Problem) -> tuple[int, int]:
     """Delete every edge joining two terminals; it must be in any cut."""
-    roots = p.terminal_roots()
+    roots = p.block_of
     deleted = 0
     for r in sorted(roots):
         for x in sorted(p.graph.neighbors(r)):
@@ -106,7 +110,7 @@ def _contract_source_sides(p: Problem, sources: Sequence[int],
     terminals ever merge.
     """
     g = p.graph
-    troots = p.terminal_roots()
+    troots = p.block_of
     contracted = 0
     for source, res in zip(sources, flows):
         root = g.find(source)
@@ -130,16 +134,15 @@ def contract_isolating_cuts(p: Problem, bound_state: BoundState | None = None,
     actives = p.active_terminals()
     if len(actives) < 2:
         return 0, 0
-    roots = [r for r, _ in actives]
-    flows = isolating_cuts(p.graph, roots, deadline)
-    contracted = _contract_source_sides(p, roots, flows)
+    flows = isolating_cuts(p.graph, actives, deadline)
+    contracted = _contract_source_sides(p, actives, flows)
 
     if len(flows) == len(actives):
         lower, upper = isolating_bounds(flows)
         p.lower_bound = max(p.lower_bound, p.deleted_weight + lower)
         if bound_state is not None and p.deleted_weight + upper < bound_state.best_value:
             top = max(res.value for res in flows)
-            heaviest = min(idx for (_, idx), res in zip(actives, flows) if res.value == top)
+            heaviest = min(p.block_of[r] for r, res in zip(actives, flows) if res.value == top)
             labels = p.project(fill=heaviest)
             bound_state.improve(p.solution_value(labels), labels, now=time.monotonic())
     return contracted, 0
@@ -159,7 +162,7 @@ def _current_edges(p: Problem,
     stay adjacent until they merge, because the rules using it delete no edge.
     """
     g = p.graph
-    troots = p.terminal_roots()
+    troots = p.block_of
     for u, v, _ in scanned:
         a, b = g.find(u), g.find(v)
         if a != b and not (a in troots and b in troots):
@@ -175,7 +178,7 @@ def reduce_low_degree(p: Problem) -> tuple[int, int]:
     placement of the vertex.
     """
     g = p.graph
-    troots = p.terminal_roots()
+    troots = p.block_of
     queue = deque(v for v in g.live_vertices()
                   if v not in troots and 1 <= g.degree(v) <= 2)
     contracted = 0
@@ -204,7 +207,7 @@ def reduce_heavy_edge(p: Problem) -> tuple[int, int]:
     terminals cannot move.
     """
     g = p.graph
-    troots = p.terminal_roots()
+    troots = p.block_of
     contracted = 0
     for a, b, w in _current_edges(p, list(g.edges())):
         if (a not in troots and 2 * w >= g.weighted_degree(a)) or \
@@ -222,7 +225,7 @@ def reduce_heavy_triangle(p: Problem) -> tuple[int, int]:
     either of them depending on where x sits); the apex x is unrestricted.
     """
     g = p.graph
-    troots = p.terminal_roots()
+    troots = p.block_of
     contracted = 0
     for a, b, w in _current_edges(p, list(g.edges())):
         if a in troots or b in troots:
@@ -367,7 +370,7 @@ def reduce_articulation_points(p: Problem) -> tuple[int, int]:
     """
     g = p.graph
     order, tin, tout, low, parent = _dfs_tree(g)
-    troots = p.terminal_roots()
+    troots = p.block_of
     is_term = [1 if v in troots else 0 for v in order]
     prefix = [0]
     for t in is_term:
@@ -405,10 +408,10 @@ def _adjacent_twins(g: ContractableGraph, u: int, v: int) -> bool:
     return True
 
 
-def reduce_equal_neighborhoods(p: Problem, limit: int = 5) -> tuple[int, int]:
+def reduce_equal_neighborhoods(p: Problem, limit: int = NEIGHBORHOOD_LIMIT) -> tuple[int, int]:
     """Merge non-terminal vertices with identical weighted neighborhoods."""
     g = p.graph
-    troots = p.terminal_roots()
+    troots = p.block_of
     contracted = 0
     # adjacent twins, re-verified right before each contraction
     for u, v, _ in list(g.edges()):
@@ -460,7 +463,7 @@ def hop_distances(g: ContractableGraph, sources: Sequence[int]) -> dict[int, int
     return dist
 
 
-def reduce_non_terminal_flows(p: Problem, per_kind: int = 5,
+def reduce_non_terminal_flows(p: Problem, per_kind: int = FLOW_CANDIDATES,
                               deadline: float | None = None) -> tuple[int, int]:
     """Contract isolating-cut source sides of promising non-terminals.
 
@@ -471,8 +474,8 @@ def reduce_non_terminal_flows(p: Problem, per_kind: int = 5,
     stop at the deadline; the sides already computed are still contracted.
     """
     g = p.graph
-    troots = p.terminal_roots()
-    actives = [r for r, _ in p.active_terminals()]
+    troots = p.block_of
+    actives = p.active_terminals()
     if not actives:
         return 0, 0
     nonterms = [v for v in g.live_vertices() if v not in troots]
@@ -511,10 +514,10 @@ def _cleanup(p: Problem, report: ReductionReport) -> None:
     if not actives:
         return
     g = p.graph
-    troots = p.terminal_roots()
+    troots = p.block_of
     isolated = [v for v in g.live_vertices() if v not in troots and g.degree(v) == 0]
     if isolated:
-        report.contracted["isolated"] += p.contract_set(isolated, actives[0][0])
+        report.contracted["isolated"] += p.contract_set(isolated, actives[0])
 
 
 def run_reduction_loop(p: Problem, bound_state: BoundState | None = None,
@@ -530,7 +533,8 @@ def run_reduction_loop(p: Problem, bound_state: BoundState | None = None,
     rules are deterministic, so on a state one has already seen it would
     change nothing again. The incumbent is part of that state because
     ``reduce_connectivity`` reads it, and the isolating-cut heuristic can
-    lower it without changing the graph.
+    lower it without changing the graph. ``report.fixpoint`` is set only by
+    a pass that changed nothing and that the deadline did not cut short.
 
     Terminals isolated along the way are deactivated; once at most one
     active terminal remains the subproblem is solved and its value is the
@@ -540,11 +544,9 @@ def run_reduction_loop(p: Problem, bound_state: BoundState | None = None,
     report.vertices_before = p.graph.num_vertices
     report.edges_before = p.graph.num_edges
 
-    nbhd_limit = 5
-    flow_candidates = 5
+    nbhd_limit, flow_candidates = NEIGHBORHOOD_LIMIT, FLOW_CANDIDATES
     if config is not None:
-        nbhd_limit = getattr(config, "neighborhood_limit", 5)
-        flow_candidates = getattr(config, "flow_candidates", 5)
+        nbhd_limit, flow_candidates = config.neighborhood_limit, config.flow_candidates
 
     def best_value() -> float:
         return bound_state.best_value if bound_state is not None else math.inf
@@ -585,9 +587,10 @@ def run_reduction_loop(p: Problem, bound_state: BoundState | None = None,
             _cleanup(p, report)
             if p.is_solved():
                 break
+        else:  # every rule ran or was idle, none cut short by the deadline
+            report.fixpoint = changed == 0
         report.passes += 1
         if p.is_solved() or changed == 0:
-            report.fixpoint = changed == 0
             break
 
     report.solved = p.is_solved()

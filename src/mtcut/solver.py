@@ -25,7 +25,7 @@ from typing import Sequence
 from . import ilp
 from .graph import BoundState, ContractableGraph, GraphError, Problem
 from .localsearch import expired, refine
-from .reductions import DEFAULT_ORDER, run_reduction_loop
+from .reductions import DEFAULT_ORDER, FLOW_CANDIDATES, NEIGHBORHOOD_LIMIT, run_reduction_loop
 
 
 # the rules of every node below the root
@@ -64,8 +64,8 @@ class SolverConfig:
     beta: int = 5
     seed: int = 0
     branch_rule: str = "vertex"
-    neighborhood_limit: int = 5
-    flow_candidates: int = 5
+    neighborhood_limit: int = NEIGHBORHOOD_LIMIT
+    flow_candidates: int = FLOW_CANDIDATES
     local_search: bool = True
     ilp_command: str | None = None
 
@@ -86,10 +86,12 @@ class SolverConfig:
             raise ValueError("beta must be at least 1")
         if self.thread_count != 1:
             raise ValueError("thread_count must be 1: the search is single-threaded")
-        if self.time_limit is not None and self.time_limit <= 0:
+        if self.time_limit is not None and not self.time_limit > 0:  # NaN too
             raise ValueError("time_limit must be positive")
         if self.ilp_edge_limit < 0 or self.ilp_timeout_seconds < 0:
             raise ValueError("ILP limits must be non-negative")
+        if not math.isfinite(self.ilp_timeout_seconds):
+            raise ValueError("ilp_timeout_seconds must be finite")
         if self.neighborhood_limit < 0 or self.flow_candidates < 0:
             raise ValueError("neighborhood_limit and flow_candidates must be non-negative")
 
@@ -121,9 +123,9 @@ def save_events(path: str, events: Sequence[tuple[float, int]]) -> None:
 def select_branch_vertex(p: Problem) -> int:
     """Highest weighted-degree non-terminal adjacent to an active terminal."""
     g = p.graph
-    troots = p.terminal_roots()
+    troots = p.block_of
     best = None
-    for r, _ in p.active_terminals():
+    for r in p.active_terminals():
         for x in g.neighbors(r):
             if x in troots:
                 continue
@@ -155,30 +157,32 @@ def branch_vertex(p: Problem, x: int, best_value: float,
     strictly better than the heaviest block. An extra child assigns x to
     no adjacent terminal when its non-terminal weight alone dominates.
     With ``beta`` set, only the beta heaviest surviving children are kept.
+    Ties go to the lower block: ``active_terminals`` is in block order, and
+    ``max`` and ``sorted`` keep the first of equal keys.
     """
     g = p.graph
     adj = g.neighbors(x)
-    adj_terms = [(r, idx) for r, idx in p.active_terminals() if r in adj]
+    adj_terms = [r for r in p.active_terminals() if r in adj]
     if not adj_terms:
         raise ReductionIncomplete(f"vertex {x} is not terminal-adjacent")
-    w_max = max(adj[r] for r, _ in adj_terms)
-    w_nonterm = g.weighted_degree(x) - sum(adj[r] for r, _ in adj_terms)
+    w_max = max(adj[r] for r in adj_terms)
+    w_nonterm = g.weighted_degree(x) - sum(adj[r] for r in adj_terms)
 
-    surviving = [(r, idx) for r, idx in adj_terms if adj[r] + w_nonterm > w_max]
+    surviving = [r for r in adj_terms if adj[r] + w_nonterm > w_max]
     if beta is not None and len(surviving) > beta:
-        surviving = sorted(surviving, key=lambda ri: (-adj[ri[0]], ri[1]))[:beta]
-        surviving.sort(key=lambda ri: ri[1])
+        kept = set(sorted(surviving, key=lambda r: -adj[r])[:beta])
+        surviving = [r for r in surviving if r in kept]
 
-    def assign(r: int, idx: int) -> Problem:
-        return _child(p, x, [r2 for r2, idx2 in adj_terms if idx2 != idx], r)
+    def assign(r: int) -> Problem:
+        return _child(p, x, [r2 for r2 in adj_terms if r2 != r], r)
 
-    children = [assign(r, idx) for r, idx in surviving]
+    children = [assign(r) for r in surviving]
     if w_nonterm > w_max and len(adj_terms) < p.active_count():
-        children.append(_child(p, x, [r for r, _ in adj_terms]))
+        children.append(_child(p, x, adj_terms))
     if not children:
         # every candidate block was pruned; the heaviest-edge block is never
         # worse than any of them, so keep exactly that one
-        children.append(assign(*max(adj_terms, key=lambda ri: (adj[ri[0]], -ri[1]))))
+        children.append(assign(max(adj_terms, key=adj.get)))
     return [c for c in children if c.lower_bound < best_value]
 
 
@@ -186,10 +190,10 @@ def branch_edge(p: Problem, x: int, best_value: float) -> list[Problem]:
     """Two-way split on the heaviest edge from x to a terminal."""
     g = p.graph
     adj = g.neighbors(x)
-    adj_terms = [(r, idx) for r, idx in p.active_terminals() if r in adj]
+    adj_terms = [r for r in p.active_terminals() if r in adj]
     if not adj_terms:
         raise ReductionIncomplete(f"vertex {x} is not terminal-adjacent")
-    r, _ = max(adj_terms, key=lambda ri: (adj[ri[0]], -ri[1]))
+    r = max(adj_terms, key=adj.get)  # of equal weights, max keeps the lowest block
     children = [_child(p, x, [], r), _child(p, x, [r])]
     return [c for c in children if c.lower_bound < best_value]
 
@@ -208,8 +212,9 @@ def shrink_terminals(p: Problem, delta: float) -> int:
     if count == 0 or len(actives) < 2:
         return 0
     changed = 0
-    victims = sorted(actives, key=lambda ri: (g.weighted_degree(ri[0]), ri[1]))[:count]
-    for r, _ in victims:
+    # sorted and max keep block order among ties
+    victims = sorted(actives, key=g.weighted_degree)[:count]
+    for r in victims:
         for x in sorted(g.neighbors(r)):
             p.delete_edge(r, x)
             changed += 1
@@ -217,11 +222,10 @@ def shrink_terminals(p: Problem, delta: float) -> int:
     remaining = p.active_terminals()
     if len(remaining) < 2:
         return changed
-    h_root, _ = max(remaining, key=lambda ri: (g.weighted_degree(ri[0]), -ri[1]))
-    other_roots = {r for r, _ in remaining if r != h_root}
-    troots = p.terminal_roots()
+    h_root = max(remaining, key=g.weighted_degree)
+    other_roots = set(remaining) - {h_root}
     grab = [v for v in sorted(g.neighbors(h_root))
-            if v not in troots and not other_roots & set(g.neighbors(v))]
+            if v not in p.block_of and not other_roots & set(g.neighbors(v))]
     if grab:
         changed += p.contract_set(grab, h_root)
     return changed
@@ -304,13 +308,7 @@ class _Search:
                 return self.close(p)
 
         best = self.bound.best_value
-        try:
-            x = select_branch_vertex(p)
-        except ReductionIncomplete:
-            # shrinking or deletions can expose new trivial reductions
-            if run_reduction_loop(p, self.bound, cfg, self.deadline, order).solved:
-                return self.close(p)
-            x = select_branch_vertex(p)
+        x = select_branch_vertex(p)
         if cfg.branch_rule == "edge":
             return branch_edge(p, x, best)
         beta = cfg.beta if cfg.mode == "inexact" else None

@@ -128,7 +128,7 @@ def kernel_opt(p: Problem) -> int:
     g = p.graph
     live = sorted(g.live_vertices())
     edges = list(g.edges())
-    fixed = {r: idx for r, idx in p.active_terminals()}
+    fixed = {r: p.block_of[r] for r in p.active_terminals()}
     return brute_force_block_opt(edges, live, fixed)
 
 

@@ -277,5 +277,10 @@ class TestCli:
         assert main(["solve", "--graph", graph, "--k", "9"]) == 2
         assert main(["solve", "--graph", graph, "--k", "2", "--preset-fraction", "1.0"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--time-limit=nan", "--ilp-timeout=inf",
+                                      "--ilp-timeout=nan"])
+    def test_non_finite_limits_exit_code(self, tmp_path, flag):
+        assert main(["solve", "--graph", self._write_f1(tmp_path), "--k", "2", flag]) == 2
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["solve", "--graph", str(tmp_path / "nope"), "--k", "2"]) == 3

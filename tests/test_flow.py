@@ -244,6 +244,6 @@ class TestFlowNetwork:
         g = fixture_graph("F3")
         net = FlowNetwork(g)
         max_flow_st(net, 1, {2, 3})
-        g.contract_edge(0, 1)
+        g.contract_vertices([1], 0)
         with pytest.raises(GraphError):
             max_flow_st(net, 2, {3})

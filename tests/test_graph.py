@@ -60,31 +60,45 @@ class TestConstruction:
 class TestContraction:
     def test_f1_contract(self):
         g = fixture_graph("F1")
-        g.contract_edge(0, 1)
+        g.contract_vertices([1], 0)
         assert g.num_vertices == 2
         assert g.edge_weight(0, 2) == 1
 
     def test_f2_contract_merges_parallel(self):
         g = fixture_graph("F2")
-        g.contract_edge(0, 1)
+        g.contract_vertices([1], 0)
         assert g.num_vertices == 2
         assert g.edge_weight(0, 2) == 2
 
     def test_f5_contract_twins(self):
         g = fixture_graph("F5")
-        g.contract_edge(2, 3) if g.has_edge(2, 3) else g.contract_vertices([2, 3], 2)
+        g.contract_vertices([2, 3], 2)
         assert g.num_vertices == 3
         assert g.edge_weight(0, 2) == 2
         assert g.edge_weight(1, 2) == 2
 
-    def test_contract_missing_edge(self):
-        g = fixture_graph("F1")
-        with pytest.raises(EdgeNotFound):
-            g.contract_edge(0, 2)
+    def test_adjacent_and_non_adjacent_members_into_a_common_neighbor(self):
+        # 0 is adjacent to 1 but not to 2; both 1 and 2 are adjacent to 3
+        g = ContractableGraph.from_edge_list(
+            5, [(0, 1, 2), (1, 3, 3), (2, 3, 4), (0, 3, 1), (2, 4, 5)])
+        assert g.contract_vertices([2, 1], 0) == 2
+        check_consistency(g)
+        assert (g.num_vertices, g.num_edges) == (3, 2)
+        assert g.neighbors(0) == {3: 8, 4: 5}
+        assert g.weighted_degree(0) == 13 and g.weighted_degree(3) == 8
+        assert g.find(1) == g.find(2) == 0
+
+    def test_members_adjacent_to_each_other_and_to_into(self):
+        # a triangle 0-1-2 merged whole: both of its inner edges are dropped
+        g = ContractableGraph.from_edge_list(4, [(0, 1, 1), (1, 2, 2), (0, 2, 3), (2, 3, 4)])
+        assert g.contract_vertices([1, 2], 0) == 2
+        check_consistency(g)
+        assert (g.num_vertices, g.num_edges) == (2, 1)
+        assert g.neighbors(0) == {3: 4} and g.weighted_degree(0) == 4
 
     def test_inter_terminal_contraction_rejected(self):
         p = fixture_problem("F1")
-        p.graph.contract_edge(0, 1)  # raw graph op: merge a into t1
+        p.graph.contract_vertices([1], 0)  # raw graph op: merge a into t1
         with pytest.raises(InvalidContraction):
             p.contract_set((0, 2), 0)
 
@@ -93,6 +107,20 @@ class TestContraction:
         p.contract_set((0, 1), 1)  # into the non-terminal: t1 still survives
         assert p.graph.is_live(0) and not p.graph.is_live(1)
         assert p.graph.find(1) == 0
+
+
+class TestTerminals:
+    def test_active_terminals_are_vertices_in_block_order(self):
+        g = ContractableGraph.from_edge_list(
+            6, [(5, 0, 1), (0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 4, 1)])
+        p = Problem.from_instance(g, (5, 1, 3))
+        assert p.block_of == {5: 0, 1: 1, 3: 2}
+        assert p.active_terminals() == [5, 1, 3]
+        p.delete_edge(5, 0)
+        assert p.refresh_active() == 1
+        assert p.active_terminals() == [1, 3]
+        assert p.block_of == {5: 0, 1: 1, 3: 2}
+        assert p.copy().active_terminals() == [1, 3]
 
 
 class TestDeletion:
@@ -264,7 +292,7 @@ class TestProperties:
                     break
                 u, v, _ = ops[rng.randrange(len(ops))]
                 if rng.random() < 0.5:
-                    g.contract_edge(u, v)
+                    g.contract_vertices([v], u)
                 else:
                     g.delete_edge(u, v)
                 check_consistency(g)
@@ -275,7 +303,7 @@ class TestProperties:
             n, edges, terminals = random_instance(rng, n_min=5, n_max=10)
             p = Problem.from_instance(
                 ContractableGraph.from_edge_list(n, edges), terminals)
-            troots = set(p.terminal_roots())
+            troots = p.block_of
             for _ in range(rng.randrange(1, n)):
                 candidates = [(u, v) for u, v, _ in p.graph.edges()
                               if not (u in troots and v in troots)]
@@ -283,8 +311,6 @@ class TestProperties:
                     break
                 u, v = candidates[rng.randrange(len(candidates))]
                 p.contract_set((u, v), u)
-                troots = set(p.terminal_roots())
-            roots = p.terminal_roots()
-            kernel = {v: roots.get(v, 0) for v in p.graph.live_vertices()}
+            kernel = {v: troots.get(v, 0) for v in p.graph.live_vertices()}
             labels = p.project(kernel)
             cut_value(p.original, terminals, labels)  # raises if infeasible

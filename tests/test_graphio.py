@@ -44,6 +44,23 @@ class TestParse:
         with pytest.raises(GraphParseError):
             parse_graph("3 2\n2\n1 3\n")
 
+    def test_too_few_vertex_lines_name_a_line(self):
+        with pytest.raises(GraphParseError) as err:
+            parse_graph("% comment\n4 1\n2\n1\n\n")
+        assert "expected 4 vertex lines, found 3" in str(err.value)
+        assert err.value.line == 5
+
+    def test_blank_line_is_an_isolated_vertex(self):
+        g = parse_graph("3 1\n3\n\n1\n")
+        assert (g.num_vertices, g.num_edges) == (3, 1)
+        assert g.degree(1) == 0 and g.edge_weight(0, 2) == 1
+
+    def test_trailing_blank_lines_are_ignored(self):
+        g = parse_graph("3 2\n2\n1 3\n2\n\n\n% done\n\n")
+        assert (g.num_vertices, g.num_edges) == (3, 2)
+        g = parse_graph("3 1\n2\n1\n\n\n")
+        assert (g.num_vertices, g.num_edges) == (3, 1) and g.degree(2) == 0
+
     def test_self_loop_rejected(self):
         with pytest.raises(GraphParseError):
             parse_graph("2 2\n1 2\n1\n")
@@ -72,8 +89,17 @@ class TestRoundTrip:
             assert sorted(h.weighted_degree(v) for v in h.live_vertices()) == \
                 sorted(g.weighted_degree(v) for v in g.live_vertices())
 
+    @pytest.mark.parametrize("edges", [[(0, 2, 1)], [(0, 1, 1)], [(1, 2, 4)],
+                                       [(0, 2, 3), (2, 4, 1)]])
+    def test_isolated_vertices(self, edges):
+        n = max(v for _, v, _ in edges) + 2  # the last vertex is isolated too
+        g = ContractableGraph.from_edge_list(n, edges)
+        h = parse_graph(write_graph(g))
+        assert (h.num_vertices, h.num_edges) == (n, len(edges))
+        assert list(h.edges()) == list(g.edges())
+
     def test_contracted_graph_serializes(self):
         g = fixture_graph("F2")
-        g.contract_edge(0, 1)
+        g.contract_vertices([1], 0)
         h = parse_graph(write_graph(g))
         assert h.num_vertices == 2 and h.num_edges == 1

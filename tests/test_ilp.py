@@ -1,3 +1,4 @@
+import math
 import os
 import sys
 
@@ -137,6 +138,17 @@ class TestSolveExternal:
         assert out.status == ilp.UNAVAILABLE
 
 
+    @pytest.mark.parametrize("template", ["solver {threads} {model} {solution}",
+                                          "solver {} {model} {solution}",
+                                          "solver {model {solution}",
+                                          "solver '{model} {solution}"])
+    def test_broken_template_unavailable(self, template):
+        m = ilp.build_model(fixture_problem("F1"))
+        out = ilp.solve_external(m, template, 10)
+        assert out.status == ilp.UNAVAILABLE
+        assert "bad solver command" in out.detail
+
+
 class TestSolverIntegration:
     def test_results_identical_with_and_without_ilp(self, corpus):
         for case in corpus[:25]:
@@ -151,3 +163,14 @@ class TestSolverIntegration:
         g = ContractableGraph.from_edge_list(case.n, case.edges)
         cfg = SolverConfig(ilp_command="definitely-not-a-solver {model} {solution}")
         assert solve(g, case.terminals, cfg).value == case.opt
+
+    def test_broken_template_falls_back_cleanly(self, corpus):
+        case = corpus[0]
+        g = ContractableGraph.from_edge_list(case.n, case.edges)
+        cfg = SolverConfig(ilp_command="solver {threads} {model} {solution}")
+        assert solve(g, case.terminals, cfg).value == case.opt
+
+    def test_unbounded_ilp_timeout_is_refused(self):
+        # subprocess cannot wait forever: an infinite timeout used to crash solve
+        with pytest.raises(ValueError):
+            SolverConfig(ilp_command=FAKE_CMD, ilp_timeout_seconds=math.inf)

@@ -19,12 +19,15 @@ from mtcut import (
     BoundState,
     ContractableGraph,
     Problem,
+    SolverConfig,
     max_flow_st,
     run_reduction_loop,
 )
 import mtcut.reductions
 from mtcut.reductions import (
     DEFAULT_ORDER,
+    FLOW_CANDIDATES,
+    NEIGHBORHOOD_LIMIT,
     articulation_points,
     capforest_bounds,
     contract_isolating_cuts,
@@ -325,7 +328,7 @@ class TestEqualNeighborhoods:
             p = make_problem(n, edges, rng.sample(range(n), 2))
             while (step := reduce_equal_neighborhoods(p)) != (0, 0):
                 contracted += step[0]
-            assert naive_twin_pairs(p.graph, set(p.terminal_roots()), 5) == set()
+            assert naive_twin_pairs(p.graph, set(p.block_of), 5) == set()
         assert contracted > 0
 
 
@@ -514,3 +517,42 @@ class TestSchedule:
             # the first pass runs every rule of the order, in order, and no other
             assert [name for name, *_ in log[:len(order)]] == list(order)
             assert {name for name, *_ in log} == set(report.contracted) == set(order)
+
+    def test_rule_parameters_have_one_default(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(mtcut.reductions, "reduce_equal_neighborhoods",
+                            lambda q, limit: seen.append(("limit", limit)) or (0, 0))
+        monkeypatch.setattr(mtcut.reductions, "reduce_non_terminal_flows",
+                            lambda q, per_kind, deadline: seen.append(("per_kind", per_kind))
+                            or (0, 0))
+        order = ("equal_neighborhoods", "non_terminal_flows")
+        for config in (None, SolverConfig()):
+            run_reduction_loop(fixture_problem("F3"), BoundState(), config, order=order)
+        expected = [("limit", NEIGHBORHOOD_LIMIT), ("per_kind", FLOW_CANDIDATES)]
+        assert seen == expected + expected
+        config = SolverConfig(neighborhood_limit=2, flow_candidates=3)
+        seen.clear()
+        run_reduction_loop(fixture_problem("F3"), BoundState(), config, order=order)
+        assert seen == [("limit", 2), ("per_kind", 3)]
+
+    def test_pass_cut_short_by_the_deadline_is_no_fixpoint(self, monkeypatch):
+        # the deadline passes while inter_terminal runs, before any other
+        # rule had a turn: nothing changed, but nothing was shown idle either
+        ran = []
+
+        def inter_terminal(q):
+            ran.append("inter_terminal")
+            return delete_inter_terminal_edges(q)
+
+        monkeypatch.setattr(mtcut.reductions, "delete_inter_terminal_edges", inter_terminal)
+        monkeypatch.setattr(mtcut.reductions, "expired", lambda deadline: bool(ran))
+        p = fixture_problem("F3")
+        report = run_reduction_loop(p, BoundState(), deadline=time.monotonic() + 60)
+        assert ran == ["inter_terminal"] and report.passes == 1
+        assert not report.solved and p.graph.num_vertices == 4
+        assert not report.fixpoint
+
+    def test_complete_idle_pass_is_a_fixpoint(self):
+        p = Problem.from_instance(torus_graph(6, 6), (0, 15, 26))
+        report = run_reduction_loop(p, BoundState(), deadline=time.monotonic() + 600)
+        assert not report.solved and report.fixpoint

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from helpers import (
 from mtcut import BoundState, ContractableGraph, Problem, cut_value, max_flow_st
 from mtcut.bench import generate_terminals, grow_terminal_blocks
 import mtcut.reductions
+import mtcut.solver
 from mtcut.reductions import run_reduction_loop
 from mtcut.solver import (
     ReductionIncomplete,
@@ -57,6 +59,13 @@ class TestConfig:
             SolverConfig(flow_candidates=-1)
         with pytest.raises(ValueError):
             SolverConfig(neighborhood_limit=-1)
+
+    @pytest.mark.parametrize("kwargs", [{"time_limit": math.nan},
+                                        {"ilp_timeout_seconds": math.inf},
+                                        {"ilp_timeout_seconds": math.nan}])
+    def test_rejects_nan_time_limit_and_non_finite_ilp_timeout(self, kwargs):
+        with pytest.raises(ValueError):
+            SolverConfig(**kwargs)
 
 
 class TestSelectBranchVertex:
@@ -289,6 +298,35 @@ class TestSchedule:
             branched += (exact.nodes > 1) + (inexact.nodes > 1)
         assert branched >= 10
         assert flows_at and all(flows_at)
+
+
+class TestBranchInvariant:
+    def test_every_branch_finds_a_vertex_and_no_terminal_edge(self, monkeypatch):
+        # a fully reduced, unsolved node has no edge between two active
+        # terminals, so every active terminal has a non-terminal neighbor
+        real = mtcut.solver.select_branch_vertex
+        calls = 0
+
+        def select(p):
+            nonlocal calls
+            calls += 1
+            actives = set(p.active_terminals())
+            for r in actives:
+                assert not actives & set(p.graph.neighbors(r))
+            return real(p)
+
+        monkeypatch.setattr(mtcut.solver, "select_branch_vertex", select)
+        configs = [SolverConfig(), SolverConfig(branch_rule="edge"),
+                   SolverConfig(mode="inexact", delta=0.5, beta=2),
+                   SolverConfig(mode="inexact", delta=0.9, branch_rule="edge")]
+        rng = random.Random(37)
+        for _ in range(60):
+            n, edges, terminals = random_instance(rng, n_min=8, n_max=14, m_max=36)
+            g = ContractableGraph.from_edge_list(n, edges)
+            for config in configs:
+                res = solve(g, terminals, config)
+                assert cut_value(g, terminals, res.labels) == res.value
+        assert calls >= 50
 
 
 class TestPublish:
