@@ -26,7 +26,6 @@ minimum cuts, which is the side the contraction rules need.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -52,7 +51,7 @@ _INT32_MAX = 2**31 - 1
 SCIPY_MIN_VERTICES = 200
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowResult:
     value: int
     source_side: frozenset[int]
@@ -199,13 +198,15 @@ def _dinic(comp: _Component, s: int, sinks: list[int]) -> tuple[int, list[int]]:
     while True:
         level = [-1] * size
         level[s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
+        queue = [s]  # a list grows under its own iterator: a FIFO queue
+        for v in queue:
+            lv = level[v] + 1
             for a in adj[v]:
-                if cap[a] > 0 and level[to[a]] < 0:
-                    level[to[a]] = level[v] + 1
-                    queue.append(to[a])
+                if cap[a] > 0:
+                    u = to[a]
+                    if level[u] < 0:
+                        level[u] = lv
+                        queue.append(u)
         if level[ss] < 0:
             break
         it = [0] * size
@@ -214,32 +215,38 @@ def _dinic(comp: _Component, s: int, sinks: list[int]) -> tuple[int, list[int]]:
         v = s
         while True:
             if v == ss:
-                bott = min(cap[a] for a in path)
+                bott = min([cap[a] for a in path])
                 flow += bott
-                for a in path:
-                    cap[a] -= bott
-                    cap[a ^ 1] += bott
                 # back up to the first saturated arc and resume from there
-                first_sat = next(i for i, a in enumerate(path) if cap[a] == 0)
+                first_sat = -1
+                for i, a in enumerate(path):
+                    c = cap[a] - bott
+                    cap[a] = c
+                    cap[a ^ 1] += bott
+                    if c == 0 and first_sat < 0:
+                        first_sat = i
                 del path[first_sat:]
-                v = s if not path else to[path[-1]]
+                v = to[path[-1]] if path else s
                 continue
-            advanced = False
-            while it[v] < len(adj[v]):
-                a = adj[v][it[v]]
-                if cap[a] > 0 and level[to[a]] == level[v] + 1:
-                    path.append(a)
-                    v = to[a]
-                    advanced = True
+            arcs = adj[v]
+            n_arcs = len(arcs)
+            i = it[v]
+            nxt = level[v] + 1
+            while i < n_arcs:
+                a = arcs[i]
+                if cap[a] > 0 and level[to[a]] == nxt:
                     break
-                it[v] += 1
-            if advanced:
+                i += 1
+            it[v] = i
+            if i < n_arcs:
+                path.append(a)
+                v = to[a]
                 continue
             level[v] = -1
             if not path:
                 break
-            a = path.pop()
-            v = s if not path else to[path[-1]]
+            path.pop()
+            v = to[path[-1]] if path else s
 
     # vertices that can still reach the super-sink in the residual network
     reach = [False] * size

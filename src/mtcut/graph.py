@@ -12,12 +12,27 @@ Every terminal is its own live representative: ``Problem.contract_set`` is
 the one guarded merge, and it never joins two terminals and always keeps
 the terminal's vertex. ``Problem.block_of`` maps each terminal vertex to
 its block, and terminal lookups need no ``find``.
+
+A ``Problem`` also keeps, per terminal, the largest minimum isolating cut
+it last computed (:meth:`Problem.kept_cuts`), so that the isolating-cut
+rule re-runs only the flows a mutation could have changed. The map is
+maintained at the two guarded mutations. A contraction keeps a terminal's
+cut when the merged set lies wholly inside or wholly outside its source
+side: that only removes cuts, and the kept side is still the largest
+minimum one. Deleting an edge between two terminals lowers both ends' cut
+values by its weight, since every isolating cut of either end crosses it
+and no other terminal's cut does; any other deletion empties the map. The
+map is stamped with the graph's ``version()``, so a mutation made on the
+graph directly empties it too.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+
+if TYPE_CHECKING:
+    from .flow import FlowResult
 
 
 class GraphError(Exception):
@@ -260,10 +275,19 @@ class Problem:
     Every terminal is its own live representative; :meth:`contract_set` is
     the one guarded merge, so the working graph is only ever contracted
     through it.
+
+    :meth:`kept_cuts` maps terminals to their largest minimum isolating cut
+    on the current graph (value and source side, the side in the vertex ids
+    of the graph it was computed on). Invariant: each entry equals what a
+    fresh flow from that terminal to the other active terminals would
+    return, its side mapped through ``find``. :meth:`contract_set` and
+    :meth:`delete_edge` keep it, and the map is stamped with the graph's
+    ``version()`` so that a mutation behind the problem's back empties it.
+    Copies share the entries, which are immutable.
     """
 
     __slots__ = ("graph", "terminal_vertices", "block_of", "active", "deleted_weight",
-                 "lower_bound", "original")
+                 "lower_bound", "original", "_cuts", "_cuts_version")
 
     def __init__(self, graph, terminal_vertices, active, deleted_weight, lower_bound, original):
         self.graph: ContractableGraph = graph
@@ -273,6 +297,8 @@ class Problem:
         self.deleted_weight: int = deleted_weight
         self.lower_bound: int = lower_bound
         self.original: ContractableGraph = original
+        self._cuts: dict[int, FlowResult] = {}
+        self._cuts_version = graph.version()
 
     @classmethod
     def from_instance(cls, graph: ContractableGraph, terminals: Sequence[int]) -> "Problem":
@@ -291,8 +317,22 @@ class Problem:
         return len(self.terminal_vertices)
 
     def copy(self) -> "Problem":
-        return Problem(self.graph.copy(), self.terminal_vertices, list(self.active),
-                       self.deleted_weight, self.lower_bound, self.original)
+        c = Problem(self.graph.copy(), self.terminal_vertices, list(self.active),
+                    self.deleted_weight, self.lower_bound, self.original)
+        c._cuts = dict(self.kept_cuts())
+        return c
+
+    def kept_cuts(self) -> dict[int, FlowResult]:
+        """Terminal -> its kept largest minimum isolating cut (see the class).
+
+        Emptied first if the graph was mutated other than through this
+        problem. Callers may add entries computed on the current graph.
+        """
+        version = self.graph.version()
+        if self._cuts_version != version:
+            self._cuts = {}
+            self._cuts_version = version
+        return self._cuts
 
     def active_terminals(self) -> list[int]:
         """The active terminal vertices, in block order."""
@@ -316,8 +356,22 @@ class Problem:
     # -- guarded mutation --------------------------------------------------
 
     def delete_edge(self, u: int, v: int) -> int:
+        """Delete edge (u, v) and commit its weight to the cut.
+
+        Between two terminals, the edge lowers both ends' kept cuts by its
+        weight and leaves the others; any other deletion empties the map.
+        """
+        cuts = self.kept_cuts()
         w = self.graph.delete_edge(u, v)
         self.deleted_weight += w
+        if u in self.block_of and v in self.block_of:
+            for t in (u, v):
+                res = cuts.get(t)
+                if res is not None:  # a FlowResult: flow imports graph, not the reverse
+                    cuts[t] = type(res)(res.value - w, res.source_side)
+        else:
+            cuts.clear()
+        self._cuts_version = self.graph.version()
         return w
 
     def contract_set(self, vertices: Iterable[int], into: int) -> int:
@@ -325,15 +379,26 @@ class Problem:
 
         A terminal in the set survives the merge, otherwise ``into`` does.
         A set holding two terminals raises :class:`InvalidContraction`.
+        A kept isolating cut stays when the set lies wholly inside or wholly
+        outside its source side. A live vertex is in the stored side exactly
+        when it is in the side mapped through ``find`` (every contraction
+        since the flow kept the side whole), so the test needs no ``find``.
         """
         g = self.graph
+        cuts = self.kept_cuts()
         members = {g.find(x) for x in vertices}
         target = g.find(into)
         members.add(target)
         terms = [t for t in self.terminal_vertices if t in members]
         if len(terms) > 1:
             raise InvalidContraction(f"set joins terminals {terms}")
-        return g.contract_vertices(members, terms[0] if terms else target)
+        merged = g.contract_vertices(members, terms[0] if terms else target)
+        split = [t for t, res in cuts.items()
+                 if not (members <= res.source_side or members.isdisjoint(res.source_side))]
+        for t in split:
+            del cuts[t]
+        self._cuts_version = g.version()
+        return merged
 
     # -- solution plumbing --------------------------------------------------
 

@@ -79,8 +79,12 @@ def _flows(g: ContractableGraph, sources: Sequence[int], sinks: Sequence[int],
 
     All flows run on one :class:`FlowNetwork` snapshot of ``g``. The deadline
     is checked before each flow, so the cuts may cover a prefix of ``sources``.
+    The first source's component is built before the first check, so the
+    stretch up to the second check holds one flow, not a build and a flow.
     """
     net = FlowNetwork(g)
+    if sources:
+        net.component(sources[0])
     flows = []
     for s in sources:
         if expired(deadline):
@@ -105,9 +109,9 @@ def _contract_source_sides(p: Problem, sources: Sequence[int],
                            flows: Sequence[FlowResult]) -> int:
     """Contract each flow's source side into its source's representative.
 
-    The sides were computed on the same graph and are applied in order. A
-    side keeps out every terminal but the source's own, so no two
-    terminals ever merge.
+    The sides are mapped through ``find`` and applied in order. A side
+    keeps out every terminal but the source's own, so no two terminals
+    ever merge.
     """
     g = p.graph
     troots = p.block_of
@@ -128,21 +132,31 @@ def contract_isolating_cuts(p: Problem, bound_state: BoundState | None = None,
     Also derives the isolating-cut bounds: the lower bound tightens the
     problem's own bound, and the upper bound (sum minus the heaviest cut,
     realized by sending every leftover vertex to the terminal with the
-    heaviest cut) is offered to the shared incumbent. All flows run on one
-    snapshot of the graph; the sides are contracted after the last flow.
+    heaviest cut) is offered to the shared incumbent.
+
+    Only the terminals with no cut in :meth:`Problem.kept_cuts` run a flow,
+    in block order, on one snapshot of the graph; the kept cuts are those
+    no mutation since their flow could have changed. The new cuts join the
+    map before the sides are contracted, in block order, so that each
+    contraction drops the cuts it splits.
     """
     actives = p.active_terminals()
     if len(actives) < 2:
         return 0, 0
-    flows = isolating_cuts(p.graph, actives, deadline)
-    contracted = _contract_source_sides(p, actives, flows)
+    cuts = p.kept_cuts()
+    missing = [t for t in actives if t not in cuts]
+    if missing:
+        cuts.update(zip(missing, _flows(p.graph, missing, actives, deadline)))
+    sources = [t for t in actives if t in cuts]
+    flows = [cuts[t] for t in sources]
+    contracted = _contract_source_sides(p, sources, flows)
 
     if len(flows) == len(actives):
         lower, upper = isolating_bounds(flows)
         p.lower_bound = max(p.lower_bound, p.deleted_weight + lower)
         if bound_state is not None and p.deleted_weight + upper < bound_state.best_value:
             top = max(res.value for res in flows)
-            heaviest = min(p.block_of[r] for r, res in zip(actives, flows) if res.value == top)
+            heaviest = min(p.block_of[r] for r, res in zip(sources, flows) if res.value == top)
             labels = p.project(fill=heaviest)
             bound_state.improve(p.solution_value(labels), labels, now=time.monotonic())
     return contracted, 0

@@ -138,12 +138,19 @@ def select_branch_vertex(p: Problem) -> int:
 
 
 def _child(p: Problem, x: int, cut: Sequence[int], join: int | None = None) -> Problem:
-    """Branch child: delete the edges from x to ``cut``, then merge x into ``join``."""
+    """Branch child: merge x into ``join``, then delete the edges from x to ``cut``.
+
+    The merge comes first so that, with a ``join``, each deletion is between
+    two terminals and keeps the other terminals' isolating cuts. ``p`` is at
+    a fixpoint, so ``join`` has no edge to a terminal of ``cut``, and the
+    child's graph and deleted weight are those of deleting first.
+    """
     c = p.copy()
-    for r in cut:
-        c.delete_edge(x, r)
     if join is not None:
         c.contract_set((x,), join)
+        x = join
+    for r in cut:
+        c.delete_edge(x, r)
     c.lower_bound = max(p.lower_bound, c.deleted_weight)
     return c
 

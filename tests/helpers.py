@@ -14,7 +14,8 @@ import random
 
 import numpy as np
 
-from mtcut import ContractableGraph, GraphError, Problem, ReductionReport
+from mtcut import ContractableGraph, FlowResult, GraphError, Problem, ReductionReport
+from mtcut.flow import FlowNetwork, max_flow_st
 from mtcut.localsearch import GainTable
 
 
@@ -67,6 +68,28 @@ def check_consistency(g: ContractableGraph) -> None:
 def total_contracted(report: ReductionReport) -> int:
     """Vertices a reduction run merged away, summed over its rules."""
     return sum(report.contracted.values())
+
+
+def fresh_isolating_cut(p: Problem, t: int) -> FlowResult:
+    """Terminal t's largest minimum isolating cut against the other active
+    terminals, from one flow on a fresh network of the current graph."""
+    return max_flow_st(FlowNetwork(p.graph), t, [r for r in p.active_terminals() if r != t])
+
+
+def stale_kept_cuts(p: Problem) -> list[int]:
+    """Active terminals whose kept isolating cut differs from a fresh flow,
+    by value or by source side mapped through ``find``."""
+    stale = []
+    if p.active_count() < 2:
+        return stale
+    for t, kept in p.kept_cuts().items():
+        if not p.active[p.block_of[t]]:
+            continue
+        fresh = fresh_isolating_cut(p, t)
+        if kept.value != fresh.value or \
+                {p.graph.find(x) for x in kept.source_side} != fresh.source_side:
+            stale.append(t)
+    return stale
 
 
 def gains_from_scratch(table: GainTable) -> dict[int, tuple[int, int]]:

@@ -8,7 +8,9 @@ from helpers import (
     check_consistency,
     fixture_graph,
     fixture_problem,
+    fresh_isolating_cut,
     random_instance,
+    stale_kept_cuts,
 )
 from mtcut import (
     ContractableGraph,
@@ -178,6 +180,60 @@ class TestContractSet:
         g.contract_vertices([0, 2], 0)
         assert g.num_vertices == 3
         assert g.edge_weight(0, 1) == 1 and g.edge_weight(0, 3) == 1
+
+
+def star_with_kept_cuts() -> Problem:
+    """F3 (center 0; terminals 1, 2, 3 at weights 3, 1, 1) with every
+    terminal's isolating cut kept: sides {0, 1}, {2} and {3}."""
+    p = fixture_problem("F3")
+    cuts = p.kept_cuts()
+    for t in p.active_terminals():
+        cuts[t] = fresh_isolating_cut(p, t)
+    assert {t: set(r.source_side) for t, r in cuts.items()} == {1: {0, 1}, 2: {2}, 3: {3}}
+    return p
+
+
+class TestKeptCuts:
+    def test_contraction_keeps_the_sides_it_does_not_split(self):
+        p = star_with_kept_cuts()
+        kept = dict(p.kept_cuts())
+        p.contract_set((0,), 1)  # inside 1's side, outside the others
+        assert p.kept_cuts() == kept and stale_kept_cuts(p) == []
+
+    def test_contraction_drops_the_sides_it_splits(self):
+        p = star_with_kept_cuts()
+        p.contract_set((0,), 2)  # splits {0, 1} and {2}
+        assert set(p.kept_cuts()) == {3}
+        assert stale_kept_cuts(p) == []
+
+    def test_terminal_edge_deletion_lowers_both_ends(self):
+        p = star_with_kept_cuts()
+        p.contract_set((0,), 1)
+        before = dict(p.kept_cuts())
+        p.delete_edge(1, 2)
+        cuts = p.kept_cuts()
+        assert (cuts[1].value, cuts[2].value) == (before[1].value - 1, before[2].value - 1)
+        assert cuts[3] is before[3]
+        assert stale_kept_cuts(p) == []
+
+    def test_other_deletion_empties_the_map(self):
+        p = star_with_kept_cuts()
+        p.delete_edge(0, 2)
+        assert p.kept_cuts() == {}
+
+    def test_copy_shares_the_entries_not_the_map(self):
+        p = star_with_kept_cuts()
+        c = p.copy()
+        assert c.kept_cuts() is not p.kept_cuts()
+        assert all(c.kept_cuts()[t] is r for t, r in p.kept_cuts().items())
+        c.delete_edge(0, 2)
+        assert c.kept_cuts() == {} and len(p.kept_cuts()) == 3
+
+    def test_mutation_behind_the_problem_empties_the_map(self):
+        for mutate in (lambda g: g.contract_vertices([0], 1), lambda g: g.delete_edge(0, 1)):
+            p = star_with_kept_cuts()
+            mutate(p.graph)
+            assert p.kept_cuts() == {}
 
 
 class TestCutValue:

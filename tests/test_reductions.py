@@ -12,6 +12,7 @@ from helpers import (
     naive_twin_pairs,
     random_connected_graph,
     random_instance,
+    stale_kept_cuts,
     torus_graph,
     total_contracted,
 )
@@ -22,8 +23,10 @@ from mtcut import (
     SolverConfig,
     max_flow_st,
     run_reduction_loop,
+    solve,
 )
 import mtcut.reductions
+from mtcut.solver import branch_vertex, select_branch_vertex
 from mtcut.reductions import (
     DEFAULT_ORDER,
     FLOW_CANDIDATES,
@@ -124,6 +127,93 @@ class TestFlowLoop:
             flows.clear()
             rule(p)
             assert len(networks) == 1 and len(flows) >= 3, name
+
+
+class TestKeptCuts:
+    def test_kept_cuts_equal_fresh_flows_on_every_call(self, monkeypatch):
+        # every kept cut, before and after each rule call, equals a flow on
+        # a fresh network: same value, same side once mapped through find
+        real = mtcut.reductions.contract_isolating_cuts
+        checked = kept = 0
+
+        def checking(p, *args):
+            nonlocal checked, kept
+            kept += len(p.kept_cuts())
+            assert stale_kept_cuts(p) == []
+            res = real(p, *args)
+            assert stale_kept_cuts(p) == []
+            checked += 1
+            return res
+
+        monkeypatch.setattr(mtcut.reductions, "contract_isolating_cuts", checking)
+        configs = [SolverConfig(), SolverConfig(branch_rule="edge"),
+                   SolverConfig(mode="inexact", delta=0.5, beta=2),
+                   SolverConfig(mode="inexact", branch_rule="edge")]
+        rng = random.Random(53)
+        for _ in range(120):
+            n, edges, terminals = random_instance(rng, n_min=6, n_max=14, m_max=36)
+            g = ContractableGraph.from_edge_list(n, edges)
+            for config in configs:
+                solve(g, terminals, config)
+        assert checked >= 1000 and kept >= 1000
+
+    def test_repeated_call_builds_no_flow_network(self, monkeypatch):
+        networks = count_calls(monkeypatch, "FlowNetwork")
+        # F3's first call absorbs the center into terminal 1, inside its side
+        p = fixture_problem("F3")
+        assert contract_isolating_cuts(p) == (1, 0)
+        assert len(networks) == 1
+        networks.clear()
+        assert contract_isolating_cuts(p) == (0, 0)
+        assert networks == [] and p.lower_bound == 2
+
+    def test_past_deadline_runs_no_flow_but_bounds_from_kept_cuts(self, monkeypatch):
+        past = time.monotonic() - 1.0
+        p = fixture_problem("F3")
+        assert contract_isolating_cuts(p, deadline=past) == (0, 0)
+        assert p.kept_cuts() == {} and p.lower_bound == 0
+        contract_isolating_cuts(p)
+        q = p.copy()
+        q.lower_bound = 0
+        flows = count_calls(monkeypatch, "max_flow_st")
+        assert contract_isolating_cuts(q, deadline=past) == (0, 0)
+        assert flows == [] and q.lower_bound == 2
+
+    def test_fixpoint_keeps_every_active_terminals_cut(self, monkeypatch):
+        rng = random.Random(61)
+        for _ in range(30):
+            p = make_problem(*random_instance(rng, n_min=8, n_max=14, m_max=36))
+            run_reduction_loop(p)
+            if p.is_solved():
+                continue
+            assert set(p.kept_cuts()) >= set(p.active_terminals())
+            networks = count_calls(monkeypatch, "FlowNetwork")
+            assert contract_isolating_cuts(p) == (0, 0)
+            assert networks == []
+            monkeypatch.undo()
+
+    def test_branch_child_runs_one_flow_for_the_joined_terminal(self, monkeypatch):
+        # at a fixpoint every side is its terminal alone: merging x into
+        # join splits only join's side, and the deleted edges from join to
+        # the other terminals lower their cuts without a flow
+        rng = random.Random(67)
+        children = 0
+        while children < 20:
+            p = make_problem(*random_instance(rng, n_min=8, n_max=14, m_max=36))
+            run_reduction_loop(p)
+            if p.is_solved() or p.active_count() < 3:
+                continue
+            x = select_branch_vertex(p)
+            for c in branch_vertex(p, x, math.inf):
+                joined = c.graph.find(x) in c.block_of
+                flows = count_calls(monkeypatch, "max_flow_st")
+                contract_isolating_cuts(c)
+                if joined:
+                    assert len(flows) == 1 < c.active_count()
+                    children += 1
+                else:  # the child that cuts x from every adjacent terminal
+                    assert len(flows) == c.active_count()
+                monkeypatch.undo()
 
 
 class TestLowDegree:

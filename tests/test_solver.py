@@ -19,6 +19,7 @@ from mtcut.reductions import run_reduction_loop
 from mtcut.solver import (
     ReductionIncomplete,
     SolverConfig,
+    _child,
     _Search,
     branch_edge,
     branch_vertex,
@@ -327,6 +328,39 @@ class TestBranchInvariant:
                 res = solve(g, terminals, config)
                 assert cut_value(g, terminals, res.labels) == res.value
         assert calls >= 50
+
+
+class TestChild:
+    def test_merge_first_gives_the_delete_first_child_at_a_fixpoint(self):
+        # the child merges x into join before it deletes the edges to the
+        # other terminals; at a fixpoint no edge joins two terminals, so the
+        # graph, its adjacency order and the deleted weight are the same as
+        # deleting first
+        rng = random.Random(71)
+        compared = 0
+        while compared < 40:
+            p = make_problem(*random_instance(rng, n_min=8, n_max=14, m_max=36))
+            run_reduction_loop(p)
+            if p.is_solved():
+                continue
+            x = select_branch_vertex(p)
+            adj_terms = [r for r in p.active_terminals() if p.graph.has_edge(x, r)]
+            for join in adj_terms:
+                cut = [r for r in adj_terms if r != join]
+                old = p.copy()
+                for r in cut:
+                    old.delete_edge(x, r)
+                old.contract_set((x,), join)
+                new = _child(p, x, cut, join)
+                g, h = old.graph, new.graph
+                assert [list(g.neighbors(v).items()) for v in g.live_vertices()] == \
+                    [list(h.neighbors(v).items()) for v in h.live_vertices()]
+                assert [g.find(v) for v in range(g.n_original)] == \
+                    [h.find(v) for v in range(h.n_original)]
+                assert g.version() == h.version()
+                assert new.deleted_weight == old.deleted_weight
+                assert new.lower_bound == max(p.lower_bound, old.deleted_weight)
+                compared += 1
 
 
 class TestPublish:
