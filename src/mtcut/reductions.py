@@ -271,8 +271,7 @@ def capforest_bounds(g: ContractableGraph) -> dict[tuple[int, int], int]:
     r = {v: 0 for v in g.live_vertices()}
     q: dict[tuple[int, int], int] = {}
     scanned: set[int] = set()
-    heap = [(0, v) for v in sorted(r)]
-    heapq.heapify(heap)
+    heap = [(0, v) for v in r]  # ascending, so already a heap
     while heap:
         negr, x = heapq.heappop(heap)
         if x in scanned or -negr != r[x]:
@@ -297,8 +296,8 @@ def reduce_connectivity(p: Problem, best_value: float) -> tuple[int, int]:
     if not math.isfinite(best_value):
         return 0, 0
     threshold = best_value - p.deleted_weight
-    scanned = [(u, v, qe) for (u, v), qe in sorted(capforest_bounds(p.graph).items())
-               if qe > threshold]
+    scanned = sorted((u, v, qe) for (u, v), qe in capforest_bounds(p.graph).items()
+                     if qe > threshold)
     contracted = 0
     for a, b, _ in _current_edges(p, scanned):
         contracted += p.contract_set((a, b), min(a, b))
@@ -539,10 +538,14 @@ def run_reduction_loop(p: Problem, bound_state: BoundState | None = None,
                        order: Sequence[str] = DEFAULT_ORDER) -> ReductionReport:
     """Apply the rules named in ``order`` in passes until none of them fires.
 
-    ``order`` defaults to all nine rules; the solver's nodes below the root
-    pass it without the non-terminal flows. Each pass offers every rule a
-    turn, in order; the loop stops after a pass in which nothing changed.
-    A rule that changed nothing is skipped until the graph's
+    ``order`` defaults to all nine rules, which the solver's root and
+    ``mtcut kernelize`` run. The solver's nodes below the root pass
+    :data:`~mtcut.solver.NODE_ORDER`, which leaves out the heavy triangles,
+    articulation points, equal neighborhoods and non-terminal flows: on a
+    child of a fixpoint they hardly ever fire, and each scans the whole
+    kernel. Each pass offers every rule a turn, in order; the loop stops
+    after a pass in which nothing changed. A rule that changed nothing is
+    skipped until the graph's
     :meth:`~ContractableGraph.version` or the incumbent's value moves: the
     rules are deterministic, so on a state one has already seen it would
     change nothing again. The incumbent is part of that state because

@@ -3,10 +3,16 @@
 Subproblems live in a best-first priority queue keyed by lower bound; a
 popped problem is reduced to a fixpoint, closed if solved or dominated,
 handed to the external MILP solver when small enough, and branched
-otherwise. The root is reduced with every rule of
-:data:`~mtcut.reductions.DEFAULT_ORDER`; the nodes below it leave out the
-non-terminal flows (:data:`NODE_ORDER`), the costliest rule, which hardly
-ever fires once the root has run it. Every incumbent is scored on the
+otherwise. The root is reduced with all nine rules of
+:data:`~mtcut.reductions.DEFAULT_ORDER`; the nodes below it run the five of
+:data:`NODE_ORDER`. A child differs from its parent's fixpoint only by its
+branch (and, in inexact mode, the parent's shrinking). The inter-terminal
+deletions and the isolating cuts keep its bounds and its fixpoint sound,
+the low-degree and heavy-edge contractions act around the branch vertex,
+and the connectivity certificate reads an incumbent that falls during the
+search. The heavy triangles, articulation points, equal neighborhoods and
+non-terminal flows run at the root only: below it they hardly ever fire,
+and each call scans the whole kernel. Every incumbent is scored on the
 original graph before it is offered. A solved leaf or an ILP solution that
 improves the incumbent is then polished by local search; the trivial start
 and the isolating-cut heuristic are not. The search runs in the calling
@@ -28,8 +34,16 @@ from .localsearch import expired, refine
 from .reductions import DEFAULT_ORDER, FLOW_CANDIDATES, NEIGHBORHOOD_LIMIT, run_reduction_loop
 
 
-# the rules of every node below the root
-NODE_ORDER: tuple[str, ...] = tuple(r for r in DEFAULT_ORDER if r != "non_terminal_flows")
+# The rules of every node below the root, in DEFAULT_ORDER's order. The
+# root runs all nine; heavy_triangle, articulation, equal_neighborhoods and
+# non_terminal_flows run there only (see the module docstring).
+NODE_ORDER: tuple[str, ...] = (
+    "inter_terminal",
+    "isolating_cuts",
+    "low_degree",
+    "heavy_edge",
+    "connectivity",
+)
 
 
 class ReductionIncomplete(GraphError):
@@ -51,8 +65,11 @@ class SolverConfig:
     The defaults mirror the method's standard operating point: shrink
     factor 0.1 and branching cap 5 for the inexact mode, neighborhood
     limit 5 for the twin reduction, and the 50000-edge / 60-second
-    dispatch rule for the external ILP solver. ``thread_count`` is kept
-    for callers that pass it; the search is single-threaded, so it must be 1.
+    dispatch rule for the external ILP solver. The twin reduction runs at
+    the root only, so ``neighborhood_limit`` acts there only;
+    ``flow_candidates``, the non-terminal flows' sources per kind, likewise.
+    ``thread_count`` is kept for callers that pass it; the search is
+    single-threaded, so it must be 1.
     """
 
     mode: str = "exact"

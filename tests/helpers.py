@@ -14,9 +14,10 @@ import random
 
 import numpy as np
 
-from mtcut import ContractableGraph, FlowResult, GraphError, Problem, ReductionReport
+from mtcut import BoundState, ContractableGraph, FlowResult, GraphError, Problem, ReductionReport
 from mtcut.flow import FlowNetwork, max_flow_st
 from mtcut.localsearch import GainTable
+import mtcut.reductions
 
 
 # F1 path, F2 unit triangle, F3 star, F4 path plus pendant cycle, F5 twin
@@ -68,6 +69,41 @@ def check_consistency(g: ContractableGraph) -> None:
 def total_contracted(report: ReductionReport) -> int:
     """Vertices a reduction run merged away, summed over its rules."""
     return sum(report.contracted.values())
+
+
+# DEFAULT_ORDER name -> its function in mtcut.reductions
+RULE_FUNCTIONS = {
+    "inter_terminal": "delete_inter_terminal_edges",
+    "isolating_cuts": "contract_isolating_cuts",
+    "low_degree": "reduce_low_degree",
+    "heavy_edge": "reduce_heavy_edge",
+    "heavy_triangle": "reduce_heavy_triangle",
+    "connectivity": "reduce_connectivity",
+    "articulation": "reduce_articulation_points",
+    "equal_neighborhoods": "reduce_equal_neighborhoods",
+    "non_terminal_flows": "reduce_non_terminal_flows",
+}
+
+
+def record_rule_calls(monkeypatch, bound: BoundState | None = None) -> list:
+    """Wrap every rule; each call appends (rule, state before, result, state after).
+
+    A state is the graph's version and the incumbent's value, or ``None``
+    for the value when no ``bound`` is given.
+    """
+    log = []
+
+    def state(p):
+        return p.graph.version(), None if bound is None else bound.best_value
+
+    for name, func in RULE_FUNCTIONS.items():
+        def wrapped(p, *args, _name=name, _real=getattr(mtcut.reductions, func)):
+            before = state(p)
+            res = _real(p, *args)
+            log.append((_name, before, res, state(p)))
+            return res
+        monkeypatch.setattr(mtcut.reductions, func, wrapped)
+    return log
 
 
 def fresh_isolating_cut(p: Problem, t: int) -> FlowResult:

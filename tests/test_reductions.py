@@ -4,6 +4,7 @@ import time
 
 from helpers import (
     FIXTURES,
+    RULE_FUNCTIONS,
     brute_force_opt,
     check_consistency,
     fixture_problem,
@@ -12,6 +13,7 @@ from helpers import (
     naive_twin_pairs,
     random_connected_graph,
     random_instance,
+    record_rule_calls,
     stale_kept_cuts,
     torus_graph,
     total_contracted,
@@ -26,7 +28,7 @@ from mtcut import (
     solve,
 )
 import mtcut.reductions
-from mtcut.solver import branch_vertex, select_branch_vertex
+from mtcut.solver import NODE_ORDER, branch_vertex, select_branch_vertex
 from mtcut.reductions import (
     DEFAULT_ORDER,
     FLOW_CANDIDATES,
@@ -508,36 +510,6 @@ class TestPerRuleSafetySpot:
                 assert kernel_opt(p) + p.deleted_weight == opt, name
 
 
-# DEFAULT_ORDER name -> its function in mtcut.reductions
-RULE_FUNCTIONS = {
-    "inter_terminal": "delete_inter_terminal_edges",
-    "isolating_cuts": "contract_isolating_cuts",
-    "low_degree": "reduce_low_degree",
-    "heavy_edge": "reduce_heavy_edge",
-    "heavy_triangle": "reduce_heavy_triangle",
-    "connectivity": "reduce_connectivity",
-    "articulation": "reduce_articulation_points",
-    "equal_neighborhoods": "reduce_equal_neighborhoods",
-    "non_terminal_flows": "reduce_non_terminal_flows",
-}
-
-
-def record_rule_calls(monkeypatch, bound: BoundState) -> list:
-    """Wrap every rule; each call appends (rule, state before, result, state after).
-
-    A state is the graph's version and the incumbent's value.
-    """
-    log = []
-    for name, func in RULE_FUNCTIONS.items():
-        def wrapped(p, *args, _name=name, _real=getattr(mtcut.reductions, func)):
-            before = (p.graph.version(), bound.best_value)
-            res = _real(p, *args)
-            log.append((_name, before, res, (p.graph.version(), bound.best_value)))
-            return res
-        monkeypatch.setattr(mtcut.reductions, func, wrapped)
-    return log
-
-
 class TestSchedule:
     def test_no_rerun_on_a_seen_state_and_none_missed(self, monkeypatch):
         rng = random.Random(12)
@@ -597,8 +569,7 @@ class TestSchedule:
 
     def test_defaults_run_all_nine_rules_and_an_order_picks_them(self, monkeypatch):
         assert len(DEFAULT_ORDER) == 9
-        node_order = [name for name in DEFAULT_ORDER if name != "non_terminal_flows"]
-        for order, kwargs in ((DEFAULT_ORDER, {}), (node_order, {"order": node_order})):
+        for order, kwargs in ((DEFAULT_ORDER, {}), (NODE_ORDER, {"order": NODE_ORDER})):
             p = Problem.from_instance(torus_graph(6, 6), (0, 15, 26))
             bound = BoundState()
             log = record_rule_calls(monkeypatch, bound)

@@ -10,13 +10,14 @@ from helpers import (
     fixture_problem,
     random_connected_graph,
     random_instance,
+    record_rule_calls,
 )
 from mtcut import BoundState, ContractableGraph, Problem, cut_value, max_flow_st
 from mtcut.bench import generate_terminals, grow_terminal_blocks
-import mtcut.reductions
 import mtcut.solver
-from mtcut.reductions import run_reduction_loop
+from mtcut.reductions import DEFAULT_ORDER, run_reduction_loop
 from mtcut.solver import (
+    NODE_ORDER,
     ReductionIncomplete,
     SolverConfig,
     _child,
@@ -267,26 +268,23 @@ class TestSolve:
 
 
 class TestSchedule:
-    def test_non_terminal_flows_run_at_the_root_only(self, monkeypatch):
-        roots = []  # is_root of each node being processed, innermost last
+    def test_root_only_rules_run_at_the_root_only(self, monkeypatch):
+        assert list(NODE_ORDER) == [name for name in DEFAULT_ORDER if name in NODE_ORDER]
+        root_only = set(DEFAULT_ORDER) - set(NODE_ORDER)
+        assert root_only == {"heavy_triangle", "articulation", "equal_neighborhoods",
+                             "non_terminal_flows"}
+        log = record_rule_calls(monkeypatch)
+        nodes = []  # (is_root, the rules its reduction called, in call order)
         real_process = _Search.process
 
         def process(self, p, is_root):
-            roots.append(is_root)
+            start = len(log)
             try:
                 return real_process(self, p, is_root)
             finally:
-                roots.pop()
-
-        flows_at = []
-        real_flows = mtcut.reductions.reduce_non_terminal_flows
-
-        def flows(p, *args):
-            flows_at.append(roots[-1])
-            return real_flows(p, *args)
+                nodes.append((is_root, [name for name, *_ in log[start:]]))
 
         monkeypatch.setattr(_Search, "process", process)
-        monkeypatch.setattr(mtcut.reductions, "reduce_non_terminal_flows", flows)
         rng = random.Random(36)
         branched = 0
         for _ in range(40):
@@ -298,7 +296,19 @@ class TestSchedule:
             inexact = solve(g, terminals, SolverConfig(mode="inexact", delta=0.5))
             branched += (exact.nodes > 1) + (inexact.nodes > 1)
         assert branched >= 10
-        assert flows_at and all(flows_at)
+        at_root = {name for is_root, names in nodes if is_root for name in names}
+        assert root_only <= at_root
+        full_first_pass = 0
+        for is_root, names in nodes:
+            if is_root:
+                continue
+            # the first pass runs the rules of NODE_ORDER in order, unless a
+            # rule solves the node, and no pass runs any other rule
+            first_pass = names[:len(NODE_ORDER)]
+            assert first_pass == list(NODE_ORDER[:len(first_pass)])
+            assert set(names) <= set(NODE_ORDER)
+            full_first_pass += len(first_pass) == len(NODE_ORDER)
+        assert full_first_pass >= 10
 
 
 class TestBranchInvariant:
