@@ -5,6 +5,23 @@ optimal cut value of the original instance once the accumulated deleted
 weight is added back. The rules range from purely local tests (vertex
 degree, heavy edges, triangles) to global ones backed by maximum flows,
 articulation points and the CAPFOREST connectivity certificate.
+
+Three of the edge scans first ask the vertex degrees, in one pass over the
+live vertices, whether any edge can pass their test, and return ``(0, 0)``
+when none can:
+
+- ``reduce_heavy_edge`` needs a non-terminal whose heaviest edge carries at
+  least half of its weighted degree;
+- ``reduce_heavy_triangle`` needs two non-terminals of degree two or more
+  whose heaviest edge twice plus the second heaviest reach their weighted
+  degree, since the triangle test sums two distinct edges of each end;
+- ``reduce_connectivity`` needs two vertices whose weighted degree exceeds
+  its threshold, since a certificate never exceeds either end's weighted
+  degree.
+
+Each gate is exact. Until a scan contracts an edge the graph stays as the
+gate read it, and an edge passes the scan's test only if its ends pass the
+gate, so a closed gate skips only scans that would contract nothing.
 """
 
 from __future__ import annotations
@@ -213,13 +230,30 @@ def reduce_low_degree(p: Problem) -> tuple[int, int]:
     return contracted, 0
 
 
+def _heavy_edge_gate(p: Problem) -> bool:
+    """Whether some non-terminal's heaviest edge is at least half its
+    weighted degree."""
+    g = p.graph
+    troots = p.block_of
+    for v in g.live_vertices():
+        nbrs = g.neighbors(v)
+        if nbrs and v not in troots and 2 * max(nbrs.values()) >= g.weighted_degree(v):
+            return True
+    return False
+
+
 def reduce_heavy_edge(p: Problem) -> tuple[int, int]:
     """Contract edges carrying at least half of an endpoint's weight.
 
     The qualifying endpoint must be a non-terminal: the justification is
     that this endpoint can always side with its dominant neighbor, and
     terminals cannot move.
+
+    The scan runs only if some non-terminal's heaviest edge weighs at
+    least half its weighted degree; otherwise no edge can pass the test.
     """
+    if not _heavy_edge_gate(p):
+        return 0, 0
     g = p.graph
     troots = p.block_of
     contracted = 0
@@ -230,6 +264,33 @@ def reduce_heavy_edge(p: Problem) -> tuple[int, int]:
     return contracted, 0
 
 
+def _two_or_more(items: Iterator[int]) -> bool:
+    """Whether ``items`` yields twice; it stops at the second item."""
+    return next(items, None) is not None and next(items, None) is not None
+
+
+def _triangle_end(g: ContractableGraph, v: int) -> bool:
+    """Whether v's two heaviest edges pass v's half of the triangle test."""
+    nbrs = g.neighbors(v)
+    if len(nbrs) < 2:
+        return False
+    top1 = top2 = 0
+    for w in nbrs.values():
+        if w > top1:
+            top1, top2 = w, top1
+        elif w > top2:
+            top2 = w
+    return 2 * top1 + top2 >= g.weighted_degree(v)
+
+
+def _heavy_triangle_gate(p: Problem) -> bool:
+    """Whether two non-terminals pass :func:`_triangle_end`."""
+    g = p.graph
+    troots = p.block_of
+    return _two_or_more(v for v in g.live_vertices()
+                        if v not in troots and _triangle_end(g, v))
+
+
 def reduce_heavy_triangle(p: Problem) -> tuple[int, int]:
     """Contract triangle edges whose endpoints are dominated by the triangle.
 
@@ -237,7 +298,14 @@ def reduce_heavy_triangle(p: Problem) -> tuple[int, int]:
     ``w(a,b) + 2*w(a,x) >= wdeg(a)`` and ``w(a,b) + 2*w(b,x) >= wdeg(b)``.
     Both edge endpoints must be non-terminals (the exchange argument moves
     either of them depending on where x sits); the apex x is unrestricted.
+
+    ``w(a,b)`` and ``w(a,x)`` are two distinct edges of a, so the test at a
+    needs ``2*top1 + top2 >= wdeg(a)``, where top1 and top2 are a's two
+    heaviest edge weights. The scan runs only if two non-terminals pass
+    that, as the two ends of a hit must; otherwise no edge can pass.
     """
+    if not _heavy_triangle_gate(p):
+        return 0, 0
     g = p.graph
     troots = p.block_of
     contracted = 0
@@ -286,14 +354,26 @@ def capforest_bounds(g: ContractableGraph) -> dict[tuple[int, int], int]:
     return q
 
 
+def _connectivity_gate(p: Problem, best_value: float) -> bool:
+    """Whether two vertices' weighted degrees exceed the connectivity
+    threshold; never, for an infinite ``best_value``."""
+    g = p.graph
+    threshold = best_value - p.deleted_weight
+    return _two_or_more(v for v in g.live_vertices() if g.weighted_degree(v) > threshold)
+
+
 def reduce_connectivity(p: Problem, best_value: float) -> tuple[int, int]:
     """Contract edges whose endpoints cannot be separated by a better cut.
 
     An edge with connectivity certificate strictly above
     ``best_value - deleted_weight`` cannot be cut by any solution improving
     on the incumbent, so merging its endpoints loses nothing.
+
+    A certificate is a lower bound on the connectivity of its ends, which
+    is at most either end's weighted degree. So the CAPFOREST scan runs
+    only if two vertices have a weighted degree above the threshold.
     """
-    if not math.isfinite(best_value):
+    if not _connectivity_gate(p, best_value):
         return 0, 0
     threshold = best_value - p.deleted_weight
     scanned = sorted((u, v, qe) for (u, v), qe in capforest_bounds(p.graph).items()

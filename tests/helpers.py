@@ -106,6 +106,19 @@ def record_rule_calls(monkeypatch, bound: BoundState | None = None) -> list:
     return log
 
 
+def count_calls(monkeypatch, name: str) -> list:
+    """Wrap ``mtcut.reductions.<name>``; each call appends its arguments."""
+    calls = []
+    real = getattr(mtcut.reductions, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(mtcut.reductions, name, counting)
+    return calls
+
+
 def fresh_isolating_cut(p: Problem, t: int) -> FlowResult:
     """Terminal t's largest minimum isolating cut against the other active
     terminals, from one flow on a fresh network of the current graph."""

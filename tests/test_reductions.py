@@ -1,12 +1,14 @@
 import math
 import random
 import time
+from collections import Counter
 
 from helpers import (
     FIXTURES,
     RULE_FUNCTIONS,
     brute_force_opt,
     check_consistency,
+    count_calls,
     fixture_problem,
     kernel_opt,
     naive_articulation_points,
@@ -46,6 +48,12 @@ from mtcut.reductions import (
     reduce_low_degree,
     reduce_non_terminal_flows,
 )
+
+
+# the four search modes the cross-checks solve every instance in
+SOLVER_MODES = [SolverConfig(), SolverConfig(branch_rule="edge"),
+                SolverConfig(mode="inexact", delta=0.5, beta=2),
+                SolverConfig(mode="inexact", branch_rule="edge")]
 
 
 def make_problem(n, edges, terminals):
@@ -93,19 +101,6 @@ class TestIsolatingCutContraction:
         assert bs.best_labels == [0, 0, 1, 2]
 
 
-def count_calls(monkeypatch, name: str) -> list:
-    """Wrap ``mtcut.reductions.<name>``; each call appends its arguments."""
-    calls = []
-    real = getattr(mtcut.reductions, name)
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(mtcut.reductions, name, counting)
-    return calls
-
-
 class TestFlowLoop:
     def test_isolating_cuts_past_deadline_runs_no_flow(self, monkeypatch):
         flows = count_calls(monkeypatch, "max_flow_st")
@@ -148,14 +143,11 @@ class TestKeptCuts:
             return res
 
         monkeypatch.setattr(mtcut.reductions, "contract_isolating_cuts", checking)
-        configs = [SolverConfig(), SolverConfig(branch_rule="edge"),
-                   SolverConfig(mode="inexact", delta=0.5, beta=2),
-                   SolverConfig(mode="inexact", branch_rule="edge")]
         rng = random.Random(53)
         for _ in range(120):
             n, edges, terminals = random_instance(rng, n_min=6, n_max=14, m_max=36)
             g = ContractableGraph.from_edge_list(n, edges)
-            for config in configs:
+            for config in SOLVER_MODES:
                 solve(g, terminals, config)
         assert checked >= 1000 and kept >= 1000
 
@@ -283,6 +275,12 @@ class TestHeavyEdge:
         assert [p.graph.find(v) for v in range(5)] == [3, 3, 3, 3, 4]
         assert p.graph.edge_weight(3, 4) == 1
 
+    def test_edge_of_exactly_half_the_weighted_degree_contracts(self):
+        # 2 * w(0,1) == wdeg(0) == 4 + 2 + 2
+        p = make_problem(4, [(0, 1, 4), (0, 2, 2), (0, 3, 2)], (1, 2, 3))
+        assert reduce_heavy_edge(p) == (1, 0)
+        assert p.graph.find(0) == 1
+
 
 class TestHeavyTriangle:
     def test_isolated_triangle_contracts(self):
@@ -303,6 +301,14 @@ class TestHeavyTriangle:
         reduce_heavy_triangle(p)
         assert not (p.graph.find(0) == p.graph.find(1))
         assert p.graph.num_vertices <= before
+
+    def test_unit_torus_skips_the_scan(self, monkeypatch):
+        # each row of the 3x3 unit torus is a triangle, but 2*1 + 1 < 4
+        scans = count_calls(monkeypatch, "_current_edges")
+        p = Problem.from_instance(torus_graph(3, 3), (0, 4))
+        assert reduce_heavy_triangle(p) == (0, 0)
+        assert reduce_heavy_edge(p) == (0, 0)
+        assert scans == []
 
 
 class TestCapforest:
@@ -330,6 +336,23 @@ class TestCapforest:
         q = capforest_bounds(g)
         assert q[(0, 1)] <= 3
 
+    def test_certificates_never_exceed_either_ends_weighted_degree(self):
+        # the premise of reduce_connectivity's gate, on graphs with
+        # tombstones and several components
+        rng = random.Random(71)
+        for _ in range(200):
+            n, edges = random_connected_graph(rng, n_min=3, n_max=30, m_max=90)
+            g = ContractableGraph.from_edge_list(2 * n, edges + [(u + n, v + n, w)
+                                                                 for u, v, w in edges])
+            for _ in range(rng.randint(0, 3)):
+                u, v, _ = rng.choice(list(g.edges()))
+                g.contract_vertices((u, v), u)
+            q = capforest_bounds(g)
+            assert set(q) == {(u, v) for u, v, _ in g.edges()}
+            for (u, v), qe in q.items():
+                assert g.edge_weight(u, v) <= qe <= min(g.weighted_degree(u),
+                                                        g.weighted_degree(v))
+
 
 class TestConnectivityReduction:
     def test_f1_with_known_best(self):
@@ -354,6 +377,62 @@ class TestConnectivityReduction:
         p = make_problem(3, [(0, 1, 3), (1, 2, 2)], (0, 2))
         assert reduce_connectivity(p, best_value=1) == (1, 0)
         assert p.graph.find(1) == 0 and p.graph.edge_weight(0, 2) == 2
+
+    def test_capforest_runs_only_when_two_weighted_degrees_pass(self, monkeypatch):
+        # F3's star: weighted degree 5 at the center, 3, 1 and 1 at the leaves
+        scans = count_calls(monkeypatch, "capforest_bounds")
+        p = fixture_problem("F3")
+        assert reduce_connectivity(p, best_value=3) == (0, 0)  # 5 alone is above 3
+        assert scans == []
+        assert reduce_connectivity(p, best_value=2) == (1, 0)  # 5 and 3 are above 2
+        assert len(scans) == 1 and p.graph.find(0) == 1
+
+
+# rule -> the degree gate it runs first
+GATES = {
+    "reduce_heavy_edge": "_heavy_edge_gate",
+    "reduce_heavy_triangle": "_heavy_triangle_gate",
+    "reduce_connectivity": "_connectivity_gate",
+}
+
+
+class TestDegreeGates:
+    def test_closed_gate_hides_no_hit(self, monkeypatch):
+        # wherever a gate returns early, the scan without the gate, run on
+        # a copy, changes nothing
+        opened, closed = Counter(), Counter()
+        for rule, gate in GATES.items():
+            def checking(p, *args, _rule=getattr(mtcut.reductions, rule),
+                         _gate=getattr(mtcut.reductions, gate), _name=gate):
+                if _gate(p, *args):
+                    opened[_name] += 1
+                else:
+                    closed[_name] += 1
+                    q = p.copy()
+                    with monkeypatch.context() as m:
+                        m.setattr(mtcut.reductions, _name, lambda *_: True)
+                        assert _rule(q, *args) == (0, 0)
+                    assert q.graph.version() == p.graph.version()
+                return _rule(p, *args)
+            monkeypatch.setattr(mtcut.reductions, rule, checking)
+
+        rng = random.Random(73)
+        for _ in range(120):
+            n, edges, terminals = random_instance(rng, n_min=6, n_max=14, m_max=36)
+            g = ContractableGraph.from_edge_list(n, edges)
+            for config in SOLVER_MODES:
+                solve(g, terminals, config)
+        assert min(opened[name] for name in GATES.values()) >= 50
+        assert min(closed[name] for name in GATES.values()) >= 400
+
+    def test_isolated_non_terminal_raises_nothing(self):
+        # vertex 0 has no edge and every gate reads it first; the rest is a
+        # unit K4 with terminals 1 and 2 and optimum 3
+        edges = [(u, v, 1) for u in range(1, 5) for v in range(u + 1, 5)]
+        p = make_problem(5, edges, (1, 2))
+        assert reduce_heavy_edge(p) == (0, 0)
+        assert reduce_connectivity(p, best_value=3) == (0, 0)
+        assert reduce_heavy_triangle(p) == (1, 0)  # 1 + 2*1 >= 3 at both 3 and 4
 
 
 class TestArticulationPoints:
