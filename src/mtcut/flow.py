@@ -1,22 +1,24 @@
 """Maximum s-T-flow, and the bounds derived from isolating cut values.
 
-A flow from a source to a set of sinks is reduced to a single-sink problem
-by attaching a super-sink with unsaturable edges (capacity one more than
-the total edge weight, which no finite cut can reach).
-
 Flows run on a :class:`FlowNetwork`, a snapshot of the graph: the first
 flow that needs a component relabels it into index lists of tails, heads
-and capacities, and every later flow in that component reuses them and
-adds only its own super-sink arcs. A rule that runs several flows on one
-unchanged graph builds one network for all of them; passing a graph to
-:func:`max_flow_st` builds a one-shot network.
+and capacities, and every later flow in that component reuses them. A rule
+that runs several flows on one unchanged graph builds one network for all
+of them; passing a graph to :func:`max_flow_st` builds a one-shot network.
 
 The implementation is picked per flow. Components with fewer than
 ``SCIPY_MIN_VERTICES`` vertices run a pure-Python blocking flow, whose
-per-call cost is far below scipy's fixed overhead at that size; larger ones
-run scipy's C implementation. The pure-Python flow also runs at any size
-when scipy is missing or the capacities (super-sink included) exceed
-int32, scipy's integer type.
+per-call cost is below scipy's fixed overhead at that size; larger ones run
+scipy's C implementation. The pure-Python flow also runs at any size when
+scipy is missing or the capacities (super-sink included) exceed int32,
+scipy's integer type.
+
+The pure-Python flow keeps its residual network in per-vertex dicts and
+neighbor bitmasks, and its levels are distances to the nearest sink, found
+by one backward search from all sinks at once. scipy needs a single sink,
+so for it a super-sink is attached with unsaturable edges (capacity
+``inf``, one more than the total edge weight, which no finite cut can
+reach); the int32 dispatch reads the same ``inf``.
 
 Both extract the same canonical source side: the complement, within the
 source's component, of the vertices that can still reach a sink in the
@@ -44,11 +46,11 @@ except ImportError:  # pragma: no cover
 _INT32_MAX = 2**31 - 1
 
 # Components with fewer vertices run the pure-Python flow, larger ones scipy.
-# Per flow on a built network (2-vCPU x86 host, scipy 1.17), the two break
-# even near 160 vertices on random graphs with m = 3n and near 250 on tori;
-# below that scipy's fixed cost of 0.5-0.8 ms per call dominates, and at 10k
-# vertices scipy is 7x (random) and 11x (torus) faster.
-SCIPY_MIN_VERTICES = 200
+# Per flow with 2-8 sinks, counting a fresh component build (2-vCPU x86 host,
+# scipy 1.17), the two break even near 500 vertices on random graphs with
+# m = 3n and near 700 on tori; on a network built once, as a rule's later
+# flows find it, the pure-Python flow is still faster at 1000 vertices.
+SCIPY_MIN_VERTICES = 500
 
 
 @dataclass(frozen=True)
@@ -61,8 +63,8 @@ class _Component:
     """One connected component relabeled to indices ``0..n-1``.
 
     Holds the vertex list, its index and the edge list (each edge once, as
-    parallel tails, heads and capacities). The arc arrays of each flow
-    implementation are built from the edge list on first use.
+    parallel tails, heads and capacities). The residual network of each flow
+    implementation is built from the edge list on first use.
     """
 
     __slots__ = ("vertices", "index", "tails", "heads", "caps", "inf", "_arcs", "_arrays")
@@ -93,22 +95,19 @@ class _Component:
         self._arcs = None
         self._arrays = None
 
-    def arcs(self) -> tuple[list[int], list[int], list[list[int]]]:
-        """Residual arcs (head, capacity, per-vertex arc ids); arc ``a ^ 1``
-        is the reverse of arc ``a``."""
+    def arcs(self) -> tuple[list[dict[int, int]], list[int]]:
+        """Residual capacities (per vertex, neighbor index → capacity) and
+        neighbor bitmasks (bit ``u`` of entry ``v`` is set when ``u`` and
+        ``v`` are adjacent), both at zero flow."""
         if self._arcs is None:
-            m = len(self.tails)
-            to = [0] * (2 * m)
-            to[0::2] = self.heads
-            to[1::2] = self.tails
-            cap = [0] * (2 * m)
-            cap[0::2] = self.caps
-            cap[1::2] = self.caps
-            adj: list[list[int]] = [[] for _ in self.vertices]
-            for i, (a, b) in enumerate(zip(self.tails, self.heads)):
-                adj[a].append(2 * i)
-                adj[b].append(2 * i + 1)
-            self._arcs = (to, cap, adj)
+            res: list[dict[int, int]] = [{} for _ in self.vertices]
+            masks = [0] * len(self.vertices)
+            for a, b, c in zip(self.tails, self.heads, self.caps):
+                res[a][b] = c
+                res[b][a] = c
+                masks[a] |= 1 << b
+                masks[b] |= 1 << a
+            self._arcs = (res, masks)
         return self._arcs
 
     def arrays(self):
@@ -180,86 +179,79 @@ def max_flow_st(g: ContractableGraph | FlowNetwork, source: int,
 
 
 def _dinic(comp: _Component, s: int, sinks: list[int]) -> tuple[int, list[int]]:
-    """Blocking-flow max flow; returns (value, source-side indices)."""
-    ss = len(comp.vertices)
-    size = ss + 1
-    to0, cap0, adj0 = comp.arcs()
-    # the super-sink arcs go after the component's arcs; only the sinks'
-    # arc lists change, so the others are shared with the network
-    base = len(to0)
-    to = to0 + [x for t in sinks for x in (ss, t)]
-    cap = cap0 + [comp.inf, 0] * len(sinks)
-    adj = list(adj0)
-    for j, t in enumerate(sinks):
-        adj[t] = adj[t] + [base + 2 * j]
-    adj.append([base + 2 * j + 1 for j in range(len(sinks))])
+    """Blocking-flow max flow on bitmasks; returns (value, source-side indices).
+
+    ``out[v]`` and ``inn[v]`` hold the vertices that ``v`` has a residual arc
+    to and from. Each phase numbers the vertices by their residual distance
+    to the nearest sink, one mask per distance, with a backward search from
+    all sinks at once; it stops at the source's distance. The depth-first
+    search then walks from the source down one distance per arc: from ``v``
+    at distance ``d`` it takes the lowest bit of ``out[v] & levels[d - 1]``,
+    and it drops a dead end from its level's mask. When the search cannot reach the source, the vertices it
+    reached are exactly those that can still reach a sink. A path ends at
+    the first sink it meets, so no super-sink is attached.
+    """
+    res0, masks = comp.arcs()
+    res = [r.copy() for r in res0]
+    out = list(masks)
+    inn = list(masks)
+    sbit = 1 << s
+    sink_mask = 0
+    for t in sinks:
+        sink_mask |= 1 << t
 
     flow = 0
     while True:
-        level = [-1] * size
-        level[s] = 0
-        queue = [s]  # a list grows under its own iterator: a FIFO queue
-        for v in queue:
-            lv = level[v] + 1
-            for a in adj[v]:
-                if cap[a] > 0:
-                    u = to[a]
-                    if level[u] < 0:
-                        level[u] = lv
-                        queue.append(u)
-        if level[ss] < 0:
-            break
-        it = [0] * size
-        # iterative blocking-flow DFS: path holds the arc trail from s
-        path: list[int] = []
-        v = s
-        while True:
-            if v == ss:
-                bott = min([cap[a] for a in path])
-                flow += bott
-                # back up to the first saturated arc and resume from there
-                first_sat = -1
-                for i, a in enumerate(path):
-                    c = cap[a] - bott
-                    cap[a] = c
-                    cap[a ^ 1] += bott
-                    if c == 0 and first_sat < 0:
+        # backward search: levels[d] holds the vertices at distance d
+        levels = [sink_mask]
+        seen = frontier = sink_mask
+        while frontier and not seen & sbit:
+            nxt = 0
+            m = frontier
+            while m:
+                low = m & -m
+                nxt |= inn[low.bit_length() - 1]
+                m ^= low
+            frontier = nxt & ~seen
+            seen |= frontier
+            levels.append(frontier)
+        if not seen & sbit:
+            side = ~seen & ((1 << len(res)) - 1)
+            return flow, [i for i, bit in enumerate(reversed(bin(side))) if bit == "1"]
+        top = len(levels) - 1
+        levels[top] = sbit
+        # path[i] sits at distance top - i
+        path = [s]
+        while path:
+            v = path[-1]
+            d = top - len(path)
+            cand = out[v] & levels[d]
+            if not cand:
+                levels[d + 1] ^= 1 << v  # a dead end for this phase
+                path.pop()
+                continue
+            path.append((cand & -cand).bit_length() - 1)
+            if d:
+                continue
+            bott = min([res[a][b] for a, b in zip(path, path[1:])])
+            flow += bott
+            first_sat = -1
+            for i in range(top):
+                a, b = path[i], path[i + 1]
+                c = res[a][b] - bott
+                res[a][b] = c
+                if not c:
+                    out[a] ^= 1 << b
+                    inn[b] ^= 1 << a
+                    if first_sat < 0:
                         first_sat = i
-                del path[first_sat:]
-                v = to[path[-1]] if path else s
-                continue
-            arcs = adj[v]
-            n_arcs = len(arcs)
-            i = it[v]
-            nxt = level[v] + 1
-            while i < n_arcs:
-                a = arcs[i]
-                if cap[a] > 0 and level[to[a]] == nxt:
-                    break
-                i += 1
-            it[v] = i
-            if i < n_arcs:
-                path.append(a)
-                v = to[a]
-                continue
-            level[v] = -1
-            if not path:
-                break
-            path.pop()
-            v = to[path[-1]] if path else s
-
-    # vertices that can still reach the super-sink in the residual network
-    reach = [False] * size
-    reach[ss] = True
-    stack = [ss]
-    while stack:
-        v = stack.pop()
-        for a in adj[v]:
-            u = to[a]
-            if not reach[u] and cap[a ^ 1] > 0:
-                reach[u] = True
-                stack.append(u)
-    return flow, [i for i in range(ss) if not reach[i]]
+                r = res[b][a]
+                if not r:
+                    out[b] |= 1 << a
+                    inn[a] |= 1 << b
+                res[b][a] = r + bott
+            # back up to the tail of the first saturated arc
+            del path[first_sat + 1:]
 
 
 def _scipy_flow(comp: _Component, s: int, sinks: list[int]) -> tuple[int, list[int]]:

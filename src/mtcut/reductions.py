@@ -12,9 +12,10 @@ when none can:
 
 - ``reduce_heavy_edge`` needs a non-terminal whose heaviest edge carries at
   least half of its weighted degree;
-- ``reduce_heavy_triangle`` needs two non-terminals of degree two or more
-  whose heaviest edge twice plus the second heaviest reach their weighted
-  degree, since the triangle test sums two distinct edges of each end;
+- ``reduce_heavy_triangle`` needs two adjacent non-terminals of degree two
+  or more whose heaviest edge twice plus the second heaviest reach their
+  weighted degree, since the triangle test sums two distinct edges of each
+  end of the tested edge;
 - ``reduce_connectivity`` needs two vertices whose weighted degree exceeds
   its threshold, since a certificate never exceeds either end's weighted
   degree.
@@ -284,11 +285,11 @@ def _triangle_end(g: ContractableGraph, v: int) -> bool:
 
 
 def _heavy_triangle_gate(p: Problem) -> bool:
-    """Whether two non-terminals pass :func:`_triangle_end`."""
+    """Whether two adjacent non-terminals pass :func:`_triangle_end`."""
     g = p.graph
     troots = p.block_of
-    return _two_or_more(v for v in g.live_vertices()
-                        if v not in troots and _triangle_end(g, v))
+    ends = {v for v in g.live_vertices() if v not in troots and _triangle_end(g, v)}
+    return any(not ends.isdisjoint(g.neighbors(v)) for v in ends)
 
 
 def reduce_heavy_triangle(p: Problem) -> tuple[int, int]:
@@ -301,8 +302,8 @@ def reduce_heavy_triangle(p: Problem) -> tuple[int, int]:
 
     ``w(a,b)`` and ``w(a,x)`` are two distinct edges of a, so the test at a
     needs ``2*top1 + top2 >= wdeg(a)``, where top1 and top2 are a's two
-    heaviest edge weights. The scan runs only if two non-terminals pass
-    that, as the two ends of a hit must; otherwise no edge can pass.
+    heaviest edge weights. The scan runs only if two adjacent non-terminals
+    pass that, as the two ends of a hit must; otherwise no edge can pass.
     """
     if not _heavy_triangle_gate(p):
         return 0, 0

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import mtcut.flow
-from helpers import brute_force_min_st_cut, fixture_graph, random_connected_graph
+from helpers import brute_force_min_st_cut, fixture_graph, random_connected_graph, torus_graph
 from mtcut import ContractableGraph, GraphError, isolating_bounds, isolating_cuts, max_flow_st
 from mtcut.flow import HAVE_SCIPY, SCIPY_MIN_VERTICES, FlowNetwork, _dinic, _scipy_flow
 
@@ -29,6 +29,21 @@ def random_flow_case(rng, **kwargs):
 
 def cycle(n, w=1):
     return ContractableGraph.from_edge_list(n, [(v, (v + 1) % n, w) for v in range(n)])
+
+
+def random_nm_edges(rng, n, m, w_max=10):
+    """A random spanning tree plus random edges, m edges in all."""
+    edges = {(rng.randrange(v), v): rng.randint(1, w_max) for v in range(1, n)}
+    while len(edges) < m:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.setdefault((u, v), rng.randint(1, w_max))
+    return [(u, v, w) for (u, v), w in edges.items()]
+
+
+def random_terminals(rng, n):
+    """A source and 2-8 sinks."""
+    s, *sinks = rng.sample(range(n), rng.randint(3, 9))
+    return s, set(sinks)
 
 
 class TestExamples:
@@ -129,6 +144,35 @@ class TestAgainstEnumeration:
             assert run_implementation(_dinic, g, s, sinks) == \
                 run_implementation(_scipy_flow, g, s, sinks)
 
+    @IMPLEMENTATIONS
+    def test_flow_back_over_a_saturated_arc(self, impl):
+        # found by random search: a later phase sends flow back over an arc
+        # that an earlier phase saturated, and the last search must see the
+        # reverse arc it frees; {9} alone is also a minimum side
+        edges = [(0, 3, 3), (0, 5, 8), (0, 6, 7), (4, 7, 8), (6, 8, 6), (8, 9, 6), (1, 12, 1),
+                 (5, 9, 9), (4, 5, 4), (1, 10, 9), (0, 7, 8), (0, 12, 4), (2, 10, 6), (2, 11, 6)]
+        g = ContractableGraph.from_edge_list(13, edges)
+        assert run_implementation(impl, g, 9, {3, 7, 11}) == (15, {8, 9})
+
+    @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
+    def test_backends_agree_beyond_one_machine_word(self):
+        # random m = 3n graphs and tori of 65-400 vertices, whose masks span
+        # several machine words
+        rng = random.Random(18)
+        for _ in range(12):
+            n = rng.randint(65, 400)
+            g = ContractableGraph.from_edge_list(n, random_nm_edges(rng, n, 3 * n))
+            s, sinks = random_terminals(rng, n)
+            assert run_implementation(_dinic, g, s, sinks) == \
+                run_implementation(_scipy_flow, g, s, sinks)
+        for _ in range(12):
+            width = rng.randint(9, 20)
+            height = rng.randint(-(-65 // width), 400 // width)
+            g = torus_graph(width, height)
+            s, sinks = random_terminals(rng, width * height)
+            assert run_implementation(_dinic, g, s, sinks) == \
+                run_implementation(_scipy_flow, g, s, sinks)
+
     def test_source_side_is_maximal_cut(self):
         rng = random.Random(13)
         for _ in range(80):
@@ -199,6 +243,21 @@ class TestDispatch:
         assert self._scipy_calls(monkeypatch, g, 0, {5}) == 0
         assert max_flow_st(g, 0, {5}).value == 2 * 2**24
 
+    def test_scaled_weights_run_python_at_size(self, monkeypatch):
+        # weights x 2^24 push the capacities past int32, so the pure-Python
+        # flow runs at and above the threshold; scaling scales the value
+        # and keeps the largest minimum source side
+        rng = random.Random(19)
+        for n in (SCIPY_MIN_VERTICES, SCIPY_MIN_VERTICES + 37):
+            edges = random_nm_edges(rng, n, 3 * n)
+            g = ContractableGraph.from_edge_list(n, edges)
+            scaled = ContractableGraph.from_edge_list(n, [(u, v, w << 24) for u, v, w in edges])
+            s, sinks = random_terminals(rng, n)
+            value, side = run_implementation(_scipy_flow, g, s, sinks)
+            assert self._scipy_calls(monkeypatch, scaled, s, sinks) == 0
+            r = max_flow_st(scaled, s, sinks)
+            assert (r.value, r.source_side) == (value << 24, side)
+
 
 class TestFlowNetwork:
     def _assert_matches_one_shot(self, g, flows):
@@ -239,6 +298,30 @@ class TestFlowNetwork:
             s, *sinks = rng.sample(range(n), rng.randint(2, 5))
             flows.append((s, set(sinks)))
         self._assert_matches_one_shot(g, flows)
+
+    def test_contracted_graph_matches_fresh_graph(self):
+        # contractions leave tombstones, so the component's indices differ
+        # from its vertex ids; its flows must match those on a fresh graph
+        # of the live vertices, numbered densely
+        rng = random.Random(20)
+        n = 150
+        g = ContractableGraph.from_edge_list(n, random_nm_edges(rng, n, 3 * n))
+        for _ in range(40):
+            u = rng.choice(list(g.live_vertices()))
+            g.contract_vertices([u, rng.choice(list(g.neighbors(u)))], u)
+        live = sorted(g.live_vertices())
+        dense = {v: i for i, v in enumerate(live)}
+        fresh = ContractableGraph.from_edge_list(
+            len(live), [(dense[u], dense[v], w) for u, v, w in g.edges()])
+        net = FlowNetwork(g)
+        for _ in range(10):
+            s, *sinks = rng.sample(live, rng.randint(3, 9))
+            r = max_flow_st(net, s, sinks)
+            expected = max_flow_st(fresh, dense[s], [dense[t] for t in sinks])
+            assert r.value == expected.value
+            assert {dense[v] for v in r.source_side} == expected.source_side
+        comp = net.component(live[0])
+        assert comp.vertices != list(range(len(comp.vertices)))
 
     def test_changed_graph_is_refused(self):
         g = fixture_graph("F3")

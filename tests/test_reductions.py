@@ -310,6 +310,17 @@ class TestHeavyTriangle:
         assert reduce_heavy_edge(p) == (0, 0)
         assert scans == []
 
+    def test_two_passing_ends_must_be_adjacent(self, monkeypatch):
+        # on the unit 4-cycle with terminals 0 and 2, both non-terminals
+        # pass their half of the test (degree 2), but no edge joins them;
+        # the chord 1-3 makes them adjacent, and the scan runs
+        scans = count_calls(monkeypatch, "_current_edges")
+        cycle = [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)]
+        assert reduce_heavy_triangle(make_problem(4, cycle, (0, 2))) == (0, 0)
+        assert scans == []
+        reduce_heavy_triangle(make_problem(4, cycle + [(1, 3, 1)], (0, 2)))
+        assert len(scans) == 1
+
 
 class TestCapforest:
     def test_f2_bounds(self):
