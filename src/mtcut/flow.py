@@ -18,7 +18,11 @@ neighbor bitmasks, and its levels are distances to the nearest sink, found
 by one backward search from all sinks at once. scipy needs a single sink,
 so for it a super-sink is attached with unsaturable edges (capacity
 ``inf``, one more than the total edge weight, which no finite cut can
-reach); the int32 dispatch reads the same ``inf``.
+reach); the int32 dispatch reads the same ``inf``. Each component keeps
+one sorted CSR capacity matrix for scipy, and a flow copies it with the
+sink arcs inserted. The vertices that can still reach a sink are then
+found by one search from the super-sink along reversed residual arcs,
+whose capacities the kept matrix plus the flow matrix give directly.
 
 Both extract the same canonical source side: the complement, within the
 source's component, of the vertices that can still reach a sink in the
@@ -63,8 +67,9 @@ class _Component:
     """One connected component relabeled to indices ``0..n-1``.
 
     Holds the vertex list, its index and the edge list (each edge once, as
-    parallel tails, heads and capacities). The residual network of each flow
-    implementation is built from the edge list on first use.
+    parallel tails, heads and capacities). Each flow implementation builds
+    its own form of the network from the edge list on first use and keeps
+    it for every later flow.
     """
 
     __slots__ = ("vertices", "index", "tails", "heads", "caps", "inf", "_arcs", "_arrays")
@@ -111,11 +116,17 @@ class _Component:
         return self._arcs
 
     def arrays(self):
-        """Coordinate arrays (rows, cols, capacities) of both arc directions."""
+        """The component's capacity matrix in CSR form, both arc directions:
+        ``(indptr, indices, caps)``, int32, each row sorted by column. Built
+        on first use and never changed; each scipy flow copies it."""
         if self._arrays is None:
-            self._arrays = (np.asarray(self.tails + self.heads, dtype=np.int32),
-                            np.asarray(self.heads + self.tails, dtype=np.int32),
-                            np.asarray(self.caps + self.caps, dtype=np.int32))
+            rows = np.asarray(self.tails + self.heads, dtype=np.int32)
+            cols = np.asarray(self.heads + self.tails, dtype=np.int32)
+            order = np.lexsort((cols, rows))
+            indptr = np.zeros(len(self.vertices) + 1, dtype=np.int32)
+            np.cumsum(np.bincount(rows, minlength=len(self.vertices)), out=indptr[1:])
+            self._arrays = (indptr, cols[order],
+                            np.asarray(self.caps + self.caps, dtype=np.int32)[order])
         return self._arrays
 
 
@@ -255,23 +266,51 @@ def _dinic(comp: _Component, s: int, sinks: list[int]) -> tuple[int, list[int]]:
 
 
 def _scipy_flow(comp: _Component, s: int, sinks: list[int]) -> tuple[int, list[int]]:
-    """scipy's max flow; returns (value, source-side indices)."""
+    """scipy's max flow; returns (value, source-side indices). ``sinks``
+    must be ascending.
+
+    The capacity matrix is the component's kept one (:meth:`_Component.arrays`)
+    plus an arc of capacity ``comp.inf`` from each sink to the super-sink
+    ``ss``, the last column, inserted at the end of the sink's row so that
+    every row stays sorted.
+
+    The vertices that can still reach ``ss`` are those that a search from
+    ``ss`` reaches along reversed residual arcs: ``j`` leads to ``i`` when
+    ``cap(i, j) - flow(i, j)`` is positive. scipy's flow matrix is
+    antisymmetric, so that is ``capT(j, i) + flow(j, i)``, summed in int64
+    since it can pass int32. ``capT`` is the kept matrix, whose arcs come in
+    both directions with equal capacities, plus a row ``ss`` that holds
+    every sink, so the search reaches every sink, even one that got no
+    flow. scipy lays out the flow matrix's rows below ``ss`` on the capacity
+    matrix's pattern; then the flow is added in place, leaving out the sink
+    arcs, which lead only back to ``ss``. Any other layout is aligned by
+    sparse addition.
+    """
+    indptr, indices, caps = comp.arrays()
     ss = len(comp.vertices)
-    size = ss + 1
-    rows, cols, data = comp.arrays()
     k = len(sinks)
-    rows = np.concatenate((rows, np.asarray(sinks, dtype=np.int32)))
-    cols = np.concatenate((cols, np.full(k, ss, dtype=np.int32)))
-    data = np.concatenate((data, np.full(k, comp.inf, dtype=np.int32)))
-    cap = csr_matrix((data, (rows, cols)), shape=(size, size))
+    t = np.asarray(sinks, dtype=np.int32)
+    ends = indptr[t + 1]  # where each sink's row ends
+    bump = np.zeros(ss + 2, dtype=np.int32)
+    bump[t + 1] = 1
+    cap = csr_matrix((np.insert(caps, ends, comp.inf), np.insert(indices, ends, ss),
+                      np.append(indptr, indptr[-1]) + np.cumsum(bump, dtype=np.int32)),
+                     shape=(ss + 1, ss + 1))
     res = _scipy_maximum_flow(cap, s, ss)
-    residual = cap - res.flow
-    residual.data = np.maximum(residual.data, 0)
-    residual.eliminate_zeros()
-    # reverse reachability to the super-sink along positive residual arcs
-    order = breadth_first_order(residual.transpose().tocsr(), ss, directed=True,
-                                return_predecessors=False)
-    reach = np.zeros(size, dtype=bool)
+
+    flow = res.flow
+    cols = np.concatenate((indices, t))
+    back = csr_matrix((np.concatenate((caps, np.full(k, comp.inf, dtype=np.int64))), cols,
+                       np.append(indptr, len(cols))), shape=(ss + 1, ss + 1))
+    n_cap = len(cap.indices)
+    if (np.array_equal(flow.indptr[:ss + 1], cap.indptr[:ss + 1])
+            and np.array_equal(flow.indices[:n_cap], cap.indices)):
+        back.data[:-k] += np.delete(flow.data[:n_cap], ends + np.arange(k))
+        back.eliminate_zeros()
+    else:
+        back = back + flow  # drops the zero sums
+    order = breadth_first_order(back, ss, directed=True, return_predecessors=False)
+    reach = np.zeros(ss + 1, dtype=bool)
     reach[order] = True
     return int(res.flow_value), np.flatnonzero(~reach[:ss]).tolist()
 

@@ -182,9 +182,13 @@ class ContractableGraph:
     def cut_value(self, labels: Sequence[int] | dict) -> int:
         """Weight of live edges whose endpoints carry different labels."""
         total = 0
-        for u, v, w in self.edges():
-            if labels[u] != labels[v]:
-                total += w
+        for u, a in enumerate(self._adj):  # unsorted: a sum needs no order
+            if not a:
+                continue
+            lu = labels[u]
+            for v, w in a.items():
+                if u < v and labels[v] != lu:
+                    total += w
         return total
 
     # -- mutation --------------------------------------------------------

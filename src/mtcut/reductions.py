@@ -6,9 +6,9 @@ weight is added back. The rules range from purely local tests (vertex
 degree, heavy edges, triangles) to global ones backed by maximum flows,
 articulation points and the CAPFOREST connectivity certificate.
 
-Three of the edge scans first ask the vertex degrees, in one pass over the
-live vertices, whether any edge can pass their test, and return ``(0, 0)``
-when none can:
+Four rules first ask, in one pass over the live vertices, whether any
+edge or vertex pair can pass their test, and return ``(0, 0)`` when none
+can. Three read the vertex degrees:
 
 - ``reduce_heavy_edge`` needs a non-terminal whose heaviest edge carries at
   least half of its weighted degree;
@@ -20,9 +20,14 @@ when none can:
   its threshold, since a certificate never exceeds either end's weighted
   degree.
 
-Each gate is exact. Until a scan contracts an edge the graph stays as the
-gate read it, and an edge passes the scan's test only if its ends pass the
-gate, so a closed gate skips only scans that would contract nothing.
+The fourth, ``reduce_equal_neighborhoods``, needs two non-terminals of
+degree at most its limit that share their neighbor ids, without or with
+themselves (twins that are not or are adjacent); it compares the ids'
+count, minimum, maximum and sum.
+
+Each gate is exact. Until a scan contracts, the graph stays as the gate
+read it, and whatever the scan would contract passes the gate, so a closed
+gate skips only scans that would contract nothing.
 """
 
 from __future__ import annotations
@@ -502,8 +507,55 @@ def _adjacent_twins(g: ContractableGraph, u: int, v: int) -> bool:
     return True
 
 
+def _twin_gate(p: Problem, limit: int) -> bool:
+    """Whether two non-terminals of degree at most ``limit`` may share their
+    open or their closed neighborhood.
+
+    Each vertex is keyed by its neighbor ids' count, minimum, maximum and
+    sum, once for its open neighborhood and once with itself added for its
+    closed one. Equal id sets give equal keys, so vertices with no shared
+    key have no shared id set; a shared key may also come from two distinct
+    sets.
+    """
+    g = p.graph
+    troots = p.block_of
+    neighbors = g.neighbors
+    open_keys: set[tuple] = set()
+    closed_keys: set[tuple] = set()
+    for v in g.live_vertices():
+        nbrs = neighbors(v)
+        d = len(nbrs)
+        if d > limit or v in troots:
+            continue
+        if d:
+            lo, hi, total = min(nbrs), max(nbrs), sum(nbrs)
+            key = (d, lo, hi, total)
+            closed = (d, lo if lo < v else v, hi if hi > v else v, total + v)
+        else:  # every isolated vertex has the empty open neighborhood
+            key, closed = (0,), (0, v)
+        if key in open_keys or closed in closed_keys:
+            return True
+        open_keys.add(key)
+        closed_keys.add(closed)
+    return False
+
+
 def reduce_equal_neighborhoods(p: Problem, limit: int = NEIGHBORHOOD_LIMIT) -> tuple[int, int]:
-    """Merge non-terminal vertices with identical weighted neighborhoods."""
+    """Merge non-terminal vertices with identical weighted neighborhoods.
+
+    Only non-terminals of degree at most ``limit`` are compared. A first
+    scan contracts adjacent twins, whose neighborhoods agree but for each
+    other; a second groups the rest by their weighted neighborhoods.
+
+    Both scans run only if :func:`_twin_gate` finds two such vertices that
+    may share an id set. Adjacent twins share their closed neighborhoods
+    (each plus itself), and non-adjacent twins their open ones, so twins of
+    either kind open the gate. Until the first scan contracts, the graph is
+    as the gate read it; if it contracts nothing, the second scan reads the
+    same graph. So a closed gate skips only scans that would change nothing.
+    """
+    if not _twin_gate(p, limit):
+        return 0, 0
     g = p.graph
     troots = p.block_of
     contracted = 0

@@ -281,6 +281,29 @@ def random_instance(rng: random.Random, n_min=5, n_max=12, m_max=30, w_max=10,
     return n, edges, terminals
 
 
+def twin_rich_instance(rng: random.Random, n_min=4, n_max=9, m_max=16, w_max=2,
+                       ks=(2, 3)):
+    """A random instance in which some vertices have clones.
+
+    A clone of ``v`` gets ``v``'s weighted neighborhood in the random graph,
+    and half of the clones also an edge to ``v``; the clones are added after
+    all neighborhoods are read. Terminals are drawn from every vertex.
+    """
+    n, edges = random_connected_graph(rng, n_min, n_max, m_max, w_max)
+    nbrs: dict[int, list[tuple[int, int]]] = {v: [] for v in range(n)}
+    for u, v, w in edges:
+        nbrs[u].append((v, w))
+        nbrs[v].append((u, w))
+    originals = rng.sample(range(n), rng.randint(1, max(1, n // 3)))
+    for c, v in enumerate(originals, start=n):
+        edges += [(x, c, w) for x, w in nbrs[v]]
+        if rng.random() < 0.5:
+            edges.append((v, c, rng.randint(1, w_max)))
+    n_all = n + len(originals)
+    k = rng.choice([k for k in ks if k <= n_all])
+    return n_all, edges, sorted(rng.sample(range(n_all), k))
+
+
 def torus_graph(width, height):
     """Unit-weight torus grid with width*height vertices."""
     def vid(x, y):

@@ -1,5 +1,7 @@
 import random
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import mtcut.flow
@@ -257,6 +259,78 @@ class TestDispatch:
             assert self._scipy_calls(monkeypatch, scaled, s, sinks) == 0
             r = max_flow_st(scaled, s, sinks)
             assert (r.value, r.source_side) == (value << 24, side)
+
+
+@pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
+class TestScipyFlow:
+    def test_sink_without_flow_still_roots_the_search(self, monkeypatch):
+        # a star with center 0 and source leaf 3: the flow of 3 ends at one
+        # sink leaf, and the center reaches a sink only through the other,
+        # which gets no flow; found by random search
+        flows = []
+        real = mtcut.flow._scipy_maximum_flow
+
+        def recording(cap, s, t):
+            res = real(cap, s, t)
+            flows.append(res.flow)
+            return res
+
+        monkeypatch.setattr(mtcut.flow, "_scipy_maximum_flow", recording)
+        g = ContractableGraph.from_edge_list(4, [(0, 1, 3), (0, 2, 3), (0, 3, 3)])
+        assert run_implementation(_scipy_flow, g, 3, {1, 2}) == (3, {3})
+        index = FlowNetwork(g).component(3).index
+        (flow,) = flows
+        assert sorted(flow[index[t], 4] for t in (1, 2)) == [0, 3]  # 4 is the super-sink
+        assert run_implementation(_dinic, g, 3, {1, 2}) == (3, {3})
+
+    def test_weights_near_two_to_the_thirty(self):
+        # the saturated edge 0-5 gives cap + flow = 2 * (2^30 + 1) on its
+        # reverse, past int32, while comp.inf still fits
+        big = 2**30 + 1
+        edges = [(0, 5, big), (0, 1, 3), (1, 2, 2), (2, 5, 1), (1, 3, 4), (3, 4, 1), (4, 5, 2)]
+        g = ContractableGraph.from_edge_list(6, edges)
+        comp = FlowNetwork(g).component(0)
+        assert comp.inf <= 2**31 - 1 < 2 * big
+        expected = brute_force_min_st_cut(6, edges, 0, {5})
+        assert expected == big + 2
+        for impl in (_dinic, _scipy_flow):
+            assert run_implementation(impl, g, 0, {5}) == (expected, {0, 1, 2, 3})
+
+    def test_sink_sets_on_one_network_leave_its_matrix_alone(self):
+        rng = random.Random(21)
+        n = SCIPY_MIN_VERTICES + 20
+        g = ContractableGraph.from_edge_list(n, random_nm_edges(rng, n, 3 * n))
+        net = FlowNetwork(g)
+        kept = [a.copy() for a in net.component(0).arrays()]
+        for size in (1, 2, 5, 9, 3):
+            s, *sinks = rng.sample(range(n), size + 1)
+            assert max_flow_st(net, s, sinks) == max_flow_st(g, s, sinks)
+            for a, b in zip(net.component(0).arrays(), kept):
+                assert np.array_equal(a, b)
+
+    def test_any_flow_layout_gives_the_same_side(self, monkeypatch):
+        # the flow matrix without its zero entries no longer lies on the
+        # capacity matrix's pattern, so the flows are aligned by addition
+        rng = random.Random(22)
+        cases = [random_flow_case(rng, n_min=3, n_max=12, m_max=30) for _ in range(40)]
+        expected = [run_implementation(_scipy_flow, ContractableGraph.from_edge_list(n, edges),
+                                       s, sinks) for n, edges, s, sinks in cases]
+        real = mtcut.flow._scipy_maximum_flow
+        relaid_count = 0
+
+        def relaid(cap, s, t):
+            nonlocal relaid_count
+            res = real(cap, s, t)
+            flow = res.flow.copy()
+            flow.eliminate_zeros()
+            relaid_count += flow.nnz < res.flow.nnz
+            return SimpleNamespace(flow_value=res.flow_value, flow=flow)
+
+        monkeypatch.setattr(mtcut.flow, "_scipy_maximum_flow", relaid)
+        for (n, edges, s, sinks), want in zip(cases, expected):
+            g = ContractableGraph.from_edge_list(n, edges)
+            assert run_implementation(_scipy_flow, g, s, sinks) == want
+        assert relaid_count >= 30
 
 
 class TestFlowNetwork:

@@ -19,6 +19,7 @@ from helpers import (
     stale_kept_cuts,
     torus_graph,
     total_contracted,
+    twin_rich_instance,
 )
 from mtcut import (
     BoundState,
@@ -512,6 +513,77 @@ class TestEqualNeighborhoods:
                 contracted += step[0]
             assert naive_twin_pairs(p.graph, set(p.block_of), 5) == set()
         assert contracted > 0
+
+
+class TestTwinGate:
+    def test_adjacent_twins_open_it_through_the_closed_key(self):
+        # N[2] = N[3] = {0, 1, 2, 3}, while N(2) = {0, 1, 3} and N(3) = {0, 1, 2}
+        p = make_problem(4, [(0, 2, 2), (0, 3, 2), (1, 2, 1), (1, 3, 1), (2, 3, 4)],
+                         (0, 1))
+        assert mtcut.reductions._twin_gate(p, NEIGHBORHOOD_LIMIT)
+        assert reduce_equal_neighborhoods(p) == (1, 0)
+
+    def test_non_adjacent_twins_open_it_through_the_open_key(self):
+        # F5: N(2) = N(3) = {0, 1}, while N[2] and N[3] differ
+        p = fixture_problem("F5")
+        assert mtcut.reductions._twin_gate(p, NEIGHBORHOOD_LIMIT)
+        assert reduce_equal_neighborhoods(p) == (1, 0)
+
+    def test_equal_ids_with_other_weights_open_it_and_merge_nothing(self, monkeypatch):
+        twin_keys = count_calls(monkeypatch, "_twin_key")
+        p = make_problem(4, [(0, 2, 1), (0, 3, 2), (1, 2, 1), (1, 3, 1)], (0, 1))
+        assert mtcut.reductions._twin_gate(p, NEIGHBORHOOD_LIMIT)
+        assert reduce_equal_neighborhoods(p) == (0, 0)
+        assert twin_keys  # the grouping scan ran
+
+    def test_isolated_vertices_share_the_empty_neighborhood(self):
+        # vertex 4 joins terminals 2 and 3; vertex 0 has no edge, and once
+        # the edge 1-2 is gone neither has vertex 1
+        path = [(2, 4, 1), (3, 4, 2)]
+        p = make_problem(5, path + [(1, 2, 1)], (2, 3))
+        assert not mtcut.reductions._twin_gate(p, NEIGHBORHOOD_LIMIT)
+        p = make_problem(5, path, (2, 3))
+        assert mtcut.reductions._twin_gate(p, NEIGHBORHOOD_LIMIT)
+        assert reduce_equal_neighborhoods(p) == (1, 0)
+        assert p.graph.find(1) == 0
+
+    def test_unit_torus_skips_both_scans(self, monkeypatch):
+        adjacent = count_calls(monkeypatch, "_adjacent_twins")
+        twin_keys = count_calls(monkeypatch, "_twin_key")
+        p = Problem.from_instance(torus_graph(5, 5), (0, 12))
+        assert reduce_equal_neighborhoods(p) == (0, 0)
+        assert adjacent == [] and twin_keys == []
+
+    def test_closed_gate_hides_no_merge(self, monkeypatch):
+        # wherever the gate returns early in a root reduction of a
+        # twin-rich instance, the rule without the gate, run on a copy,
+        # changes nothing
+        opened = closed = merged = 0
+        real = reduce_equal_neighborhoods
+        gate = mtcut.reductions._twin_gate
+
+        def checking(p, limit):
+            nonlocal opened, closed, merged
+            if gate(p, limit):
+                opened += 1
+            else:
+                closed += 1
+                q = p.copy()
+                with monkeypatch.context() as m:
+                    m.setattr(mtcut.reductions, "_twin_gate", lambda *_: True)
+                    assert real(q, limit) == (0, 0)
+                assert q.graph.version() == p.graph.version()
+            result = real(p, limit)
+            merged += result[0]
+            return result
+
+        monkeypatch.setattr(mtcut.reductions, "reduce_equal_neighborhoods", checking)
+        rng = random.Random(74)
+        for _ in range(2500):
+            n, edges, terminals = twin_rich_instance(rng, w_max=rng.choice((1, 2)))
+            p = Problem.from_instance(ContractableGraph.from_edge_list(n, edges), terminals)
+            run_reduction_loop(p, BoundState())
+        assert opened >= 300 and closed >= 300 and merged >= 100
 
 
 class TestNonTerminalFlows:
