@@ -1,10 +1,20 @@
 """Maximum s-T-flow, and the bounds derived from isolating cut values.
 
 Flows run on a :class:`FlowNetwork`, a snapshot of the graph: the first
-flow that needs a component relabels it into index lists of tails, heads
-and capacities, and every later flow in that component reuses them. A rule
-that runs several flows on one unchanged graph builds one network for all
-of them; passing a graph to :func:`max_flow_st` builds a one-shot network.
+flow that needs a component relabels it, and every later flow in that
+component reuses it. A rule that runs several flows on one unchanged graph
+builds one network for all of them; passing a graph to :func:`max_flow_st`
+builds a one-shot network.
+
+A component is relabeled in one of two ways. On a graph with at least
+``SCIPY_MIN_VERTICES`` live vertices, with scipy present, a component of
+at least that size is taken from the graph's array view
+(:meth:`~mtcut.graph.ContractableGraph.array_view`, built once per graph
+version and shared by every network and rule on it): its vertices in
+ascending id order, and as capacities the view's weight matrix, or its
+rows and columns of the component when the graph has several. Any other
+component, and one whose capacities pass int32, is relabeled by a BFS over
+the adjacency dicts into index lists of tails, heads and capacities.
 
 The implementation is picked per flow. Components with fewer than
 ``SCIPY_MIN_VERTICES`` vertices run a pure-Python blocking flow, whose
@@ -35,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graph import ContractableGraph, GraphError
+from .graph import ArrayView, ContractableGraph, GraphError
 
 try:
     import numpy as np
@@ -49,11 +59,14 @@ except ImportError:  # pragma: no cover
 
 _INT32_MAX = 2**31 - 1
 
-# Components with fewer vertices run the pure-Python flow, larger ones scipy.
-# Per flow with 2-8 sinks, counting a fresh component build (2-vCPU x86 host,
-# scipy 1.17), the two break even near 500 vertices on random graphs with
-# m = 3n and near 700 on tori; on a network built once, as a rule's later
-# flows find it, the pure-Python flow is still faster at 1000 vertices.
+# Components with fewer vertices run the pure-Python flow, larger ones scipy;
+# graphs with fewer live vertices build no array view. Per flow with 2-8
+# sinks, counting a fresh build (2-vCPU x86 host, scipy 1.17): against a BFS
+# build for scipy, the pure-Python flow breaks even near 500 vertices on
+# random graphs with m = 3n and near 700 on tori; against a view build, near
+# 350-450 and 450-500. No benchmark graph lies between 35 and 8001 vertices,
+# so the value stays. On a network built once, as a rule's later flows find
+# it, the pure-Python flow is still faster at 1000 vertices.
 SCIPY_MIN_VERTICES = 500
 
 
@@ -63,13 +76,37 @@ class FlowResult:
     source_side: frozenset[int]
 
 
+class _ArrayIndex:
+    """Vertex id → component index over an ``n_original``-long array, -1
+    outside the component; it answers ``in`` and ``[]`` as the BFS build's
+    dict does, with Python ints."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array):
+        self.array = array
+
+    def __contains__(self, v: int) -> bool:
+        return self.array[v] >= 0
+
+    def __getitem__(self, v: int) -> int:
+        i = int(self.array[v])
+        if i < 0:
+            raise KeyError(v)
+        return i
+
+
 class _Component:
     """One connected component relabeled to indices ``0..n-1``.
 
-    Holds the vertex list, its index and the edge list (each edge once, as
-    parallel tails, heads and capacities). Each flow implementation builds
-    its own form of the network from the edge list on first use and keeps
-    it for every later flow.
+    Holds the vertex list and its index (vertex id → index). A component
+    built by :meth:`__init__`, a BFS over the adjacency dicts, also holds
+    the edge list (each edge once, as parallel tails, heads and
+    capacities), from which each flow implementation builds its own form of
+    the network on first use and keeps it for every later flow. A large
+    component is taken from the graph's array view instead
+    (:meth:`from_view`): its vertices are in ascending id order and it
+    holds only the scipy arrays, so it runs only scipy's flow.
     """
 
     __slots__ = ("vertices", "index", "tails", "heads", "caps", "inf", "_arcs", "_arrays")
@@ -100,10 +137,45 @@ class _Component:
         self._arcs = None
         self._arrays = None
 
+    @classmethod
+    def from_view(cls, view: ArrayView, label: int) -> "_Component | None":
+        """Component ``label`` of ``view``, indexed in ascending id order, or
+        None when its capacities pass int32, which scipy cannot hold.
+
+        The capacity matrix is the view's whole matrix when the graph is
+        connected, else its rows of the component, whose columns are all
+        in the component too; renumbering them by ascending id keeps each
+        row sorted. Its weights sum exactly in float64 up to 2**53, and any
+        larger sum fails the int32 test anyway.
+        """
+        matrix = view.matrix
+        if len(view.sizes) == 1:
+            ids, index = view.ids, view.index
+        else:
+            rows = np.flatnonzero(view.labels == label)
+            ids = view.ids[rows]
+            index = np.full(len(view.index), -1, dtype=np.int32)
+            index[ids] = np.arange(len(ids), dtype=np.int32)
+            sub = matrix[rows]
+            matrix = csr_matrix((sub.data, index[view.ids[sub.indices]], sub.indptr),
+                                shape=(len(ids), len(ids)))
+        total = matrix.data.sum()  # each edge twice
+        if total / 2 + 1 > _INT32_MAX:
+            return None
+        comp = cls.__new__(cls)
+        comp.vertices = ids.tolist()
+        comp.index = _ArrayIndex(index)
+        comp.tails = comp.heads = comp.caps = None
+        comp.inf = int(total) // 2 + 1
+        comp._arcs = None
+        comp._arrays = (matrix.indptr, matrix.indices, matrix.data.astype(np.int32))
+        return comp
+
     def arcs(self) -> tuple[list[dict[int, int]], list[int]]:
         """Residual capacities (per vertex, neighbor index → capacity) and
         neighbor bitmasks (bit ``u`` of entry ``v`` is set when ``u`` and
-        ``v`` are adjacent), both at zero flow."""
+        ``v`` are adjacent), both at zero flow. Only a BFS-built component
+        has them."""
         if self._arcs is None:
             res: list[dict[int, int]] = [{} for _ in self.vertices]
             masks = [0] * len(self.vertices)
@@ -117,8 +189,11 @@ class _Component:
 
     def arrays(self):
         """The component's capacity matrix in CSR form, both arc directions:
-        ``(indptr, indices, caps)``, int32, each row sorted by column. Built
-        on first use and never changed; each scipy flow copies it."""
+        ``(indptr, indices, caps)``, int32, each row sorted by column, in the
+        component's own index order. A component from the view has them
+        from its build, sliced from the view's matrix; a BFS-built one sorts
+        its edge list on first use. Never changed; each scipy flow copies
+        them."""
         if self._arrays is None:
             rows = np.asarray(self.tails + self.heads, dtype=np.int32)
             cols = np.asarray(self.heads + self.tails, dtype=np.int32)
@@ -128,6 +203,14 @@ class _Component:
             self._arrays = (indptr, cols[order],
                             np.asarray(self.caps + self.caps, dtype=np.int32)[order])
         return self._arrays
+
+
+def large_view(g: ContractableGraph) -> ArrayView | None:
+    """``g``'s array view if scipy is present and ``g`` has at least
+    ``SCIPY_MIN_VERTICES`` live vertices, else None."""
+    if HAVE_SCIPY and g.num_vertices >= SCIPY_MIN_VERTICES:
+        return g.array_view()
+    return None
 
 
 class FlowNetwork:
@@ -151,7 +234,14 @@ class FlowNetwork:
         for comp in self._components:
             if v in comp.index:
                 return comp
-        comp = _Component(g, v)
+        comp = None
+        view = large_view(g)
+        if view is not None:
+            label = view.labels[view.index[v]]
+            if view.sizes[label] >= SCIPY_MIN_VERTICES:
+                comp = _Component.from_view(view, label)
+        if comp is None:
+            comp = _Component(g, v)
         self._components.append(comp)
         return comp
 

@@ -24,12 +24,25 @@ values by its weight, since every isolating cut of either end crosses it
 and no other terminal's cut does; any other deletion empties the map. The
 map is stamped with the graph's ``version()``, so a mutation made on the
 graph directly empties it too.
+
+:meth:`ContractableGraph.array_view` gives the live vertices as arrays
+(:class:`ArrayView`) for scipy's graph routines, built on first use and
+stamped with the ``version()`` in the same way; a copy starts without one.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+
+try:
+    import numpy as np
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+except ImportError:  # pragma: no cover; array_view then cannot run
+    pass
 
 if TYPE_CHECKING:
     from .flow import FlowResult
@@ -65,7 +78,7 @@ class ContractableGraph:
     self-loops are discarded, so the graph stays simple at all times.
     """
 
-    __slots__ = ("n_original", "num_vertices", "num_edges", "_adj", "_wdeg", "_parent")
+    __slots__ = ("n_original", "num_vertices", "num_edges", "_adj", "_wdeg", "_parent", "_view")
 
     def __init__(self, n: int):
         if n < 1:
@@ -76,6 +89,7 @@ class ContractableGraph:
         self._adj: list[dict[int, int] | None] = [dict() for _ in range(n)]
         self._wdeg = [0] * n
         self._parent = list(range(n))
+        self._view: ArrayView | None = None
 
     @classmethod
     def from_edge_list(cls, n: int, edges: Iterable[tuple[int, int, int]]) -> "ContractableGraph":
@@ -115,6 +129,7 @@ class ContractableGraph:
         g._adj = [None if a is None else dict(a) for a in self._adj]
         g._wdeg = list(self._wdeg)
         g._parent = list(self._parent)
+        g._view = None
         return g
 
     # -- queries ---------------------------------------------------------
@@ -137,6 +152,17 @@ class ContractableGraph:
         version is the same as before has not been changed since.
         """
         return self.num_vertices, self.num_edges
+
+    def array_view(self) -> "ArrayView":
+        """The live vertices as arrays; needs numpy and scipy.
+
+        Built on first use and kept until the graph's :meth:`version`
+        moves, so every caller on one graph version shares one build.
+        """
+        view = self._view
+        if view is None or view.version != self.version():
+            view = self._view = ArrayView(self)
+        return view
 
     def is_live(self, v: int) -> bool:
         return self._adj[v] is not None
@@ -246,6 +272,51 @@ class ContractableGraph:
         self._wdeg[v] = 0
         self._parent[v] = u
         self.num_vertices -= 1
+
+
+class ArrayView:
+    """One version of a graph's live vertices as arrays, never changed.
+
+    - ``ids``: the live vertex ids, ascending; a vertex's position here is
+      its index in the other arrays.
+    - ``index``: ``n_original`` long, each live id's index, -1 for a
+      tombstone.
+    - ``matrix``: the weight matrix over the indices in CSR form, int32
+      indices, each edge in both directions and each row sorted by column.
+      The weights are float64, as scipy's graph routines read them, and
+      exact below 2**53; if one is past float range, all read as ``inf``,
+      so that no flow takes them.
+    - ``labels`` and ``sizes``: each index's connected component, numbered
+      from 0, and each component's vertex count.
+    - ``version``: the graph's :meth:`~ContractableGraph.version` it shows.
+
+    The arrays are filled with ``np.fromiter`` over the adjacency dicts.
+    """
+
+    __slots__ = ("version", "ids", "index", "matrix", "labels", "sizes")
+
+    def __init__(self, g: ContractableGraph):
+        self.version = g.version()
+        adj = g._adj
+        live = np.fromiter(map(operator.is_not, adj, repeat(None)), dtype=bool, count=len(adj))
+        self.ids = ids = np.flatnonzero(live)
+        n = len(ids)
+        self.index = index = np.full(len(adj), -1, dtype=np.int32)
+        index[ids] = np.arange(n, dtype=np.int32)
+        rows = [adj[v] for v in ids.tolist()]
+        nnz = 2 * g.num_edges
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.fromiter(map(len, rows), dtype=np.int32, count=n), out=indptr[1:])
+        cols = index[np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=nnz)]
+        try:
+            weights = np.fromiter(chain.from_iterable(map(dict.values, rows)),
+                                  dtype=np.float64, count=nnz)
+        except OverflowError:
+            weights = np.full(nnz, np.inf)
+        self.matrix = matrix = csr_matrix((weights, cols, indptr), shape=(n, n))
+        matrix.sort_indices()
+        _, self.labels = connected_components(matrix, directed=False)
+        self.sizes = np.bincount(self.labels)
 
 
 def cut_value(graph: ContractableGraph, terminal_vertices: Sequence[int], labels: Sequence[int]) -> int:

@@ -2,7 +2,8 @@
 common partitioning tool chains: a header line ``n m [fmt]`` followed by
 one whitespace-separated neighbor list per vertex, 1-indexed, every edge
 listed from both endpoints. A ``1`` in the format's ones digit means each
-neighbor id is followed by the edge weight. After the header a blank line
+neighbor id is followed by the edge weight, and ``0`` that it is not; any
+other format, vertex weights included, is rejected. After the header a blank line
 is the neighbor list of an isolated vertex; ``%`` lines are comments."""
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ def parse_graph(text: str) -> ContractableGraph:
         raise GraphParseError("non-numeric header", header_no)
     if n < 1 or m < 0:
         raise GraphParseError("invalid vertex or edge count", header_no)
+    if fmt < 0 or fmt % 10 > 1:
+        raise GraphParseError(f"unsupported format {fmt}", header_no)
     if fmt // 10:
         raise GraphParseError(f"unsupported format {fmt}: vertex weights", header_no)
     weighted = fmt % 10 == 1

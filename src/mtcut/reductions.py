@@ -28,6 +28,14 @@ count, minimum, maximum and sum.
 Each gate is exact. Until a scan contracts, the graph stays as the gate
 read it, and whatever the scan would contract passes the gate, so a closed
 gate skips only scans that would contract nothing.
+
+On a graph with at least ``SCIPY_MIN_VERTICES`` live vertices, with scipy
+present, two rules read the graph's array view
+(:meth:`~mtcut.graph.ContractableGraph.array_view`), one build per graph
+version: the flows take their large components from it (see
+:mod:`mtcut.flow`), and ``reduce_articulation_points`` takes its DFS from
+scipy's ``depth_first_order`` on it. Both give the results of the
+dict-walking code they replace there, which smaller graphs keep.
 """
 
 from __future__ import annotations
@@ -39,8 +47,15 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
-from .flow import FlowNetwork, FlowResult, isolating_bounds, max_flow_st
-from .graph import BoundState, ContractableGraph, GraphError, Problem
+try:
+    import numpy as np
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import depth_first_order
+except ImportError:  # pragma: no cover; large_view then returns None
+    pass
+
+from .flow import FlowNetwork, FlowResult, isolating_bounds, large_view, max_flow_st
+from .graph import ArrayView, BoundState, ContractableGraph, GraphError, Problem
 from .localsearch import expired
 
 # Defaults of the two rule parameters; SolverConfig's fields start from these.
@@ -460,28 +475,130 @@ def articulation_points(g: ContractableGraph) -> set[int]:
     return aps
 
 
-def reduce_articulation_points(p: Problem) -> tuple[int, int]:
-    """Collapse terminal-free components hanging off articulation points.
-
-    For a DFS tree edge (parent, v) with ``low(v) >= tin(parent)`` the
-    subtree of v is one component of the graph minus the parent; when it
-    holds no terminal, all of it can share the parent's block.
-    """
-    g = p.graph
+def _hanging_subtrees(g: ContractableGraph, troots: dict[int, int]
+                      ) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """The DFS preorder of :func:`_dfs_tree`, and ``(start, end, parent)``
+    for each terminal-free subtree ``order[start:end]`` whose root ``v`` has
+    ``low(v) >= tin(parent)``, in preorder of ``v``."""
     order, tin, tout, low, parent = _dfs_tree(g)
-    troots = p.block_of
     is_term = [1 if v in troots else 0 for v in order]
     prefix = [0]
     for t in is_term:
         prefix.append(prefix[-1] + t)
-    contracted = 0
+    hanging = []
     for v in order:
         pv = parent[v]
         if pv is None or low[v] < tin[pv]:
             continue
         if prefix[tout[v]] - prefix[tin[v]] > 0:
             continue
-        members = set(order[tin[v]:tout[v]])
+        hanging.append((tin[v], tout[v], pv))
+    return order, hanging
+
+
+def _min_table(a):
+    """Sparse table of ``a``: entry ``k`` holds ``min(a[i:i + 2**k])`` at ``i``."""
+    table = [a]
+    step = 1
+    while 2 * step <= len(a):
+        prev = table[-1]
+        table.append(np.minimum(prev[:-step], prev[step:]))
+        step *= 2
+    return table
+
+
+def _hanging_subtrees_on_view(view: ArrayView, troots: dict[int, int]
+                              ) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """:func:`_hanging_subtrees` with scipy's DFS and array passes.
+
+    ``depth_first_order`` runs once from a virtual root, index ``n``, whose
+    row lists each component's lowest index in ascending order. On the
+    view's sorted rows it visits the vertices in the order of
+    :func:`_dfs_tree`, with the same parents. Then, by preorder position:
+
+    - ``par``: the parent's position, -1 for a component's root;
+    - ``end``: where the subtree ends, the first later position whose
+      parent lies before the subtree's root, found by binary lifting on a
+      minimum table of ``par``;
+    - ``low``: the lowest position among a vertex and its neighbors,
+      minimized over the subtree with a second table.
+
+    Unlike :func:`_dfs_tree`, ``low`` counts the tree edge to the parent.
+    That lowers ``low(v)`` to ``tin(parent)`` at most, and leaves
+    ``low(v) >= tin(parent)`` as it was.
+    """
+    matrix = view.matrix
+    n = len(view.ids)
+    _, first = np.unique(view.labels, return_index=True)
+    roots = np.sort(first).astype(np.int32)
+    indptr = np.append(matrix.indptr, matrix.indptr[-1] + len(roots))
+    indices = np.concatenate((matrix.indices, roots))
+    rooted = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n + 1, n + 1))
+    order, pred = depth_first_order(rooted, n, directed=True, return_predecessors=True)
+    order = order[1:]
+    pos = np.empty(n + 1, dtype=np.int64)
+    pos[order] = np.arange(n)
+    pos[n] = -1
+    par = pos[pred[order]]
+
+    own = pos[:n].copy()
+    rows = np.flatnonzero(np.diff(matrix.indptr))
+    if len(rows):
+        own[rows] = np.minimum(own[rows],
+                               np.minimum.reduceat(pos[matrix.indices], matrix.indptr[rows]))
+    own = own[order]
+
+    start = np.arange(n)
+    end = start + 1  # par[start + 1:end] >= start throughout
+    table = _min_table(par)
+    for k in reversed(range(len(table))):
+        step = 1 << k
+        idx = np.flatnonzero(end <= n - step)
+        idx = idx[table[k][end[idx]] >= idx]
+        end[idx] += step
+    size_log = np.frexp(end - start)[1] - 1  # floor(log2(subtree size))
+    table = _min_table(own)
+    low = np.empty(n, dtype=np.int64)
+    for k in np.unique(size_log).tolist():
+        idx = np.flatnonzero(size_log == k)
+        low[idx] = np.minimum(table[k][idx], table[k][end[idx] - (1 << k)])
+
+    terms = np.zeros(n + 1, dtype=np.int64)
+    terms[pos[view.index[list(troots)]] + 1] = 1
+    np.cumsum(terms, out=terms)
+    hit = np.flatnonzero((par >= 0) & (low >= par) & (terms[end] == terms[:n]))
+    if not len(hit):
+        return [], []
+    ids = view.ids[order].tolist()
+    return ids, [(j, e, ids[pv]) for j, e, pv in
+                 zip(hit.tolist(), end[hit].tolist(), par[hit].tolist())]
+
+
+def reduce_articulation_points(p: Problem) -> tuple[int, int]:
+    """Collapse terminal-free components hanging off articulation points.
+
+    For a DFS tree edge (parent, v) with ``low(v) >= tin(parent)`` the
+    subtree of v is one component of the graph minus the parent; when it
+    holds no terminal, all of it can share the parent's block. Each
+    component's DFS starts at its lowest id and takes neighbors in
+    ascending id order. Subtrees are contracted in preorder of their roots,
+    as the DFS found them.
+
+    On a graph with at least ``SCIPY_MIN_VERTICES`` live vertices (scipy
+    present) the DFS is scipy's, on the graph's array view, and ``tin``,
+    ``low`` and the subtree ends are array passes
+    (:func:`_hanging_subtrees_on_view`); it visits the same tree in the
+    same order, so it contracts the same sets.
+    """
+    g = p.graph
+    view = large_view(g)
+    if view is None:
+        order, hanging = _hanging_subtrees(g, p.block_of)
+    else:
+        order, hanging = _hanging_subtrees_on_view(view, p.block_of)
+    contracted = 0
+    for start, end, pv in hanging:
+        members = set(order[start:end])
         members.add(pv)
         contracted += p.contract_set(members, pv)
     return contracted, 0

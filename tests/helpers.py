@@ -320,3 +320,33 @@ def torus_graph(width, height):
         dedup[key] = w
     return ContractableGraph.from_edge_list(
         width * height, [(u, v, w) for (u, v), w in dedup.items()])
+
+
+def hanging_tree_graph(rng: random.Random, n: int, parts: int, w_max=5) -> ContractableGraph:
+    """``n`` vertices in ``parts`` components, numbered in random order.
+
+    Each component's first half is a core, a random tree with as many extra
+    edges again, and each later vertex hangs off an earlier one by a single
+    edge, so trees hang off the core. A component of one vertex is
+    isolated.
+    """
+    order = list(range(n))
+    rng.shuffle(order)
+    cuts = sorted(rng.sample(range(1, n), parts - 1))
+    edges = {}
+    for lo, hi in zip([0] + cuts, cuts + [n]):
+        part = order[lo:hi]
+        core = max(1, len(part) // 2)
+        for i in range(1, len(part)):
+            u, v = sorted((part[rng.randrange(i)], part[i]))
+            edges[(u, v)] = rng.randint(1, w_max)
+        for _ in range(core if core > 2 else 0):
+            u, v = sorted(rng.sample(part[:core], 2))
+            edges.setdefault((u, v), rng.randint(1, w_max))
+    return ContractableGraph.from_edge_list(n, [(u, v, w) for (u, v), w in edges.items()])
+
+
+def adjacency_and_find(g: ContractableGraph) -> tuple[list, list[int]]:
+    """Each live vertex's adjacency items in dict order, and the find map."""
+    return ([(v, list(g.neighbors(v).items())) for v in g.live_vertices()],
+            [g.find(v) for v in range(g.n_original)])

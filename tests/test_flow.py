@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import mtcut.flow
-from helpers import brute_force_min_st_cut, fixture_graph, random_connected_graph, torus_graph
+from helpers import (brute_force_min_st_cut, fixture_graph, hanging_tree_graph,
+                     random_connected_graph, torus_graph)
 from mtcut import ContractableGraph, GraphError, isolating_bounds, isolating_cuts, max_flow_st
-from mtcut.flow import HAVE_SCIPY, SCIPY_MIN_VERTICES, FlowNetwork, _dinic, _scipy_flow
+from mtcut.flow import HAVE_SCIPY, SCIPY_MIN_VERTICES, FlowNetwork, _Component, _dinic, _scipy_flow
 
 IMPLEMENTATIONS = pytest.mark.parametrize("impl", [_dinic, _scipy_flow], ids=["python", "scipy"])
 
@@ -232,6 +233,21 @@ class TestDispatch:
         assert self._scipy_calls(monkeypatch, cycle(n - 1), 0, {n // 2}) == 0
         assert self._scipy_calls(monkeypatch, cycle(n), 0, {n // 2}) == 1
 
+    def test_connected_graph_at_threshold_runs_no_bfs(self, monkeypatch):
+        builds = []
+        real = _Component.__init__
+
+        def counting(self, g, source):
+            builds.append(source)
+            real(self, g, source)
+
+        monkeypatch.setattr(_Component, "__init__", counting)
+        n = SCIPY_MIN_VERTICES
+        assert self._scipy_calls(monkeypatch, cycle(n), 0, {n // 2}) == 1
+        assert builds == []
+        assert self._scipy_calls(monkeypatch, cycle(n - 1), 0, {n // 2}) == 0
+        assert builds == [0]
+
     def test_source_component_decides(self, monkeypatch):
         # a small component beside a large one runs the pure-Python flow
         n = SCIPY_MIN_VERTICES
@@ -404,3 +420,111 @@ class TestFlowNetwork:
         g.contract_vertices([1], 0)
         with pytest.raises(GraphError):
             max_flow_st(net, 2, {3})
+
+    @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
+    def test_changed_large_graph_is_refused(self):
+        # the network's component came from the array view, which the
+        # mutations replace; the network itself still refuses them
+        n = SCIPY_MIN_VERTICES + 10
+        for mutate in (lambda g: g.contract_vertices([3, 4], 3), lambda g: g.delete_edge(5, 6)):
+            g = cycle(n)
+            net = FlowNetwork(g)
+            max_flow_st(net, 0, {n // 2})
+            mutate(g)
+            with pytest.raises(GraphError):
+                max_flow_st(net, 0, {n // 2})
+            with pytest.raises(GraphError):
+                max_flow_st(net, 1, {n // 3})
+
+
+@pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
+class TestArrayView:
+    def _assert_shows(self, view, g):
+        live = sorted(g.live_vertices())
+        assert view.version == g.version()
+        assert view.ids.tolist() == live
+        assert view.index.tolist() == [live.index(v) if g.is_live(v) else -1
+                                       for v in range(g.n_original)]
+        m = view.matrix
+        assert m.has_sorted_indices
+        for i, v in enumerate(live):
+            row = slice(m.indptr[i], m.indptr[i + 1])
+            assert [(live[j], w) for j, w in zip(m.indices[row], m.data[row])] == \
+                sorted(g.neighbors(v).items())
+        for u, v, _ in g.edges():
+            assert view.labels[view.index[u]] == view.labels[view.index[v]]
+        assert view.sizes.tolist() == np.bincount(view.labels).tolist()
+
+    def test_rebuilt_after_each_mutation(self):
+        rng = random.Random(25)
+        n = SCIPY_MIN_VERTICES + 30
+        g = hanging_tree_graph(rng, n, 3)
+        view = g.array_view()
+        self._assert_shows(view, g)
+        assert g.array_view() is view
+        leaf = next(v for v in range(n) if g.degree(v) == 1)
+        for mutate in (lambda: g.contract_vertices([0, *list(g.neighbors(0))[:2]], 0),
+                       lambda: g.delete_edge(leaf, next(iter(g.neighbors(leaf))))):
+            mutate()
+            fresh = g.array_view()
+            assert fresh is not view
+            self._assert_shows(fresh, g)
+            view = fresh
+        assert len(view.sizes) == 4  # the deletion isolated the leaf
+
+    def test_copy_starts_without_a_view(self):
+        g = cycle(SCIPY_MIN_VERTICES)
+        view = g.array_view()
+        h = g.copy()
+        assert h.array_view() is not view
+        h.contract_vertices([0, 1], 0)
+        self._assert_shows(h.array_view(), h)
+        assert g.array_view() is view
+
+    def test_weight_past_float_range_runs_python(self):
+        n = SCIPY_MIN_VERTICES
+        g = ContractableGraph.from_edge_list(
+            n, [(v, v + 1, 10**400 if v == 7 else 1) for v in range(n - 1)] + [(0, n - 1, 1)])
+        assert np.isinf(g.array_view().matrix.data).all()
+        assert FlowNetwork(g).component(0).tails is not None  # built by BFS
+        r = max_flow_st(g, 0, {n // 2})
+        assert r.value == 2 and r.source_side == frozenset(range(n)) - {n // 2}
+
+    def test_view_and_bfs_components_agree(self, monkeypatch):
+        # several components: large ones at or above the threshold, small
+        # ones below it, and on odd cases a large one whose weights pass
+        # int32; the small and the heavy ones are built by BFS, the others
+        # taken from the view. Every flow must match one on BFS-built
+        # components only.
+        rng = random.Random(26)
+        n = SCIPY_MIN_VERTICES
+        views = 0
+        for case in range(6):
+            parts = [hanging_tree_graph(rng, rng.randint(n, n + 200), rng.randint(1, 2)),
+                     hanging_tree_graph(rng, rng.randint(3, n - 1), 1)]
+            if case % 2:
+                parts.append(hanging_tree_graph(rng, n + 10, 1))
+            edges, offset = [], 0
+            for i, part in enumerate(parts):
+                scale = 1 << 24 if i == 2 else 1
+                edges += [(u + offset, v + offset, w * scale) for u, v, w in part.edges()]
+                offset += part.n_original
+            perm = list(range(offset))  # mix the components' ids
+            rng.shuffle(perm)
+            heavy = {perm[v] for v in range(offset - parts[-1].n_original, offset)} \
+                if case % 2 else set()
+            g = ContractableGraph.from_edge_list(offset, [(perm[u], perm[v], w) for u, v, w in edges])
+            flows = [(s, sinks) for s, *sinks in
+                     (rng.sample(range(offset), rng.randint(3, 9)) for _ in range(12))]
+            net = FlowNetwork(g)
+            got = [max_flow_st(net, s, sinks) for s, sinks in flows]
+            for s, _ in flows:
+                comp = net.component(s)
+                from_bfs = len(comp.vertices) < n or s in heavy
+                assert (comp.tails is not None) == from_bfs
+                views += not from_bfs
+            monkeypatch.setattr(mtcut.flow, "large_view", lambda g: None)
+            net = FlowNetwork(g)
+            assert [max_flow_st(net, s, sinks) for s, sinks in flows] == got
+            monkeypatch.undo()
+        assert views >= 12

@@ -69,6 +69,19 @@ class TestParse:
         with pytest.raises(GraphParseError):
             parse_graph("2 1 11\n1 2 1\n1 1 1\n")
 
+    def test_unknown_edge_format_rejected(self):
+        # a ones digit other than 0 or 1 was read as unweighted
+        with pytest.raises(GraphParseError) as err:
+            parse_graph("% comment\n2 1 5\n2\n1\n")
+        assert "unsupported format 5" in str(err.value) and err.value.line == 2
+
+    def test_negative_format_rejected(self):
+        # -1 // 10 is -1, which was reported as vertex weights
+        with pytest.raises(GraphParseError) as err:
+            parse_graph("2 1 -1\n2\n1\n")
+        assert "unsupported format -1" in str(err.value) and err.value.line == 1
+        assert "vertex weights" not in str(err.value)
+
 
 class TestRoundTrip:
     def test_fixture(self):

@@ -6,10 +6,12 @@ from collections import Counter
 from helpers import (
     FIXTURES,
     RULE_FUNCTIONS,
+    adjacency_and_find,
     brute_force_opt,
     check_consistency,
     count_calls,
     fixture_problem,
+    hanging_tree_graph,
     kernel_opt,
     naive_articulation_points,
     naive_twin_pairs,
@@ -30,7 +32,9 @@ from mtcut import (
     run_reduction_loop,
     solve,
 )
+import mtcut.flow
 import mtcut.reductions
+from mtcut.flow import SCIPY_MIN_VERTICES
 from mtcut.solver import NODE_ORDER, branch_vertex, select_branch_vertex
 from mtcut.reductions import (
     DEFAULT_ORDER,
@@ -480,6 +484,32 @@ class TestArticulationPoints:
                 continue
             g = ContractableGraph.from_edge_list(n, el)
             assert articulation_points(g) == naive_articulation_points(n, el)
+
+    def test_array_path_matches_dict_dfs(self, monkeypatch):
+        # at and above the threshold the rule takes scipy's DFS on the array
+        # view; with the threshold raised it runs _dfs_tree. Both must
+        # contract the same sets in the same order.
+        rng = random.Random(24)
+        hits = 0
+        for case in range(16):
+            live = SCIPY_MIN_VERTICES + (0 if case < 2 else rng.randrange(300))
+            g = hanging_tree_graph(rng, live + rng.randint(1, 60), rng.randint(1, 5))
+            while g.num_vertices > live:  # tombstones
+                u = rng.choice(list(g.live_vertices()))
+                g.contract_vertices([u, *list(g.neighbors(u))[:1]], u)
+            terminals = rng.sample(sorted(g.live_vertices()), rng.randint(2, 8))
+            p = Problem.from_instance(g, terminals)
+            q = p.copy()
+            dfs_calls = count_calls(monkeypatch, "_dfs_tree")
+            got = reduce_articulation_points(p)
+            assert dfs_calls == []
+            monkeypatch.setattr(mtcut.flow, "SCIPY_MIN_VERTICES", g.n_original + 1)
+            assert reduce_articulation_points(q) == got
+            assert len(dfs_calls) == 1
+            monkeypatch.undo()
+            assert adjacency_and_find(p.graph) == adjacency_and_find(q.graph)
+            hits += got[0]
+        assert hits > 1000
 
 
 class TestEqualNeighborhoods:
