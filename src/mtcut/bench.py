@@ -12,11 +12,18 @@ import json
 import math
 import random
 import time
-from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
-from .graph import ContractableGraph, GraphError, Problem
+try:
+    import numpy as np
+    from scipy.sparse.csgraph import breadth_first_order
+except ImportError:  # pragma: no cover; large_view then returns None
+    pass
+
+from .flow import large_view
+from .graph import ArrayView, ContractableGraph, GraphError, Problem
 from .graphio import parse_graph_file
 from .solver import SolverConfig, require_integers, solve_prepared
 
@@ -45,19 +52,26 @@ class ProfilePoint:
     fraction: float
 
 
-def _bfs_order(g: ContractableGraph, sources: Sequence[int]) -> list[int]:
-    """BFS visit order from the sources; neighbors explored ascending."""
-    seen = set(sources)
-    queue = deque(sorted(sources))
-    order = []
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        for x in sorted(g.neighbors(v)):
+def _bfs_order(nbrs: dict[int, list[int]], sources: Sequence[int]) -> list[int]:
+    """BFS visit order from the sources, which start the queue ascending;
+    ``nbrs`` maps each vertex to its neighbors, ascending."""
+    order = sorted(sources)
+    seen = set(order)
+    for v in order:  # the loop reaches the vertices appended behind it
+        for x in nbrs[v]:
             if x not in seen:
                 seen.add(x)
-                queue.append(x)
+                order.append(x)
     return order
+
+
+def _bfs_order_on_view(view: ArrayView, sources: Sequence[int]) -> np.ndarray:
+    """:func:`_bfs_order` by scipy's ``breadth_first_order`` from a virtual
+    root that lists the sources' indices ascending (:meth:`ArrayView.rooted`)."""
+    roots = np.sort(view.index[list(sources)])
+    order = breadth_first_order(view.rooted(roots), len(view.ids), directed=True,
+                                return_predecessors=False)
+    return view.ids[order[1:]]
 
 
 def generate_terminals(g: ContractableGraph, k: int, seed: int = 0) -> list[int]:
@@ -65,22 +79,34 @@ def generate_terminals(g: ContractableGraph, k: int, seed: int = 0) -> list[int]
 
     The first terminal is the last vertex of a BFS from a seeded random
     start; each further terminal is the last vertex of a BFS from all
-    terminals picked so far. Requires a connected graph.
+    terminals picked so far. Every BFS explores neighbors in ascending id
+    order. Requires a connected graph.
+
+    When :func:`~mtcut.flow.large_view` gives the graph's array view, each
+    BFS is one scipy call on it (:func:`_bfs_order_on_view`); otherwise the
+    neighbor lists are sorted once and every BFS walks them in Python. Both
+    visit the vertices in the same order.
     """
     n = g.num_vertices
     if not 1 <= k <= n:
         raise GraphError(f"cannot place {k} terminals on {n} vertices")
-    live = sorted(g.live_vertices())
-    rng = random.Random(seed)
-    start = live[rng.randrange(len(live))]
-    order = _bfs_order(g, [start])
+    pick = random.Random(seed).randrange(n)
+    view = large_view(g)
+    if view is None:
+        nbrs = {v: sorted(g.neighbors(v)) for v in g.live_vertices()}
+        start = list(nbrs)[pick]
+        bfs = partial(_bfs_order, nbrs)
+    else:
+        start = int(view.ids[pick])
+        bfs = partial(_bfs_order_on_view, view)
+    order = bfs([start])
     if len(order) != n:
         raise GraphError("terminal generation requires a connected graph")
-    terminals = [order[-1]]
+    terminals = [int(order[-1])]
     while len(terminals) < k:
-        order = _bfs_order(g, terminals)
-        pick = next(v for v in reversed(order) if v not in terminals)
-        terminals.append(pick)
+        # the terminals open the order and some vertex is not one, so the
+        # last vertex is the farthest non-terminal
+        terminals.append(int(bfs(terminals)[-1]))
     return terminals
 
 

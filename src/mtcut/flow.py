@@ -66,7 +66,9 @@ _INT32_MAX = 2**31 - 1
 # random graphs with m = 3n and near 700 on tori; against a view build, near
 # 350-450 and 450-500. No benchmark graph lies between 35 and 8001 vertices,
 # so the value stays. On a network built once, as a rule's later flows find
-# it, the pure-Python flow is still faster at 1000 vertices.
+# it, the pure-Python flow is still faster at 1000 vertices. Terminal
+# placement (bench.generate_terminals) runs its BFS on the view from the
+# same size on.
 SCIPY_MIN_VERTICES = 500
 
 

@@ -13,6 +13,10 @@ the one guarded merge, and it never joins two terminals and always keeps
 the terminal's vertex. ``Problem.block_of`` maps each terminal vertex to
 its block, and terminal lookups need no ``find``.
 
+A graph is built once from finished neighbor dicts by one private
+constructor: ``ContractableGraph.from_edge_list`` fills them edge by edge,
+and ``graphio.parse_graph`` from the lines of a graph file.
+
 A ``Problem`` also keeps, per terminal, the largest minimum isolating cut
 it last computed (:meth:`Problem.kept_cuts`), so that the isolating-cut
 rule re-runs only the flows a mutation could have changed. The map is
@@ -95,9 +99,12 @@ class ContractableGraph:
     def from_edge_list(cls, n: int, edges: Iterable[tuple[int, int, int]]) -> "ContractableGraph":
         """Build a graph from ``(u, v, w)`` triples, merging duplicates.
 
-        Rejects self-loops and non-positive weights.
+        Rejects self-loops and non-positive weights. Each vertex's neighbors
+        are kept in the order of their first edge.
         """
-        g = cls(n)
+        if n < 1:
+            raise GraphError("graph needs at least one vertex")
+        adj: list[dict[int, int]] = [{} for _ in range(n)]
         for u, v, w in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) out of range for n={n}")
@@ -105,21 +112,28 @@ class ContractableGraph:
                 raise GraphError(f"self-loop at vertex {u}")
             if w < 1:
                 raise GraphError(f"edge ({u},{v}) has non-positive weight {w}")
-            g._add_weight(u, v, w)
-        return g
+            au = adj[u]
+            if v in au:
+                au[v] += w
+                adj[v][u] += w
+            else:
+                au[v] = w
+                adj[v][u] = w
+        return cls._from_rows(adj)
 
-    def _add_weight(self, u: int, v: int, w: int) -> None:
-        au = self._adj[u]
-        av = self._adj[v]
-        if v in au:
-            au[v] += w
-            av[u] += w
-        else:
-            au[v] = w
-            av[u] = w
-            self.num_edges += 1
-        self._wdeg[u] += w
-        self._wdeg[v] += w
+    @classmethod
+    def _from_rows(cls, adj: list[dict[int, int]]) -> "ContractableGraph":
+        """The graph whose vertex ``v`` has neighbor dict ``adj[v]``, taken
+        as is: the caller hands a non-empty list of symmetric rows with
+        positive weights and no self-loop."""
+        g = cls.__new__(cls)
+        g.n_original = g.num_vertices = len(adj)
+        g.num_edges = sum(map(len, adj)) // 2
+        g._adj = adj
+        g._wdeg = list(map(sum, map(dict.values, adj)))
+        g._parent = list(range(len(adj)))
+        g._view = None
+        return g
 
     def copy(self) -> "ContractableGraph":
         g = ContractableGraph.__new__(ContractableGraph)
@@ -180,6 +194,10 @@ class ContractableGraph:
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
+
+    def isolated_vertices(self) -> list[int]:
+        """The live vertices without a neighbor, ascending."""
+        return [v for v, a in enumerate(self._adj) if not a and a is not None]
 
     def weighted_degree(self, v: int) -> int:
         if self._adj[v] is None:
@@ -291,6 +309,9 @@ class ArrayView:
     - ``version``: the graph's :meth:`~ContractableGraph.version` it shows.
 
     The arrays are filled with ``np.fromiter`` over the adjacency dicts.
+    :meth:`rooted` adds a virtual root for scipy's searches from several
+    vertices at once: terminal placement's BFS and the articulation rule's
+    DFS.
     """
 
     __slots__ = ("version", "ids", "index", "matrix", "labels", "sizes")
@@ -317,6 +338,22 @@ class ArrayView:
         matrix.sort_indices()
         _, self.labels = connected_components(matrix, directed=False)
         self.sizes = np.bincount(self.labels)
+
+    def rooted(self, roots: np.ndarray) -> csr_matrix:
+        """The matrix's pattern plus a virtual root, index ``n``, whose row
+        lists the indices ``roots`` in their given order; all weights 1.
+
+        No row lists the virtual root, so scipy's ``breadth_first_order``
+        or ``depth_first_order`` from it, ``directed=True``, starts at each
+        root in that order. The view's rows are sorted, so every vertex's
+        neighbors are explored in ascending id order, as a Python search
+        over sorted neighbor lists explores them.
+        """
+        n = len(self.ids)
+        matrix = self.matrix
+        indptr = np.append(matrix.indptr, matrix.indptr[-1] + len(roots))
+        indices = np.concatenate((matrix.indices, roots))
+        return csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n + 1, n + 1))
 
 
 def cut_value(graph: ContractableGraph, terminal_vertices: Sequence[int], labels: Sequence[int]) -> int:

@@ -49,7 +49,6 @@ from typing import Callable, Iterator, Sequence
 
 try:
     import numpy as np
-    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import depth_first_order
 except ImportError:  # pragma: no cover; large_view then returns None
     pass
@@ -511,10 +510,11 @@ def _hanging_subtrees_on_view(view: ArrayView, troots: dict[int, int]
                               ) -> tuple[list[int], list[tuple[int, int, int]]]:
     """:func:`_hanging_subtrees` with scipy's DFS and array passes.
 
-    ``depth_first_order`` runs once from a virtual root, index ``n``, whose
-    row lists each component's lowest index in ascending order. On the
-    view's sorted rows it visits the vertices in the order of
-    :func:`_dfs_tree`, with the same parents. Then, by preorder position:
+    ``depth_first_order`` runs once from a virtual root
+    (:meth:`ArrayView.rooted`) that lists each component's lowest index in
+    ascending order. On the view's sorted rows it visits the vertices in
+    the order of :func:`_dfs_tree`, with the same parents. Then, by
+    preorder position:
 
     - ``par``: the parent's position, -1 for a component's root;
     - ``end``: where the subtree ends, the first later position whose
@@ -531,10 +531,8 @@ def _hanging_subtrees_on_view(view: ArrayView, troots: dict[int, int]
     n = len(view.ids)
     _, first = np.unique(view.labels, return_index=True)
     roots = np.sort(first).astype(np.int32)
-    indptr = np.append(matrix.indptr, matrix.indptr[-1] + len(roots))
-    indices = np.concatenate((matrix.indices, roots))
-    rooted = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n + 1, n + 1))
-    order, pred = depth_first_order(rooted, n, directed=True, return_predecessors=True)
+    order, pred = depth_first_order(view.rooted(roots), n, directed=True,
+                                    return_predecessors=True)
     order = order[1:]
     pos = np.empty(n + 1, dtype=np.int64)
     pos[order] = np.arange(n)
@@ -776,9 +774,7 @@ def _cleanup(p: Problem, report: ReductionReport) -> None:
     actives = p.active_terminals()
     if not actives:
         return
-    g = p.graph
-    troots = p.block_of
-    isolated = [v for v in g.live_vertices() if v not in troots and g.degree(v) == 0]
+    isolated = [v for v in p.graph.isolated_vertices() if v not in p.block_of]
     if isolated:
         report.contracted["isolated"] += p.contract_set(isolated, actives[0])
 

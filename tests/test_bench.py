@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from helpers import FIXTURES, fixture_graph, random_connected_graph
+from helpers import FIXTURES, fixture_graph, random_connected_graph, torus_graph
 from mtcut import ContractableGraph, GraphError, cut_value, write_graph
+import mtcut.bench
 from mtcut.bench import (
     InstanceSpec,
     generate_terminals,
@@ -18,6 +19,7 @@ from mtcut.bench import (
 )
 import mtcut.cli
 from mtcut.cli import main
+from mtcut.flow import SCIPY_MIN_VERTICES, large_view
 from mtcut.reductions import DEFAULT_ORDER
 from mtcut.solver import SolverConfig
 
@@ -47,6 +49,52 @@ class TestGenerateTerminals:
     def test_too_many_terminals(self):
         with pytest.raises(GraphError):
             generate_terminals(path_graph(3), 4, 0)
+
+
+def large_graphs():
+    """Connected graphs with at least SCIPY_MIN_VERTICES live vertices: tori,
+    random graphs with up to 3n edges, and a contracted one with tombstones."""
+    rng = random.Random(17)
+    graphs = [torus_graph(25, 20), torus_graph(31, 23)]
+    for n in (SCIPY_MIN_VERTICES, SCIPY_MIN_VERTICES + 123):
+        n, edges = random_connected_graph(rng, n, n, 3 * n, 9)
+        graphs.append(ContractableGraph.from_edge_list(n, edges))
+    n, edges = random_connected_graph(rng, 700, 700, 2100, 9)
+    g = ContractableGraph.from_edge_list(n, edges)
+    while g.num_vertices > SCIPY_MIN_VERTICES + 50:
+        u = rng.choice(list(g.live_vertices()))
+        g.contract_vertices([u, *list(g.neighbors(u))[:2]], u)
+    graphs.append(g)
+    return graphs
+
+
+class TestGenerateTerminalsOnView:
+    """Where the graph has an array view, each BFS is one scipy call on it;
+    it must pick the terminals that the Python BFS picks."""
+
+    def test_view_and_python_bfs_agree(self, monkeypatch):
+        for g in large_graphs():
+            assert large_view(g) is not None
+            got = {(k, seed): generate_terminals(g, k, seed)
+                   for k in (2, 3, 8, 16) for seed in range(3)}
+            monkeypatch.setattr(mtcut.bench, "large_view", lambda g: None)
+            assert got == {(k, seed): generate_terminals(g, k, seed)
+                           for k in (2, 3, 8, 16) for seed in range(3)}
+            monkeypatch.undo()
+            for terms in got.values():
+                assert len(set(terms)) == len(terms)
+                assert all(g.is_live(t) and isinstance(t, int) for t in terms)
+
+    def test_disconnected_rejected_on_both_paths(self, monkeypatch):
+        n = SCIPY_MIN_VERTICES
+        edges = [(v, v + 1, 1) for v in range(n - 1)] + [(n, n + 1, 1)]
+        g = ContractableGraph.from_edge_list(n + 2, edges)
+        assert large_view(g) is not None
+        with pytest.raises(GraphError, match="connected"):
+            generate_terminals(g, 2, 0)
+        monkeypatch.setattr(mtcut.bench, "large_view", lambda g: None)
+        with pytest.raises(GraphError, match="connected"):
+            generate_terminals(g, 2, 0)
 
 
 class TestGrowBlocks:
@@ -281,6 +329,12 @@ class TestCli:
                                       "--ilp-timeout=nan"])
     def test_non_finite_limits_exit_code(self, tmp_path, flag):
         assert main(["solve", "--graph", self._write_f1(tmp_path), "--k", "2", flag]) == 2
+
+    def test_undecodable_file_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.graph"
+        bad.write_bytes(b"2 1\n2\n1\xff\n")
+        assert main(["kernelize", "--graph", str(bad), "--k", "2"]) == 3
+        assert "line 3" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["solve", "--graph", str(tmp_path / "nope"), "--k", "2"]) == 3

@@ -4,6 +4,7 @@ import pytest
 
 from helpers import (
     FIXTURES,
+    adjacency_and_find,
     brute_force_opt,
     check_consistency,
     fixture_graph,
@@ -57,6 +58,34 @@ class TestConstruction:
     def test_rejects_out_of_range(self):
         with pytest.raises(GraphError):
             ContractableGraph.from_edge_list(2, [(0, 2, 1)])
+
+    def test_rows_keep_first_edge_order(self):
+        g = ContractableGraph.from_edge_list(
+            4, [(2, 0, 1), (3, 2, 4), (0, 1, 2), (2, 0, 5), (1, 3, 1), (0, 3, 3)])
+        assert adjacency_and_find(g)[0] == [
+            (0, [(2, 6), (1, 2), (3, 3)]), (1, [(0, 2), (3, 1)]),
+            (2, [(0, 6), (3, 4)]), (3, [(2, 4), (1, 1), (0, 3)])]
+        assert g.num_edges == 5
+        assert [g.weighted_degree(v) for v in range(4)] == [11, 3, 10, 8]
+        check_consistency(g)
+
+    def test_isolated_vertices(self):
+        g = ContractableGraph.from_edge_list(6, [(0, 1, 1), (1, 2, 1), (4, 5, 2)])
+        assert g.isolated_vertices() == [3]
+        g.contract_vertices([5], 4)  # 4 loses its only edge; 5 is a tombstone
+        g.delete_edge(0, 1)
+        assert g.isolated_vertices() == [0, 3, 4]
+
+    @pytest.mark.parametrize("n, edges, message", [
+        (0, [], "graph needs at least one vertex"),
+        (3, [(0, 1, 1), (-1, 2, 1)], "edge (-1,2) out of range for n=3"),
+        (3, [(0, 1, 1), (2, 2, 1)], "self-loop at vertex 2"),
+        (3, [(0, 1, 1), (1, 2, 0), (0, 3, 1)], "edge (1,2) has non-positive weight 0"),
+    ])
+    def test_error_messages(self, n, edges, message):
+        with pytest.raises(GraphError) as err:
+            ContractableGraph.from_edge_list(n, iter(edges))
+        assert str(err.value) == message
 
 
 class TestContraction:
