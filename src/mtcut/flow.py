@@ -67,8 +67,10 @@ _INT32_MAX = 2**31 - 1
 # 350-450 and 450-500. No benchmark graph lies between 35 and 8001 vertices,
 # so the value stays. On a network built once, as a rule's later flows find
 # it, the pure-Python flow is still faster at 1000 vertices. Terminal
-# placement (bench.generate_terminals) runs its BFS on the view from the
-# same size on.
+# placement (bench.generate_terminals, k = 5-8) runs its BFS on the view from
+# the same size on: counting the view build, that breaks even near 200-300
+# vertices on random m = 3n graphs and on tori, and is 4-5x slower than the
+# Python BFS on grown-exact's 35-vertex graphs (0.3 against 0.07 ms).
 SCIPY_MIN_VERTICES = 500
 
 

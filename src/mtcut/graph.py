@@ -13,9 +13,9 @@ the one guarded merge, and it never joins two terminals and always keeps
 the terminal's vertex. ``Problem.block_of`` maps each terminal vertex to
 its block, and terminal lookups need no ``find``.
 
-A graph is built once from finished neighbor dicts by one private
-constructor: ``ContractableGraph.from_edge_list`` fills them edge by edge,
-and ``graphio.parse_graph`` from the lines of a graph file.
+A graph is built once from finished neighbor dicts by its constructor:
+``ContractableGraph.from_edge_list`` fills them edge by edge, and
+``graphio.parse_graph`` from the lines of a graph file.
 
 A ``Problem`` also keeps, per terminal, the largest minimum isolating cut
 it last computed (:meth:`Problem.kept_cuts`), so that the isolating-cut
@@ -84,15 +84,17 @@ class ContractableGraph:
 
     __slots__ = ("n_original", "num_vertices", "num_edges", "_adj", "_wdeg", "_parent", "_view")
 
-    def __init__(self, n: int):
-        if n < 1:
+    def __init__(self, adj: list[dict[int, int]]):
+        """The graph whose vertex ``v`` has neighbor dict ``adj[v]``, taken
+        as is: the rows must be symmetric, with positive weights and no
+        self-loop. :meth:`from_edge_list` builds them from edges."""
+        if not adj:
             raise GraphError("graph needs at least one vertex")
-        self.n_original = n
-        self.num_vertices = n
-        self.num_edges = 0
-        self._adj: list[dict[int, int] | None] = [dict() for _ in range(n)]
-        self._wdeg = [0] * n
-        self._parent = list(range(n))
+        self.n_original = self.num_vertices = len(adj)
+        self.num_edges = sum(map(len, adj)) // 2
+        self._adj: list[dict[int, int] | None] = adj
+        self._wdeg = list(map(sum, map(dict.values, adj)))
+        self._parent = list(range(len(adj)))
         self._view: ArrayView | None = None
 
     @classmethod
@@ -102,10 +104,9 @@ class ContractableGraph:
         Rejects self-loops and non-positive weights. Each vertex's neighbors
         are kept in the order of their first edge.
         """
-        if n < 1:
-            raise GraphError("graph needs at least one vertex")
         adj: list[dict[int, int]] = [{} for _ in range(n)]
-        for u, v, w in edges:
+        # with no vertex the constructor rejects the graph and no edge is read
+        for u, v, w in edges if adj else ():
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
@@ -119,21 +120,7 @@ class ContractableGraph:
             else:
                 au[v] = w
                 adj[v][u] = w
-        return cls._from_rows(adj)
-
-    @classmethod
-    def _from_rows(cls, adj: list[dict[int, int]]) -> "ContractableGraph":
-        """The graph whose vertex ``v`` has neighbor dict ``adj[v]``, taken
-        as is: the caller hands a non-empty list of symmetric rows with
-        positive weights and no self-loop."""
-        g = cls.__new__(cls)
-        g.n_original = g.num_vertices = len(adj)
-        g.num_edges = sum(map(len, adj)) // 2
-        g._adj = adj
-        g._wdeg = list(map(sum, map(dict.values, adj)))
-        g._parent = list(range(len(adj)))
-        g._view = None
-        return g
+        return cls(adj)
 
     def copy(self) -> "ContractableGraph":
         g = ContractableGraph.__new__(ContractableGraph)

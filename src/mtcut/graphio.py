@@ -7,15 +7,9 @@ other format, vertex weights included, is rejected. After the header a
 blank line is the neighbor list of an isolated vertex; ``%`` lines are
 comments. Files are read as UTF-8.
 
-:func:`parse_graph` builds each structure once. Every vertex line becomes
-one neighbor dict, a neighbor listed twice on it summed, after checks of
-the whole line at once: ids in range, no self-loop, positive weights. Only
-a line that fails them is walked pair by pair, to name its first bad pair.
-Then each dict is checked against its neighbors' for symmetry, and the
-dicts are transposed into 0-based rows, which come out in ascending id
-order; the graph takes them as they are. A malformed input raises a
-:class:`GraphParseError` with the line of its first error: lines are read
-in order, and only once all are read is an edge matched with its reverse.
+A malformed input raises a :class:`GraphParseError` with the line of its
+first error: lines are checked in order, and an edge is matched with its
+reverse only once every line has passed.
 """
 
 from __future__ import annotations
@@ -84,7 +78,7 @@ def parse_graph(text: str) -> ContractableGraph:
         for x, w in row.items():
             nbrs[x][u] = w
     del nbrs[0]
-    return ContractableGraph._from_rows(nbrs)
+    return ContractableGraph(nbrs)
 
 
 def _parse_row(v: int, no: int, line: str, n: int, weighted: bool) -> dict[int, int]:

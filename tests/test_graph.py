@@ -78,6 +78,7 @@ class TestConstruction:
 
     @pytest.mark.parametrize("n, edges, message", [
         (0, [], "graph needs at least one vertex"),
+        (0, [(0, 1, 1)], "graph needs at least one vertex"),
         (3, [(0, 1, 1), (-1, 2, 1)], "edge (-1,2) out of range for n=3"),
         (3, [(0, 1, 1), (2, 2, 1)], "self-loop at vertex 2"),
         (3, [(0, 1, 1), (1, 2, 0), (0, 3, 1)], "edge (1,2) has non-positive weight 0"),
