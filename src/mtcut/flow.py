@@ -13,8 +13,10 @@ at least that size is taken from the graph's array view
 version and shared by every network and rule on it): its vertices in
 ascending id order, and as capacities the view's weight matrix, or its
 rows and columns of the component when the graph has several. Any other
-component, and one whose capacities pass int32, is relabeled by a BFS over
-the adjacency dicts into index lists of tails, heads and capacities.
+component, and one whose capacities pass int32, is relabeled by one BFS
+over the adjacency dicts, which fills the pure-Python flow's residual
+network as it numbers the vertices; the scipy matrix of such a component
+is derived from that network if a flow asks for it.
 
 The implementation is picked per flow. Components with fewer than
 ``SCIPY_MIN_VERTICES`` vertices run a pure-Python blocking flow, whose
@@ -43,6 +45,7 @@ minimum cuts, which is the side the contraction rules need.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .graph import ArrayView, ContractableGraph, GraphError
@@ -61,10 +64,11 @@ _INT32_MAX = 2**31 - 1
 
 # Components with fewer vertices run the pure-Python flow, larger ones scipy;
 # graphs with fewer live vertices build no array view. Per flow with 2-8
-# sinks, counting a fresh build (2-vCPU x86 host, scipy 1.17): against a BFS
-# build for scipy, the pure-Python flow breaks even near 500 vertices on
-# random graphs with m = 3n and near 700 on tori; against a view build, near
-# 350-450 and 450-500. No benchmark graph lies between 35 and 8001 vertices,
+# sinks, counting a fresh build (2-vCPU x86 host, scipy 1.17), the
+# pure-Python flow on its one-pass BFS build breaks even with scipy on a view
+# build near 400 vertices on random graphs with m = 3n and near 450-500 on
+# tori; at 1000 vertices its build (about 2 ms) still costs more than its
+# flow (about 1.3 ms). No benchmark graph lies between 35 and 8001 vertices,
 # so the value stays. On a network built once, as a rule's later flows find
 # it, the pure-Python flow is still faster at 1000 vertices. Terminal
 # placement (bench.generate_terminals, k = 5-8) runs its BFS on the view from
@@ -104,41 +108,42 @@ class _Component:
     """One connected component relabeled to indices ``0..n-1``.
 
     Holds the vertex list and its index (vertex id → index). A component
-    built by :meth:`__init__`, a BFS over the adjacency dicts, also holds
-    the edge list (each edge once, as parallel tails, heads and
-    capacities), from which each flow implementation builds its own form of
-    the network on first use and keeps it for every later flow. A large
-    component is taken from the graph's array view instead
+    built by :meth:`__init__`, a BFS over the adjacency dicts, fills the
+    pure-Python flow's residual network (:meth:`arcs`) in that same pass;
+    scipy's matrix (:meth:`arrays`) is derived from it on first use. A
+    large component is taken from the graph's array view instead
     (:meth:`from_view`): its vertices are in ascending id order and it
     holds only the scipy arrays, so it runs only scipy's flow.
     """
 
-    __slots__ = ("vertices", "index", "tails", "heads", "caps", "inf", "_arcs", "_arrays")
+    __slots__ = ("vertices", "index", "inf", "_arcs", "_arrays")
 
     def __init__(self, g: ContractableGraph, source: int):
         # one BFS from the source numbers the vertices in visit order and
-        # collects the edges; the vertex list doubles as the queue
+        # fills the residual network; the vertex list doubles as the queue
         self.vertices = vertices = [source]
         self.index = index = {source: 0}
-        self.tails: list[int] = []
-        self.heads: list[int] = []
-        self.caps: list[int] = []
-        tails, heads, caps = self.tails, self.heads, self.caps
+        res: list[dict[int, int]] = []
+        masks: list[int] = []
+        total = 0
         iv = 0
         while iv < len(vertices):
             v = vertices[iv]
+            row = {}
+            mask = 0
             for x, w in g.neighbors(v).items():
                 ix = index.get(x)
                 if ix is None:
                     ix = index[x] = len(vertices)
                     vertices.append(x)
-                if v < x:
-                    tails.append(iv)
-                    heads.append(ix)
-                    caps.append(w)
+                row[ix] = w
+                mask |= 1 << ix
+                total += w
+            res.append(row)
+            masks.append(mask)
             iv += 1
-        self.inf = sum(caps) + 1
-        self._arcs = None
+        self.inf = total // 2 + 1  # each edge was counted from both ends
+        self._arcs = (res, masks)
         self._arrays = None
 
     @classmethod
@@ -169,43 +174,38 @@ class _Component:
         comp = cls.__new__(cls)
         comp.vertices = ids.tolist()
         comp.index = _ArrayIndex(index)
-        comp.tails = comp.heads = comp.caps = None
         comp.inf = int(total) // 2 + 1
         comp._arcs = None
         comp._arrays = (matrix.indptr, matrix.indices, matrix.data.astype(np.int32))
         return comp
 
-    def arcs(self) -> tuple[list[dict[int, int]], list[int]]:
+    def arcs(self) -> tuple[list[dict[int, int]], list[int]] | None:
         """Residual capacities (per vertex, neighbor index → capacity) and
         neighbor bitmasks (bit ``u`` of entry ``v`` is set when ``u`` and
-        ``v`` are adjacent), both at zero flow. Only a BFS-built component
-        has them."""
-        if self._arcs is None:
-            res: list[dict[int, int]] = [{} for _ in self.vertices]
-            masks = [0] * len(self.vertices)
-            for a, b, c in zip(self.tails, self.heads, self.caps):
-                res[a][b] = c
-                res[b][a] = c
-                masks[a] |= 1 << b
-                masks[b] |= 1 << a
-            self._arcs = (res, masks)
+        ``v`` are adjacent), both at zero flow, as the BFS build filled
+        them; None for a component from the view. Never changed; each flow
+        copies them."""
         return self._arcs
 
     def arrays(self):
         """The component's capacity matrix in CSR form, both arc directions:
         ``(indptr, indices, caps)``, int32, each row sorted by column, in the
         component's own index order. A component from the view has them
-        from its build, sliced from the view's matrix; a BFS-built one sorts
-        its edge list on first use. Never changed; each scipy flow copies
-        them."""
+        from its build, sliced from the view's matrix; a BFS-built one
+        derives them from its residual dicts on first use. Never changed;
+        each scipy flow copies them."""
         if self._arrays is None:
-            rows = np.asarray(self.tails + self.heads, dtype=np.int32)
-            cols = np.asarray(self.heads + self.tails, dtype=np.int32)
-            order = np.lexsort((cols, rows))
-            indptr = np.zeros(len(self.vertices) + 1, dtype=np.int32)
-            np.cumsum(np.bincount(rows, minlength=len(self.vertices)), out=indptr[1:])
-            self._arrays = (indptr, cols[order],
-                            np.asarray(self.caps + self.caps, dtype=np.int32)[order])
+            res = self._arcs[0]
+            n = len(res)
+            indptr = np.zeros(n + 1, dtype=np.int32)
+            np.cumsum(np.fromiter(map(len, res), dtype=np.int32, count=n), out=indptr[1:])
+            nnz = int(indptr[-1])
+            cols = np.fromiter(chain.from_iterable(res), dtype=np.int32, count=nnz)
+            caps = np.fromiter(chain.from_iterable(map(dict.values, res)),
+                               dtype=np.int32, count=nnz)
+            # sort each row by column: rows first, then columns within a row
+            order = np.lexsort((cols, np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))))
+            self._arrays = (indptr, cols[order], caps[order])
         return self._arrays
 
 

@@ -23,11 +23,13 @@ rule re-runs only the flows a mutation could have changed. The map is
 maintained at the two guarded mutations. A contraction keeps a terminal's
 cut when the merged set lies wholly inside or wholly outside its source
 side: that only removes cuts, and the kept side is still the largest
-minimum one. Deleting an edge between two terminals lowers both ends' cut
-values by its weight, since every isolating cut of either end crosses it
-and no other terminal's cut does; any other deletion empties the map. The
-map is stamped with the graph's ``version()``, so a mutation made on the
-graph directly empties it too.
+minimum one. A deletion keeps each cut whose source side the edge
+crosses, its value lowered by the edge's weight: the new minimum cuts are
+the old ones that cross the edge, all inside the kept side. An edge
+between two terminals lies outside every other terminal's cuts and leaves
+them as they are; any other cut the deletion does not cross is dropped.
+The map is stamped with the graph's ``version()``, so a mutation made on
+the graph directly empties it too.
 
 :meth:`ContractableGraph.array_view` gives the live vertices as arrays
 (:class:`ArrayView`) for scipy's graph routines, built on first use and
@@ -369,7 +371,11 @@ class Problem:
     is the block index, ``block_of`` the inverse map), which of them are
     still active, and the weight of edges already committed to the cut.
     Any feasible cut of the subproblem plus ``deleted_weight`` is a feasible
-    cut value of the original.
+    cut value of the original. ``loose_weight`` is the part of
+    ``deleted_weight`` not deleted between two terminals: a labeling lifted
+    from the subproblem may leave such an edge uncut, when its non-terminal
+    end later joins the terminal at its other end, and then scores up to
+    that much below the subproblem's bounds on the original graph.
 
     Every terminal is its own live representative; :meth:`contract_set` is
     the one guarded merge, so the working graph is only ever contracted
@@ -386,7 +392,7 @@ class Problem:
     """
 
     __slots__ = ("graph", "terminal_vertices", "block_of", "active", "deleted_weight",
-                 "lower_bound", "original", "_cuts", "_cuts_version")
+                 "loose_weight", "lower_bound", "original", "_cuts", "_cuts_version")
 
     def __init__(self, graph, terminal_vertices, active, deleted_weight, lower_bound, original):
         self.graph: ContractableGraph = graph
@@ -394,6 +400,7 @@ class Problem:
         self.block_of: dict[int, int] = {t: i for i, t in enumerate(terminal_vertices)}
         self.active: list[bool] = active
         self.deleted_weight: int = deleted_weight
+        self.loose_weight: int = 0
         self.lower_bound: int = lower_bound
         self.original: ContractableGraph = original
         self._cuts: dict[int, FlowResult] = {}
@@ -418,6 +425,7 @@ class Problem:
     def copy(self) -> "Problem":
         c = Problem(self.graph.copy(), self.terminal_vertices, list(self.active),
                     self.deleted_weight, self.lower_bound, self.original)
+        c.loose_weight = self.loose_weight
         c._cuts = dict(self.kept_cuts())
         return c
 
@@ -457,19 +465,29 @@ class Problem:
     def delete_edge(self, u: int, v: int) -> int:
         """Delete edge (u, v) and commit its weight to the cut.
 
-        Between two terminals, the edge lowers both ends' kept cuts by its
-        weight and leaves the others; any other deletion empties the map.
+        A kept cut whose stored side the edge crosses stays, its value
+        lowered by the edge's weight: every isolating cut loses at most
+        that weight, so the minimum ones are now exactly the old minimum
+        ones that cross the edge, and the stored side, which holds all of
+        those, is still the largest. An edge between two terminals crosses
+        only its ends' cuts and lies outside every other terminal's, whose
+        cuts it leaves as they are. Any other cut is dropped. ``u`` and
+        ``v`` are live, so the stored side answers for them without
+        ``find``, as in :meth:`contract_set`.
         """
         cuts = self.kept_cuts()
         w = self.graph.delete_edge(u, v)
         self.deleted_weight += w
-        if u in self.block_of and v in self.block_of:
-            for t in (u, v):
-                res = cuts.get(t)
-                if res is not None:  # a FlowResult: flow imports graph, not the reverse
-                    cuts[t] = type(res)(res.value - w, res.source_side)
-        else:
-            cuts.clear()
+        between_terminals = u in self.block_of and v in self.block_of
+        if not between_terminals:
+            self.loose_weight += w
+        for t, res in list(cuts.items()):
+            side = res.source_side
+            if (u in side) != (v in side):
+                # a FlowResult: flow imports graph, not the reverse
+                cuts[t] = type(res)(res.value - w, side)
+            elif not between_terminals:
+                del cuts[t]
         self._cuts_version = self.graph.version()
         return w
 

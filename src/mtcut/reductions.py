@@ -781,7 +781,8 @@ def _cleanup(p: Problem, report: ReductionReport) -> None:
 
 def run_reduction_loop(p: Problem, bound_state: BoundState | None = None,
                        config=None, deadline: float | None = None,
-                       order: Sequence[str] = DEFAULT_ORDER) -> ReductionReport:
+                       order: Sequence[str] = DEFAULT_ORDER,
+                       stop_when_dominated: bool = False) -> ReductionReport:
     """Apply the rules named in ``order`` in passes until none of them fires.
 
     ``order`` defaults to all nine rules, which the solver's root and
@@ -797,7 +798,21 @@ def run_reduction_loop(p: Problem, bound_state: BoundState | None = None,
     change nothing again. The incumbent is part of that state because
     ``reduce_connectivity`` reads it, and the isolating-cut heuristic can
     lower it without changing the graph. ``report.fixpoint`` is set only by
-    a pass that changed nothing and that the deadline did not cut short.
+    a pass that changed nothing and that neither the deadline nor the stop
+    below cut short.
+
+    With ``stop_when_dominated``, which the solver passes below the root,
+    the loop stops after the first rule call that leaves
+    ``max(p.lower_bound, p.deleted_weight) - p.loose_weight`` at or above
+    the incumbent, unless that call solved the problem. The solver then
+    discards the node, as it would have after a full loop. What the node
+    could still offer, the isolating-cut heuristic's labels or a solved
+    leaf, scores at least that much on the original graph, and the
+    incumbent takes only strictly better values, so no result changes.
+    ``p.loose_weight`` is subtracted because such labels may leave uncut an
+    edge deleted between a terminal and a non-terminal, and so score below
+    the node's own bound. The root and ``mtcut kernelize`` reduce to the
+    fixpoint.
 
     Terminals isolated along the way are deactivated; once at most one
     active terminal remains the subproblem is solved and its value is the
@@ -816,6 +831,10 @@ def run_reduction_loop(p: Problem, bound_state: BoundState | None = None,
 
     def state() -> tuple:
         return p.graph.version(), best_value()
+
+    def dominated() -> bool:
+        return (stop_when_dominated
+                and max(p.lower_bound, p.deleted_weight) - p.loose_weight >= best_value())
 
     rules: dict[str, Callable[[], tuple[int, int]]] = {
         "inter_terminal": lambda: delete_inter_terminal_edges(p),
@@ -843,17 +862,19 @@ def run_reduction_loop(p: Problem, bound_state: BoundState | None = None,
             nc, nd = rules[name]()
             report.contracted[name] += nc
             report.deleted[name] += nd
-            if nc + nd == 0:
+            if nc + nd == 0:  # an unchanged graph gives _cleanup nothing to do
                 idle[name] = state()
-                continue  # an unchanged graph gives _cleanup nothing to do
-            changed += nc + nd
-            _cleanup(p, report)
-            if p.is_solved():
+            else:
+                changed += nc + nd
+                _cleanup(p, report)
+                if p.is_solved():
+                    break
+            if dominated():
                 break
-        else:  # every rule ran or was idle, none cut short by the deadline
+        else:  # every rule ran or was idle, none cut short
             report.fixpoint = changed == 0
         report.passes += 1
-        if p.is_solved() or changed == 0:
+        if p.is_solved() or changed == 0 or dominated():
             break
 
     report.solved = p.is_solved()

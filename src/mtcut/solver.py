@@ -12,7 +12,12 @@ the low-degree and heavy-edge contractions act around the branch vertex,
 and the connectivity certificate reads an incumbent that falls during the
 search. The heavy triangles, articulation points, equal neighborhoods and
 non-terminal flows run at the root only: below it they hardly ever fire,
-and each call scans the whole kernel. Every incumbent is scored on the
+and each call scans the whole kernel. A node below the root stops reducing
+as soon as its bound, less the weight it deleted between a terminal and a
+non-terminal, meets the incumbent: it will be discarded, and nothing it
+could still offer scores below that (see
+:func:`~mtcut.reductions.run_reduction_loop`). The root reduces to its
+fixpoint, whose kernel the result reports. Every incumbent is scored on the
 original graph before it is offered. A solved leaf or an ILP solution that
 improves the incumbent is then polished by local search; the trivial start
 and the isolating-cut heuristic are not. The search runs in the calling
@@ -158,7 +163,8 @@ def _child(p: Problem, x: int, cut: Sequence[int], join: int | None = None) -> P
     """Branch child: merge x into ``join``, then delete the edges from x to ``cut``.
 
     The merge comes first so that, with a ``join``, each deletion is between
-    two terminals and keeps the other terminals' isolating cuts. ``p`` is at
+    two terminals: it keeps the other terminals' isolating cuts and adds no
+    loose weight. ``p`` is at
     a fixpoint, so ``join`` has no edge to a terminal of ``cut``, and the
     child's graph and deleted weight are those of deleting first.
     """
@@ -302,7 +308,8 @@ class _Search:
     def process(self, p: Problem, is_root: bool) -> list[Problem]:
         cfg = self.config
         order = DEFAULT_ORDER if is_root else NODE_ORDER
-        report = run_reduction_loop(p, self.bound, cfg, self.deadline, order)
+        report = run_reduction_loop(p, self.bound, cfg, self.deadline, order,
+                                    stop_when_dominated=not is_root)
         if is_root:
             self.root_kernel = (report.vertices_after, report.edges_after)
         if report.solved:

@@ -14,7 +14,8 @@ import random
 
 import numpy as np
 
-from mtcut import BoundState, ContractableGraph, FlowResult, GraphError, Problem, ReductionReport
+from mtcut import (BoundState, ContractableGraph, FlowResult, GraphError, Problem, ReductionReport,
+                   SolverConfig)
 from mtcut.flow import FlowNetwork, max_flow_st
 from mtcut.localsearch import GainTable
 import mtcut.reductions
@@ -29,6 +30,12 @@ FIXTURES = {
     "F4": (5, [(0, 1, 1), (1, 2, 1), (1, 3, 1), (3, 4, 1), (4, 1, 1)], (0, 2), 1),
     "F5": (4, [(0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 3, 1)], (0, 1), 2),
 }
+
+
+# the four search modes the cross-checks solve every instance in
+SOLVER_MODES = [SolverConfig(), SolverConfig(branch_rule="edge"),
+                SolverConfig(mode="inexact", delta=0.5, beta=2),
+                SolverConfig(mode="inexact", branch_rule="edge")]
 
 
 def fixture_graph(name: str) -> ContractableGraph:

@@ -413,6 +413,56 @@ class TestFlowNetwork:
         comp = net.component(live[0])
         assert comp.vertices != list(range(len(comp.vertices)))
 
+    @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
+    def test_bfs_build_matches_networks_rebuilt_from_the_edges(self):
+        # the BFS fills arcs() in one pass and arrays() is derived from it;
+        # both must equal networks rebuilt from g.edges() in the
+        # component's numbering, on contracted and disconnected graphs
+        from scipy.sparse import csr_matrix
+
+        rng = random.Random(27)
+        checked = 0
+        for _ in range(30):
+            n = rng.randint(8, 60)
+            g = ContractableGraph.from_edge_list(n, random_nm_edges(rng, n, rng.randint(n - 1, 3 * n)))
+            for _ in range(rng.randint(0, n // 3)):
+                u = rng.choice(list(g.live_vertices()))
+                if g.neighbors(u):
+                    g.contract_vertices([u, rng.choice(list(g.neighbors(u)))], u)
+            for _ in range(rng.randint(0, n // 4)):
+                edges = list(g.edges())
+                if edges:
+                    g.delete_edge(*rng.choice(edges)[:2])
+            net = FlowNetwork(g)
+            for s in g.live_vertices():
+                comp = net.component(s)
+                index = comp.index
+                size = len(comp.vertices)
+                res = [{} for _ in range(size)]
+                masks = [0] * size
+                dense = np.zeros((size, size), dtype=np.int64)
+                total = 0
+                for u, v, w in g.edges():
+                    if u not in index:
+                        continue
+                    a, b = index[u], index[v]
+                    res[a][b] = res[b][a] = w
+                    masks[a] |= 1 << b
+                    masks[b] |= 1 << a
+                    dense[a, b] = dense[b, a] = w
+                    total += w
+                assert comp.arcs() == (res, masks)
+                assert comp.inf == total + 1
+                indptr, indices, caps = comp.arrays()
+                assert indptr.dtype == indices.dtype == caps.dtype == np.int32
+                want = csr_matrix(dense)
+                want.sort_indices()
+                assert indptr.tolist() == want.indptr.tolist()
+                assert indices.tolist() == want.indices.tolist()
+                assert caps.tolist() == want.data.tolist()
+                checked += 1
+        assert checked >= 300
+
     def test_changed_graph_is_refused(self):
         g = fixture_graph("F3")
         net = FlowNetwork(g)
@@ -486,7 +536,7 @@ class TestArrayView:
         g = ContractableGraph.from_edge_list(
             n, [(v, v + 1, 10**400 if v == 7 else 1) for v in range(n - 1)] + [(0, n - 1, 1)])
         assert np.isinf(g.array_view().matrix.data).all()
-        assert FlowNetwork(g).component(0).tails is not None  # built by BFS
+        assert FlowNetwork(g).component(0).arcs() is not None  # built by BFS
         r = max_flow_st(g, 0, {n // 2})
         assert r.value == 2 and r.source_side == frozenset(range(n)) - {n // 2}
 
@@ -521,7 +571,7 @@ class TestArrayView:
             for s, _ in flows:
                 comp = net.component(s)
                 from_bfs = len(comp.vertices) < n or s in heavy
-                assert (comp.tails is not None) == from_bfs
+                assert (comp.arcs() is not None) == from_bfs
                 views += not from_bfs
             monkeypatch.setattr(mtcut.flow, "large_view", lambda g: None)
             net = FlowNetwork(g)

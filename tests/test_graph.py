@@ -176,6 +176,18 @@ class TestDeletion:
         assert p.deleted_weight == 7
         assert p.graph.num_edges == 0
 
+    def test_loose_weight_counts_deletions_not_between_two_terminals(self):
+        # F3 (center 0, terminals 1, 2, 3): 0-2 has a non-terminal end, and
+        # 1-2 joins two terminals once the center is merged into 1
+        p = fixture_problem("F3")
+        p.delete_edge(0, 2)
+        assert (p.deleted_weight, p.loose_weight) == (1, 1)
+        c = p.copy()
+        c.contract_set((0,), 1)
+        c.delete_edge(1, 3)
+        assert (c.deleted_weight, c.loose_weight) == (2, 1)
+        assert (p.deleted_weight, p.loose_weight) == (1, 1)
+
     def test_delete_missing(self):
         g = fixture_graph("F1")
         with pytest.raises(EdgeNotFound):
@@ -223,6 +235,19 @@ def star_with_kept_cuts() -> Problem:
     return p
 
 
+def path_with_kept_cuts(extra=()) -> Problem:
+    """Terminals 0, 1, 2 on the path 0-3-4 (weights 4) with 4-1 and 4-2
+    (weights 1), plus ``extra`` edges, with every terminal's isolating cut
+    kept; without extras the sides are {0, 3, 4}, {1} and {2}."""
+    edges = [(0, 3, 4), (3, 4, 4), (4, 1, 1), (4, 2, 1), *extra]
+    p = Problem.from_instance(ContractableGraph.from_edge_list(5, edges), (0, 1, 2))
+    cuts = p.kept_cuts()
+    for t in p.active_terminals():
+        cuts[t] = fresh_isolating_cut(p, t)
+    assert set(cuts[0].source_side) == {0, 3, 4}
+    return p
+
+
 class TestKeptCuts:
     def test_contraction_keeps_the_sides_it_does_not_split(self):
         p = star_with_kept_cuts()
@@ -246,18 +271,53 @@ class TestKeptCuts:
         assert cuts[3] is before[3]
         assert stale_kept_cuts(p) == []
 
-    def test_other_deletion_empties_the_map(self):
+    def test_other_deletion_keeps_the_cuts_it_crosses(self):
+        # 0-2 crosses {0, 1} and {2}, which lose its weight; {3} holds
+        # neither end, so 3's cut could have fallen and is dropped
         p = star_with_kept_cuts()
         p.delete_edge(0, 2)
-        assert p.kept_cuts() == {}
+        assert {t: (r.value, set(r.source_side)) for t, r in p.kept_cuts().items()} == \
+            {1: (1, {0, 1}), 2: (0, {2})}
+        assert stale_kept_cuts(p) == []
 
     def test_copy_shares_the_entries_not_the_map(self):
         p = star_with_kept_cuts()
         c = p.copy()
         assert c.kept_cuts() is not p.kept_cuts()
         assert all(c.kept_cuts()[t] is r for t, r in p.kept_cuts().items())
+        before = dict(p.kept_cuts())
         c.delete_edge(0, 2)
-        assert c.kept_cuts() == {} and len(p.kept_cuts()) == 3
+        assert {t: (r.value, set(r.source_side)) for t, r in c.kept_cuts().items()} == \
+            {1: (1, {0, 1}), 2: (0, {2})}
+        assert p.kept_cuts() == before and len(before) == 3
+
+    def test_deletion_crossing_a_larger_side(self):
+        # 0's side {0, 3, 4} (value 2) holds the non-terminal end of 4-1,
+        # 1's side {1} its terminal end: both stay, lowered by 1; 4-1 has
+        # no end in 2's side {2}, which is dropped
+        p = path_with_kept_cuts()
+        p.delete_edge(4, 1)
+        assert {t: (r.value, set(r.source_side)) for t, r in p.kept_cuts().items()} == \
+            {0: (1, {0, 3, 4}), 1: (0, {1})}
+        assert stale_kept_cuts(p) == []
+
+    def test_deletion_inside_a_side_crosses_none(self):
+        # 3-4 lies inside 0's side and outside the others: no cut is kept
+        p = path_with_kept_cuts()
+        p.delete_edge(3, 4)
+        assert p.kept_cuts() == {}
+        assert stale_kept_cuts(p) == []
+
+    def test_deletion_between_two_other_terminals(self):
+        # 1-2 lowers 1's and 2's cuts by 3 and leaves 0's entry as it is
+        p = path_with_kept_cuts(extra=[(1, 2, 3)])
+        before = dict(p.kept_cuts())
+        p.delete_edge(1, 2)
+        cuts = p.kept_cuts()
+        assert cuts[0] is before[0]
+        assert {t: (cuts[t].value, set(cuts[t].source_side)) for t in (1, 2)} == \
+            {1: (1, {1}), 2: (1, {2})}
+        assert stale_kept_cuts(p) == []
 
     def test_mutation_behind_the_problem_empties_the_map(self):
         for mutate in (lambda g: g.contract_vertices([0], 1), lambda g: g.delete_edge(0, 1)):

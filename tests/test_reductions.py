@@ -6,6 +6,7 @@ from collections import Counter
 from helpers import (
     FIXTURES,
     RULE_FUNCTIONS,
+    SOLVER_MODES,
     adjacency_and_find,
     brute_force_opt,
     check_consistency,
@@ -53,12 +54,6 @@ from mtcut.reductions import (
     reduce_low_degree,
     reduce_non_terminal_flows,
 )
-
-
-# the four search modes the cross-checks solve every instance in
-SOLVER_MODES = [SolverConfig(), SolverConfig(branch_rule="edge"),
-                SolverConfig(mode="inexact", delta=0.5, beta=2),
-                SolverConfig(mode="inexact", branch_rule="edge")]
 
 
 def make_problem(n, edges, terminals):
@@ -156,6 +151,32 @@ class TestKeptCuts:
                 solve(g, terminals, config)
         assert checked >= 1000 and kept >= 1000
 
+    def test_kept_cuts_equal_fresh_flows_after_every_deletion(self, monkeypatch):
+        # every guarded deletion, by the inter-terminal rule, a branch or
+        # inexact mode's shrinking, leaves only cuts a fresh flow confirms;
+        # many survive deletions that are not between two terminals
+        real = Problem.delete_edge
+        deletions = loose = kept_through_loose = 0
+
+        def checking(p, u, v):
+            nonlocal deletions, loose, kept_through_loose
+            w = real(p, u, v)
+            deletions += 1
+            if not (u in p.block_of and v in p.block_of):
+                loose += 1
+                kept_through_loose += len(p.kept_cuts())
+            assert stale_kept_cuts(p) == []
+            return w
+
+        monkeypatch.setattr(Problem, "delete_edge", checking)
+        rng = random.Random(59)
+        for _ in range(200):
+            n, edges, terminals = random_instance(rng, n_min=6, n_max=16, m_max=40)
+            g = ContractableGraph.from_edge_list(n, edges)
+            for config in SOLVER_MODES:
+                solve(g, terminals, config)
+        assert deletions >= 7000 and loose >= 1500 and kept_through_loose >= 1000
+
     def test_repeated_call_builds_no_flow_network(self, monkeypatch):
         networks = count_calls(monkeypatch, "FlowNetwork")
         # F3's first call absorbs the center into terminal 1, inside its side
@@ -205,13 +226,18 @@ class TestKeptCuts:
             x = select_branch_vertex(p)
             for c in branch_vertex(p, x, math.inf):
                 joined = c.graph.find(x) in c.block_of
+                kept = len(c.kept_cuts())
                 flows = count_calls(monkeypatch, "max_flow_st")
                 contract_isolating_cuts(c)
                 if joined:
                     assert len(flows) == 1 < c.active_count()
                     children += 1
-                else:  # the child that cuts x from every adjacent terminal
-                    assert len(flows) == c.active_count()
+                else:
+                    # the child that cuts x from every adjacent terminal:
+                    # each deletion drops the cuts it does not cross, so a
+                    # cut survives only when x had one adjacent terminal
+                    single = sum(p.graph.has_edge(x, r) for r in p.active_terminals()) == 1
+                    assert kept == single and len(flows) == c.active_count() - kept
                 monkeypatch.undo()
 
 
@@ -671,6 +697,33 @@ class TestReductionLoop:
             report = run_reduction_loop(p, BoundState())
             assert before - p.graph.num_vertices == total_contracted(report)
             assert report.solved or report.fixpoint
+
+
+class TestDominatedStop:
+    def test_loop_stops_once_the_bound_meets_the_incumbent(self):
+        # F3's isolating cuts absorb the center into terminal 1 and give
+        # lower bound 2; with an incumbent of 2 the loop stops there, before
+        # the inter-terminal deletions that would solve it
+        for stop in (True, False):
+            bound = BoundState()
+            bound.improve(2, [0, 0, 1, 2])
+            p = fixture_problem("F3")
+            report = run_reduction_loop(p, bound, order=NODE_ORDER, stop_when_dominated=stop)
+            assert p.lower_bound == 2 and p.graph.num_vertices == 3
+            assert (report.solved, report.fixpoint, report.passes) == \
+                ((False, False, 1) if stop else (True, False, 2))
+
+    def test_loose_deletion_keeps_the_loop_going(self):
+        # deleting 0-3 isolates terminal 3 and leaves loose weight 1: the
+        # bound 2 meets the incumbent, but a labeling lifted from the node
+        # may leave 0-3 uncut and score 1 below it, so the loop goes on
+        bound = BoundState()
+        bound.improve(2, [0, 0, 1, 2])
+        p = fixture_problem("F3")
+        p.delete_edge(0, 3)
+        assert (p.deleted_weight, p.loose_weight) == (1, 1)
+        report = run_reduction_loop(p, bound, order=NODE_ORDER, stop_when_dominated=True)
+        assert report.solved and p.deleted_weight == 2
 
 
 class TestPerRuleSafetySpot:

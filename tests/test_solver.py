@@ -5,6 +5,8 @@ import pytest
 
 from helpers import (
     FIXTURES,
+    RULE_FUNCTIONS,
+    SOLVER_MODES,
     brute_force_block_opt,
     brute_force_opt,
     fixture_problem,
@@ -14,6 +16,7 @@ from helpers import (
 )
 from mtcut import BoundState, ContractableGraph, Problem, cut_value, max_flow_st
 from mtcut.bench import generate_terminals, grow_terminal_blocks
+import mtcut.reductions
 import mtcut.solver
 from mtcut.reductions import DEFAULT_ORDER, run_reduction_loop
 from mtcut.solver import (
@@ -309,6 +312,127 @@ class TestSchedule:
             assert set(names) <= set(NODE_ORDER)
             full_first_pass += len(first_pass) == len(NODE_ORDER)
         assert full_first_pass >= 10
+
+
+def settled(p: Problem, bound: BoundState) -> bool:
+    """Whether nothing a node could still offer beats the incumbent: the
+    test below the root at which its reduction loop stops."""
+    return max(p.lower_bound, p.deleted_weight) - p.loose_weight >= bound.best_value
+
+
+def summary(r) -> tuple:
+    """Everything a solve returns but its clock readings."""
+    return (r.value, r.labels, r.optimal, r.nodes, [v for _, v in r.events],
+            r.root_kernel_vertices, r.root_kernel_edges)
+
+
+class TestDominatedStop:
+    def _spy_loops(self, monkeypatch) -> tuple[list, list]:
+        """Wrap the solver's reduction loop. Returns two lists: each call
+        appends (problem, bound, stop_when_dominated, report) to the first
+        when it ends, and the second holds the calls in progress."""
+        calls, running = [], []
+        real = mtcut.solver.run_reduction_loop
+
+        def loop(p, bound, config, deadline, order, stop_when_dominated=False):
+            running.append((p, bound, stop_when_dominated))
+            try:
+                report = real(p, bound, config, deadline, order,
+                              stop_when_dominated=stop_when_dominated)
+            finally:
+                running.pop()
+            calls.append((p, bound, stop_when_dominated, report))
+            return report
+
+        monkeypatch.setattr(mtcut.solver, "run_reduction_loop", loop)
+        return calls, running
+
+    def _spy_rules(self, monkeypatch, running) -> list:
+        """Wrap every rule; each call appends whether its loop stops when
+        dominated and whether its node was settled when the rule began."""
+        calls = []
+        for func in RULE_FUNCTIONS.values():
+            def spy(p, *args, _real=getattr(mtcut.reductions, func)):
+                if running:  # else called outside the solver
+                    q, bound, stop = running[-1]
+                    calls.append((stop, settled(q, bound)))
+                return _real(p, *args)
+            monkeypatch.setattr(mtcut.reductions, func, spy)
+        return calls
+
+    def test_child_calls_no_rule_once_settled(self, monkeypatch):
+        loops, running = self._spy_loops(monkeypatch)
+        rules = self._spy_rules(monkeypatch, running)
+        rng = random.Random(81)
+        for _ in range(100):
+            n, edges, terminals = random_instance(rng, n_min=8, n_max=16, m_max=44)
+            g = ContractableGraph.from_edge_list(n, edges)
+            for config in SOLVER_MODES:
+                solve(g, terminals, config)
+        assert (True, True) not in rules
+        children = [(p, bound, report) for p, bound, stop, report in loops if stop]
+        stopped = [r for p, bound, r in children
+                   if settled(p, bound) and not (r.solved or r.fixpoint)]
+        assert len(children) >= 1000 and len(stopped) >= 200
+
+    def test_stop_changes_no_result(self, monkeypatch):
+        # the same solves with the stop switched off: values, labels,
+        # optimality, node counts, events and root kernels all agree
+        real = mtcut.solver.run_reduction_loop
+
+        def full(*args, stop_when_dominated=False):
+            return real(*args)
+
+        rng = random.Random(83)
+        for _ in range(120):
+            n, edges, terminals = random_instance(rng, n_min=6, n_max=14, m_max=40)
+            g = ContractableGraph.from_edge_list(n, edges)
+            for config in SOLVER_MODES:
+                got = solve(g, terminals, config)
+                with monkeypatch.context() as m:
+                    m.setattr(mtcut.solver, "run_reduction_loop", full)
+                    assert summary(solve(g, terminals, config)) == summary(got)
+
+    def test_loose_weight_keeps_a_lucky_leaf(self, monkeypatch):
+        # inexact edge branching: a node whose bound meets the incumbent 71
+        # reaches a leaf scoring 70 on the original graph, because an edge
+        # its ancestors deleted between a terminal and a non-terminal ends
+        # up uncut. A stop that ignored the loose weight would miss it.
+        edges = [(0, 1, 7), (0, 2, 9), (0, 4, 2), (0, 7, 3), (0, 8, 8), (0, 11, 5), (1, 2, 7),
+                 (1, 4, 5), (1, 5, 6), (1, 7, 4), (1, 11, 8), (2, 3, 9), (2, 6, 6), (3, 5, 8),
+                 (3, 10, 6), (4, 6, 3), (4, 9, 5), (5, 7, 8), (5, 9, 8), (6, 8, 9), (6, 9, 5),
+                 (6, 10, 7), (8, 10, 8), (8, 11, 9), (10, 11, 4)]
+        g = ContractableGraph.from_edge_list(12, edges)
+        config = SolverConfig(mode="inexact", branch_rule="edge")
+        assert [v for _, v in solve(g, (1, 3, 7, 8), config).events] == [72, 71, 70]
+        real = Problem.delete_edge
+
+        def forgetting(p, u, v):
+            w = real(p, u, v)
+            p.loose_weight = 0
+            return w
+
+        monkeypatch.setattr(Problem, "delete_edge", forgetting)
+        assert solve(g, (1, 3, 7, 8), config).value == 71
+
+    def test_root_reduces_to_its_fixpoint_past_the_incumbent(self, monkeypatch):
+        # the root keeps reducing after its bound meets the incumbent, so
+        # its kernel is the one `mtcut kernelize` reports
+        loops, running = self._spy_loops(monkeypatch)
+        rules = self._spy_rules(monkeypatch, running)
+        rng = random.Random(85)
+        for _ in range(80):
+            n, edges, terminals = random_instance(rng, n_min=8, n_max=14, m_max=40)
+            g = ContractableGraph.from_edge_list(n, edges)
+            loops.clear()
+            res = solve_prepared(Problem.from_instance(g, terminals))
+            p, bound, stop, report = loops[0]  # the root's loop ends first
+            assert not stop and (report.solved or report.fixpoint)
+            kernel = Problem.from_instance(g, terminals)
+            run_reduction_loop(kernel, BoundState())
+            assert (res.root_kernel_vertices, res.root_kernel_edges) == \
+                (kernel.graph.num_vertices, kernel.graph.num_edges)
+        assert rules.count((False, True)) >= 200
 
 
 class TestBranchInvariant:
