@@ -162,10 +162,16 @@ class ContractableGraph:
         Built on first use and kept until the graph's :meth:`version`
         moves, so every caller on one graph version shares one build.
         """
-        view = self._view
-        if view is None or view.version != self.version():
+        view = self.built_view()
+        if view is None:
             view = self._view = ArrayView(self)
         return view
+
+    def built_view(self) -> "ArrayView | None":
+        """The array view of the current version if one is built, else None;
+        never builds one."""
+        view = self._view
+        return view if view is not None and view.version == self.version() else None
 
     def is_live(self, v: int) -> bool:
         return self._adj[v] is not None

@@ -30,12 +30,24 @@ read it, and whatever the scan would contract passes the gate, so a closed
 gate skips only scans that would contract nothing.
 
 On a graph with at least ``SCIPY_MIN_VERTICES`` live vertices, with scipy
-present, two rules read the graph's array view
+present, the rules read the graph's array view
 (:meth:`~mtcut.graph.ContractableGraph.array_view`), one build per graph
-version: the flows take their large components from it (see
-:mod:`mtcut.flow`), and ``reduce_articulation_points`` takes its DFS from
-scipy's ``depth_first_order`` on it. Both give the results of the
-dict-walking code they replace there, which smaller graphs keep.
+version, shared by every rule and flow until the graph changes:
+
+- the flows of ``contract_isolating_cuts`` and ``reduce_non_terminal_flows``
+  take their large components from it (see :mod:`mtcut.flow`);
+- ``reduce_articulation_points`` takes its DFS from scipy's
+  ``depth_first_order`` on it;
+- when the view's weights, each edge counted from both ends, sum below
+  2**53, so that every sum of them is exact in float64 (:class:`_ViewScan`):
+  the four gates above, the first queue of ``reduce_low_degree`` and the
+  ranking of ``reduce_non_terminal_flows``' sources, hop distances
+  included, are numpy passes over it. The low-degree queue and the
+  connectivity count read only a view already built for the current
+  version; the others build one if none is.
+
+Each gives the results of the dict-walking code it replaces there, which
+smaller graphs, and graphs with heavier weights, keep.
 """
 
 from __future__ import annotations
@@ -49,7 +61,7 @@ from typing import Callable, Iterator, Sequence
 
 try:
     import numpy as np
-    from scipy.sparse.csgraph import depth_first_order
+    from scipy.sparse.csgraph import depth_first_order, dijkstra
 except ImportError:  # pragma: no cover; large_view then returns None
     pass
 
@@ -200,6 +212,65 @@ def contract_isolating_cuts(p: Problem, bound_state: BoundState | None = None,
 
 
 # ---------------------------------------------------------------------------
+# scans on the array view
+
+
+class _ViewScan:
+    """What the root scans read off a large graph's array view.
+
+    Per view index: ``degree``, ``wdeg`` (the weighted degree) and ``free``
+    (not a terminal); ``rows`` lists the indices with a neighbor. Built only
+    when the view's weights, each edge counted from both ends, sum below
+    2**53: every partial sum is then exact, so ``wdeg`` and every sum of
+    its size are exact integers in float64.
+    """
+
+    __slots__ = ("view", "degree", "wdeg", "free", "rows")
+
+    def __init__(self, view: ArrayView, terminals):
+        self.view = view
+        self.degree = np.diff(view.matrix.indptr)
+        self.rows = np.flatnonzero(self.degree)
+        self.wdeg = self.per_row(np.add, view.matrix.data)
+        self.free = np.ones(len(view.ids), dtype=bool)
+        self.free[view.index[list(terminals)]] = False
+
+    def per_row(self, ufunc, values):
+        """``ufunc`` reduced over each row's entries of ``values`` (one per
+        stored matrix entry); 0 for a row with no neighbor."""
+        out = np.zeros(len(self.degree), dtype=values.dtype)
+        if len(self.rows):
+            out[self.rows] = ufunc.reduceat(values, self.view.matrix.indptr[self.rows])
+        return out
+
+
+def _view_scan(p: Problem, build: bool = True) -> _ViewScan | None:
+    """A :class:`_ViewScan` of ``p``'s graph when :func:`large_view` gives
+    a view whose weights sum exactly in float64, else None.
+
+    With ``build`` false it reads only a view already built for the graph's
+    current version. The low-degree seed and the connectivity count pass
+    that: their dict scans cost a fifth and an eighth of a view build, so a
+    build of their own pays only if later rules share it, and where a rule
+    changes the graph before then it is lost.
+    """
+    if not build and p.graph.built_view() is None:
+        return None
+    view = large_view(p.graph)
+    if view is None or not view.matrix.data.sum() < 2**53:
+        return None
+    return _ViewScan(view, p.block_of)
+
+
+def _repeats(keys) -> bool:
+    """Whether two columns of the integer array ``keys`` are equal."""
+    if keys.shape[1] < 2:
+        return False
+    ordered = keys[:, np.lexsort(keys)]
+    return bool(np.any(np.all(ordered[:, 1:] == ordered[:, :-1], axis=0)))
+
+
+# ---------------------------------------------------------------------------
 # local rules
 
 
@@ -227,11 +298,20 @@ def reduce_low_degree(p: Problem) -> tuple[int, int]:
     heavier incident edge is contracted (ties to the lower neighbor id):
     siding with the stronger neighbor is never worse than any other
     placement of the vertex.
+
+    The first queue holds such non-terminals in ascending id order. When
+    the graph's current version already has a view (see :func:`_view_scan`),
+    it is read off the view's degrees.
     """
     g = p.graph
     troots = p.block_of
-    queue = deque(v for v in g.live_vertices()
-                  if v not in troots and 1 <= g.degree(v) <= 2)
+    scan = _view_scan(p, build=False)
+    if scan is None:
+        queue = deque(v for v in g.live_vertices()
+                      if v not in troots and 1 <= g.degree(v) <= 2)
+    else:
+        seed = scan.free & (scan.degree >= 1) & (scan.degree <= 2)
+        queue = deque(scan.view.ids[seed].tolist())
     contracted = 0
     while queue:
         v = queue.popleft()
@@ -252,7 +332,12 @@ def reduce_low_degree(p: Problem) -> tuple[int, int]:
 
 def _heavy_edge_gate(p: Problem) -> bool:
     """Whether some non-terminal's heaviest edge is at least half its
-    weighted degree."""
+    weighted degree; on a graph with a :func:`_view_scan`, from the view's
+    row maxima."""
+    scan = _view_scan(p)
+    if scan is not None:
+        top = scan.per_row(np.maximum, scan.view.matrix.data)
+        return bool(np.any(scan.free & (scan.degree > 0) & (2 * top >= scan.wdeg)))
     g = p.graph
     troots = p.block_of
     for v in g.live_vertices():
@@ -304,7 +389,27 @@ def _triangle_end(g: ContractableGraph, v: int) -> bool:
 
 
 def _heavy_triangle_gate(p: Problem) -> bool:
-    """Whether two adjacent non-terminals pass :func:`_triangle_end`."""
+    """Whether two adjacent non-terminals pass :func:`_triangle_end`.
+
+    On a graph with a :func:`_view_scan`, ``top1`` is a row's maximum and
+    ``top2`` the maximum of the row with the first entry of ``top1`` set to
+    0, which is what :func:`_triangle_end` computes for a row of two or more
+    entries; then one pass over the matrix entries looks for an edge with
+    two passing ends.
+    """
+    scan = _view_scan(p)
+    if scan is not None:
+        matrix = scan.view.matrix
+        data = matrix.data
+        row_of = np.repeat(np.arange(len(scan.degree)), scan.degree)
+        top1 = scan.per_row(np.maximum, data)
+        at_top = np.flatnonzero(data == top1[row_of])
+        first = at_top[np.concatenate(([True], row_of[at_top[1:]] != row_of[at_top[:-1]]))]
+        rest = data.copy()
+        rest[first] = 0
+        top2 = scan.per_row(np.maximum, rest)
+        ends = scan.free & (scan.degree >= 2) & (2 * top1 + top2 >= scan.wdeg)
+        return bool(np.any(ends[row_of] & ends[matrix.indices]))
     g = p.graph
     troots = p.block_of
     ends = {v for v in g.live_vertices() if v not in troots and _triangle_end(g, v)}
@@ -376,9 +481,16 @@ def capforest_bounds(g: ContractableGraph) -> dict[tuple[int, int], int]:
 
 def _connectivity_gate(p: Problem, best_value: float) -> bool:
     """Whether two vertices' weighted degrees exceed the connectivity
-    threshold; never, for an infinite ``best_value``."""
-    g = p.graph
+    threshold; never, for an infinite ``best_value``, which it returns at
+    once. When the graph's current version already has a view (see
+    :func:`_view_scan`), it counts the view's weighted degrees."""
     threshold = best_value - p.deleted_weight
+    if threshold == math.inf:
+        return False
+    scan = _view_scan(p, build=False)
+    if scan is not None:
+        return int(np.count_nonzero(scan.wdeg > threshold)) >= 2
+    g = p.graph
     return _two_or_more(v for v in g.live_vertices() if g.weighted_degree(v) > threshold)
 
 
@@ -631,7 +743,17 @@ def _twin_gate(p: Problem, limit: int) -> bool:
     closed one. Equal id sets give equal keys, so vertices with no shared
     key have no shared id set; a shared key may also come from two distinct
     sets.
+
+    On a graph with a :func:`_view_scan` the keys are array columns: the
+    rows are sorted and the ids ascend with the index, so a row's first and
+    last entries give the minimum and maximum. An isolated vertex's open
+    key is all zeros and its closed key ``(0, v, v, v)``, so the keys match
+    exactly when the dict keys do. Equal keys are found by ``lexsort`` and a
+    compare of neighboring columns.
     """
+    scan = _view_scan(p)
+    if scan is not None:
+        return _twin_gate_on_view(scan, limit)
     g = p.graph
     troots = p.block_of
     neighbors = g.neighbors
@@ -653,6 +775,23 @@ def _twin_gate(p: Problem, limit: int) -> bool:
         open_keys.add(key)
         closed_keys.add(closed)
     return False
+
+
+def _twin_gate_on_view(scan: _ViewScan, limit: int) -> bool:
+    """:func:`_twin_gate` on the view."""
+    view = scan.view
+    ids, indices, indptr = view.ids, view.matrix.indices, view.matrix.indptr
+    cand = np.flatnonzero(scan.free & (scan.degree <= limit))
+    d = scan.degree[cand]
+    v = ids[cand]
+    total = scan.per_row(np.add, ids[indices])[cand]
+    has = np.flatnonzero(d)
+    lo, hi = v.copy(), v.copy()
+    lo[has] = ids[indices[indptr[cand[has]]]]
+    hi[has] = ids[indices[indptr[cand[has] + 1] - 1]]
+    open_keys = np.stack((d, np.where(d > 0, lo, 0), np.where(d > 0, hi, 0), total))
+    closed_keys = np.stack((d, np.minimum(lo, v), np.maximum(hi, v), total + v))
+    return _repeats(open_keys) or _repeats(closed_keys)
 
 
 def reduce_equal_neighborhoods(p: Problem, limit: int = NEIGHBORHOOD_LIMIT) -> tuple[int, int]:
@@ -711,7 +850,11 @@ def reduce_equal_neighborhoods(p: Problem, limit: int = NEIGHBORHOOD_LIMIT) -> t
 
 
 def hop_distances(g: ContractableGraph, sources: Sequence[int]) -> dict[int, int]:
-    """BFS hop distance from the nearest source to every vertex reached."""
+    """BFS hop distance from the nearest source to every vertex reached.
+
+    :func:`reduce_non_terminal_flows` calls it on graphs without a
+    :func:`_view_scan` only.
+    """
     dist = {s: 0 for s in sources}
     queue = deque(sorted(sources))
     while queue:
@@ -729,26 +872,58 @@ def reduce_non_terminal_flows(p: Problem, per_kind: int = FLOW_CANDIDATES,
     """Contract isolating-cut source sides of promising non-terminals.
 
     Runs one flow per candidate: the highest weighted-degree non-terminal
-    vertices plus the ones farthest (hop distance) from every terminal.
-    The flow problems are independent and run on one snapshot of the graph;
-    their source sides are applied in sequence after the last flow. Flows
-    stop at the deadline; the sides already computed are still contracted.
+    vertices plus the ones farthest (hop distance) from every active
+    terminal, each ranked with ties to the lower id; a vertex no terminal
+    reaches ranks as if at distance ``n_original + 1``. The flow problems
+    are independent and run on one snapshot of the graph; their source
+    sides are applied in sequence after the last flow. Flows stop at the
+    deadline; the sides already computed are still contracted.
+
+    On a graph with a :func:`_view_scan` both rankings are stable sorts of
+    the view's arrays, and the hop distances come from one scipy search
+    from a virtual root over the active terminals
+    (:meth:`~mtcut.graph.ArrayView.rooted`).
     """
     g = p.graph
-    troots = p.block_of
     actives = p.active_terminals()
     if not actives:
         return 0, 0
+    scan = _view_scan(p)
+    candidates = (_flow_candidates(p, actives, per_kind) if scan is None
+                  else _flow_candidates_on_view(scan, actives, per_kind))
+    if not candidates:
+        return 0, 0
+    flows = _flows(g, candidates, actives, deadline)
+    return _contract_source_sides(p, candidates, flows), 0
+
+
+def _flow_candidates(p: Problem, actives: list[int], per_kind: int) -> list[int]:
+    """:func:`reduce_non_terminal_flows`' sources, ascending."""
+    g = p.graph
+    troots = p.block_of
     nonterms = [v for v in g.live_vertices() if v not in troots]
     if not nonterms:
-        return 0, 0
+        return []
     by_degree = sorted(nonterms, key=lambda v: (-g.weighted_degree(v), v))[:per_kind]
     dist = hop_distances(g, actives)
     unreachable = g.n_original + 1
     by_distance = sorted(nonterms, key=lambda v: (-dist.get(v, unreachable), v))[:per_kind]
-    candidates = sorted(set(by_degree) | set(by_distance))
-    flows = _flows(g, candidates, actives, deadline)
-    return _contract_source_sides(p, candidates, flows), 0
+    return sorted(set(by_degree) | set(by_distance))
+
+
+def _flow_candidates_on_view(scan: _ViewScan, actives: list[int], per_kind: int) -> list[int]:
+    """:func:`_flow_candidates` on the view."""
+    view = scan.view
+    nonterms = np.flatnonzero(scan.free)
+    if not len(nonterms):
+        return []
+    n = len(view.ids)
+    roots = np.sort(view.index[actives])
+    hops = dijkstra(view.rooted(roots), directed=True, indices=n, unweighted=True)[:n] - 1
+    hops[np.isinf(hops)] = len(view.index) + 1  # n_original + 1, as in _flow_candidates
+    by_degree = nonterms[np.argsort(-scan.wdeg[nonterms], kind="stable")[:per_kind]]
+    by_distance = nonterms[np.argsort(-hops[nonterms], kind="stable")[:per_kind]]
+    return view.ids[np.union1d(by_degree, by_distance)].tolist()
 
 
 # ---------------------------------------------------------------------------

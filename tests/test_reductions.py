@@ -34,8 +34,10 @@ from mtcut import (
     solve,
 )
 import mtcut.flow
+import mtcut.graph
 import mtcut.reductions
-from mtcut.flow import SCIPY_MIN_VERTICES
+from mtcut.bench import generate_terminals, grow_terminal_blocks
+from mtcut.flow import SCIPY_MIN_VERTICES, large_view
 from mtcut.solver import NODE_ORDER, branch_vertex, select_branch_vertex
 from mtcut.reductions import (
     DEFAULT_ORDER,
@@ -408,6 +410,17 @@ class TestConnectivityReduction:
         p = fixture_problem("F1")
         assert reduce_connectivity(p, math.inf) == (0, 0)
 
+    def test_infinite_best_reads_no_vertex(self, monkeypatch):
+        # the gate returns at once, on a small graph and on a large one
+        reads = []
+        real = ContractableGraph.live_vertices
+        monkeypatch.setattr(ContractableGraph, "live_vertices",
+                            lambda g: reads.append(g) or real(g))
+        views = count_calls(monkeypatch, "large_view")
+        for p in (fixture_problem("F1"), Problem.from_instance(torus_graph(25, 20), (0, 260))):
+            assert reduce_connectivity(p, math.inf) == (0, 0)
+        assert reads == [] and views == []
+
     def test_zero_bound_edges_stay(self):
         p = fixture_problem("F2")
         assert reduce_connectivity(p, best_value=1) == (0, 0)
@@ -475,6 +488,234 @@ class TestDegreeGates:
         assert reduce_heavy_edge(p) == (0, 0)
         assert reduce_connectivity(p, best_value=3) == (0, 0)
         assert reduce_heavy_triangle(p) == (1, 0)  # 1 + 2*1 >= 3 at both 3 and 4
+
+
+def sparse_edges(rng, n, extra, w_max, first=0):
+    """A random tree on ``first .. first + n - 1`` plus ``extra`` more edges."""
+    edges = {}
+    for v in range(1, n):
+        edges[(first + rng.randrange(v), first + v)] = rng.randint(1, w_max)
+    while extra > 0:
+        u, v = sorted(rng.sample(range(first, first + n), 2))
+        if (u, v) not in edges:
+            edges[(u, v)] = rng.randint(1, w_max)
+            extra -= 1
+    return [(u, v, w) for (u, v), w in edges.items()]
+
+
+def plant_twins(rng, n, edges, w_max):
+    """Add two non-adjacent twins and two adjacent ones, as vertices n to
+    n + 3, to ``edges`` on vertices below n."""
+    for twins, adjacent in (((n, n + 1), False), ((n + 2, n + 3), True)):
+        shared = [(x, rng.randint(1, w_max)) for x in rng.sample(range(n), rng.randint(1, 3))]
+        edges += [(x, t, w) for t in twins for x, w in shared]
+        if adjacent:
+            edges.append((*twins, rng.randint(1, w_max)))
+    return n + 4, edges
+
+
+def disconnected_problem(rng):
+    """Two random unit-weight components of equal size; every terminal
+    lies in the first."""
+    half = SCIPY_MIN_VERTICES // 2 + 10
+    edges = sparse_edges(rng, half, 60, 1) + sparse_edges(rng, half, 60, 1, first=half)
+    g = ContractableGraph.from_edge_list(2 * half, edges)
+    return Problem.from_instance(g, rng.sample(range(half), 3))
+
+
+def view_scan_problems():
+    """Problems on graphs with at least SCIPY_MIN_VERTICES live vertices:
+    tori, with unit weights, with weights 5 or 6 and with grown blocks; a
+    unit circular ladder; random graphs with m = n + 50 and unit weights,
+    with m = 3n and weights up to 9, and with planted twins; isolated
+    non-terminals; a contracted graph with tombstones; a disconnected graph
+    whose terminals lie in one component; and an isolated, so inactive,
+    terminal."""
+    rng = random.Random(41)
+    problems = []
+    for width, height in ((25, 20), (31, 23)):
+        g = torus_graph(width, height)
+        terminals = generate_terminals(g, 8, 0)
+        weighted = ContractableGraph.from_edge_list(
+            g.n_original, [(u, v, rng.randint(5, 6)) for u, v, _ in g.edges()])
+        problems += [Problem.from_instance(g, terminals), Problem.from_instance(weighted, terminals),
+                     grow_terminal_blocks(g, terminals, 0.1)]
+    problems = [p for p in problems if p.graph.num_vertices >= SCIPY_MIN_VERTICES]
+    n = SCIPY_MIN_VERTICES
+    # a unit circular ladder: every vertex has degree 3 and passes the
+    # triangle test's end condition only through its second heaviest edge
+    rungs = n // 2
+    ladder = [(i, (i + 1) % rungs, 1) for i in range(rungs)]
+    ladder += [(rungs + i, rungs + (i + 1) % rungs, 1) for i in range(rungs)]
+    ladder += [(i, rungs + i, 1) for i in range(rungs)]
+    problems.append(make_problem(n, ladder, (0, rungs // 2, rungs + 7)))
+    for extra, w_max in ((50, 1), (50, 1), (3 * n, 9), (2 * n, 2)):
+        edges = sparse_edges(rng, n, extra, w_max)
+        g = ContractableGraph.from_edge_list(n, edges)
+        problems.append(Problem.from_instance(g, rng.sample(range(n), rng.choice((2, 5, 16)))))
+    for extra, w_max in ((50, 1), (n, 2)):
+        m, edges = plant_twins(rng, n, sparse_edges(rng, n, extra, w_max), w_max)
+        isolated = 3  # vertices m to m + 2 have no edge
+        g = ContractableGraph.from_edge_list(m + isolated, edges)
+        problems.append(Problem.from_instance(g, rng.sample(range(n), 4)))
+    g = ContractableGraph.from_edge_list(n + 150, sparse_edges(rng, n + 150, n, 3))
+    while g.num_vertices > n + 20:
+        u = rng.choice(list(g.live_vertices()))
+        g.contract_vertices([u, *list(g.neighbors(u))[:2]], u)
+    problems.append(Problem.from_instance(g, rng.sample(sorted(g.live_vertices()), 6)))
+    problems.append(disconnected_problem(rng))
+    g = ContractableGraph.from_edge_list(n + 1, sparse_edges(rng, n, 100, 4))
+    p = Problem.from_instance(g, [n, *rng.sample(range(n), 3)])  # n is isolated
+    p.refresh_active()
+    assert p.active_terminals() != list(p.terminal_vertices)
+    problems.append(p)
+    return problems
+
+
+def scan_results(p, monkeypatch):
+    """What each of the six view scans gives on ``p``: the four gates, the
+    low-degree rule's kernel, and the non-terminal flows' sources."""
+    wdegs = sorted((p.graph.weighted_degree(v) for v in p.graph.live_vertices()), reverse=True)
+    bests = [p.deleted_weight + w + shift for w in wdegs[:3] for shift in (-1, 0)]
+    out = {
+        "heavy_edge": mtcut.reductions._heavy_edge_gate(p),
+        "heavy_triangle": mtcut.reductions._heavy_triangle_gate(p),
+        "connectivity": [mtcut.reductions._connectivity_gate(p, b) for b in bests],
+        "twins": [mtcut.reductions._twin_gate(p, limit) for limit in (0, 1, 2, 3, 5)],
+    }
+    q = p.copy()
+    q.graph.array_view()  # the seed reads only a view that is already built
+    out["low_degree"] = reduce_low_degree(q), adjacency_and_find(q.graph)
+    with monkeypatch.context() as m:
+        m.setattr(mtcut.reductions, "_flows", lambda g, sources, *_: [])
+        sources = []
+        for per_kind in (1, 5, 40):
+            q = p.copy()
+            m.setattr(mtcut.reductions, "_contract_source_sides",
+                      lambda p, candidates, flows: sources.append(candidates) or 0)
+            reduce_non_terminal_flows(q, per_kind)
+    out["candidates"] = sources
+    return out
+
+
+class TestScansOnView:
+    """Where the graph has an array view with exact weights, the four gates,
+    the low-degree seed and the non-terminal flows' ranking are array
+    passes; each must answer as the dict code does."""
+
+    def test_view_and_dict_scans_agree(self, monkeypatch):
+        opened, closed = Counter(), Counter()
+        for p in view_scan_problems():
+            assert mtcut.reductions._view_scan(p) is not None
+            got = scan_results(p, monkeypatch)
+            with monkeypatch.context() as m:
+                m.setattr(mtcut.reductions, "large_view", lambda g: None)
+                assert scan_results(p, monkeypatch) == got
+            for name in ("heavy_edge", "heavy_triangle"):
+                (opened if got[name] else closed)[name] += 1
+            for name in ("connectivity", "twins"):
+                opened[name] += sum(got[name])
+                closed[name] += len(got[name]) - sum(got[name])
+            opened["low_degree"] += got["low_degree"][0][0] > 0
+        assert opened["heavy_edge"] >= 5 and closed["heavy_edge"] >= 4
+        assert opened["heavy_triangle"] >= 6 and closed["heavy_triangle"] >= 5
+        assert opened["connectivity"] >= 20 and closed["connectivity"] >= 20
+        assert opened["twins"] >= 15 and closed["twins"] >= 30
+        assert opened["low_degree"] >= 5
+
+    def test_twin_keys_read_ids_and_the_vertex_itself(self, monkeypatch):
+        # a unit torus on ids 2 to 501, whose own keys are all distinct, and
+        # - either u = 0 and w = 1 with N(u) = {10, 11, 16, 20} and
+        #   N(w) = {10, 13, 14, 20}: distinct sets with equal id keys, which
+        #   open the gate, while their index sums differ once vertex 12 is
+        #   a tombstone;
+        # - or x = 0 and y = 1, adjacent, and z = 502 with N(x) = {1, 10, z}
+        #   and N(y) = {0, 11, z}: their closed keys differ only in the sum,
+        #   by one, and would be equal without x and y themselves added
+        torus = [(a + 2, b + 2, 1) for a, b, _ in torus_graph(25, 20).edges()]
+        cases = (
+            (502, [(0, a, 1) for a in (10, 11, 16, 20)] + [(1, a, 1) for a in (10, 13, 14, 20)],
+             [12, 13], True),
+            (503, [(0, 1, 1), (0, 10, 1), (1, 11, 1), (0, 502, 1), (1, 502, 1), (2, 502, 1)],
+             [], False),
+        )
+        for n, extra, merge, opens in cases:
+            g = ContractableGraph.from_edge_list(n, torus + extra)
+            if merge:
+                g.contract_vertices(merge, merge[-1])
+            p = Problem.from_instance(g, (2, 262))
+            assert mtcut.reductions._view_scan(p) is not None
+            assert mtcut.reductions._twin_gate(p, NEIGHBORHOOD_LIMIT) is opens
+            with monkeypatch.context() as m:
+                m.setattr(mtcut.reductions, "large_view", lambda g: None)
+                assert mtcut.reductions._twin_gate(p, NEIGHBORHOOD_LIMIT) is opens
+
+    def test_unreachable_vertices_rank_farthest(self, monkeypatch):
+        # every terminal lies in the first half, so the 5 farthest
+        # candidates are the second half's lowest ids, on both paths
+        p = disconnected_problem(random.Random(3))
+        half = p.graph.n_original // 2
+        calls = count_calls(monkeypatch, "_flows")
+        reduce_non_terminal_flows(p.copy(), deadline=time.monotonic() - 1)
+        monkeypatch.setattr(mtcut.reductions, "large_view", lambda g: None)
+        reduce_non_terminal_flows(p.copy(), deadline=time.monotonic() - 1)
+        on_view, on_dicts = (args[1] for args in calls)
+        assert on_view == on_dicts
+        assert set(range(half, half + 5)) <= set(on_view)
+
+    def test_weight_past_float_precision_takes_the_dict_path(self, monkeypatch):
+        rng = random.Random(5)
+        n = SCIPY_MIN_VERTICES
+        edges = sparse_edges(rng, n, 50, 1)
+        edges[0] = (*edges[0][:2], 2**60)
+        p = make_problem(n, edges, rng.sample(range(n), 4))
+        assert large_view(p.graph) is not None and mtcut.reductions._view_scan(p) is None
+        got = scan_results(p, monkeypatch)
+        with monkeypatch.context() as m:
+            m.setattr(mtcut.reductions, "large_view", lambda g: None)
+            assert scan_results(p, monkeypatch) == got
+
+    def test_reduction_loop_kernels_agree(self, monkeypatch):
+        for p in view_scan_problems():
+            kernels = []
+            for view in (True, False):
+                q = p.copy()
+                with monkeypatch.context() as m:
+                    if not view:
+                        m.setattr(mtcut.reductions, "large_view", lambda g: None)
+                    report = run_reduction_loop(q, BoundState())
+                kernels.append((report.to_dict(), adjacency_and_find(q.graph),
+                                q.deleted_weight, q.lower_bound, q.active))
+            assert kernels[0] == kernels[1]
+
+    def test_cheap_scans_build_no_view(self, monkeypatch):
+        # the low-degree seed and the connectivity count read a view only
+        # when the graph's current version has one
+        p = view_scan_problems()[0]
+        scans = count_calls(monkeypatch, "_ViewScan")
+        assert mtcut.reductions._connectivity_gate(p, 10**6) is False
+        reduce_low_degree(p)
+        assert p.graph.built_view() is None and scans == []
+        p.graph.array_view()
+        assert mtcut.reductions._connectivity_gate(p, 10**6) is False
+        reduce_low_degree(p)
+        assert len(scans) == 2
+
+    def test_torus_kernelize_builds_two_views(self, monkeypatch):
+        # the isolating cuts' flows read one view of the grown root; the
+        # scans after their contraction share a second
+        builds = []
+        real = mtcut.graph.ArrayView.__init__
+
+        def counting(self, g):
+            builds.append(g.version())
+            real(self, g)
+
+        g = torus_graph(100, 100)
+        p = grow_terminal_blocks(g, generate_terminals(g, 8, 0), 0.1)
+        monkeypatch.setattr(mtcut.graph.ArrayView, "__init__", counting)
+        report = run_reduction_loop(p, BoundState())
+        assert report.fixpoint and len(builds) == 2
 
 
 class TestArticulationPoints:
