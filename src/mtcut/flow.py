@@ -27,7 +27,12 @@ scipy's integer type.
 
 The pure-Python flow keeps its residual network in per-vertex dicts and
 neighbor bitmasks, and its levels are distances to the nearest sink, found
-by one backward search from all sinks at once. scipy needs a single sink,
+by one backward search from all sinks at once. Before its first level phase
+it pushes flow greedily along every residual path of at most three arcs
+from the source to a sink, the opening that max-flow codes for vision
+graphs use (Boykov and Kolmogorov, TPAMI 2004): most flows of a branch node
+end at the trivial cut {s}, and those short paths carry most of their flow.
+The phases then finish from that flow. scipy needs a single sink,
 so for it a super-sink is attached with unsaturable edges (capacity
 ``inf``, one more than the total edge weight, which no finite cut can
 reach); the int32 dispatch reads the same ``inf``. Each component keeps
@@ -39,7 +44,9 @@ whose capacities the kept matrix plus the flow matrix give directly.
 Both extract the same canonical source side: the complement, within the
 source's component, of the vertices that can still reach a sink in the
 residual network. That set is the unique largest source side among all
-minimum cuts, which is the side the contraction rules need.
+minimum cuts, which is the side the contraction rules need. It is the same
+for every maximum flow, as is the value, so neither depends on the flow a
+search starts from or on the paths it takes.
 """
 
 from __future__ import annotations
@@ -66,15 +73,16 @@ _INT32_MAX = 2**31 - 1
 # graphs with fewer live vertices build no array view. Per flow with 2-8
 # sinks, counting a fresh build (2-vCPU x86 host, scipy 1.17), the
 # pure-Python flow on its one-pass BFS build breaks even with scipy on a view
-# build near 400 vertices on random graphs with m = 3n and near 450-500 on
-# tori; at 1000 vertices its build (about 2 ms) still costs more than its
-# flow (about 1.3 ms). No benchmark graph lies between 35 and 8001 vertices,
-# so the value stays. On a network built once, as a rule's later flows find
-# it, the pure-Python flow is still faster at 1000 vertices. Terminal
-# placement (bench.generate_terminals, k = 5-8) runs its BFS on the view from
-# the same size on: counting the view build, that breaks even near 200-300
-# vertices on random m = 3n graphs and on tori, and is 4-5x slower than the
-# Python BFS on grown-exact's 35-vertex graphs (0.3 against 0.07 ms).
+# build near 400-450 vertices on random graphs with m = 3n and near 450-500
+# on tori, with the pre-flow as without it: with so few sinks it finds few
+# short paths. At 1000 vertices its build (about 1.8 ms) still costs more
+# than its flow (about 1.2 ms). No benchmark graph lies between 35 and 8001
+# vertices, so the value stays. On a network built once, as a rule's later
+# flows find it, the pure-Python flow is still faster at 1000 vertices.
+# Terminal placement (bench.generate_terminals, k = 5-8) runs its BFS on the
+# view from the same size on: counting the view build, that breaks even near
+# 200-300 vertices on random m = 3n graphs and on tori, and is 4-5x slower
+# than the Python BFS on grown-exact's 35-vertex graphs (0.3 against 0.07 ms).
 SCIPY_MIN_VERTICES = 500
 
 
@@ -287,14 +295,23 @@ def _dinic(comp: _Component, s: int, sinks: list[int]) -> tuple[int, list[int]]:
     """Blocking-flow max flow on bitmasks; returns (value, source-side indices).
 
     ``out[v]`` and ``inn[v]`` hold the vertices that ``v`` has a residual arc
-    to and from. Each phase numbers the vertices by their residual distance
-    to the nearest sink, one mask per distance, with a backward search from
-    all sinks at once; it stops at the source's distance. The depth-first
+    to and from. A pre-flow first visits each residual arc s→u in ascending
+    ``u``: it saturates an arc straight to a sink, and otherwise sends what
+    it can from ``u`` over its sink arcs, then over paths u→y→t with ``y``
+    neither a sink nor ``s``, every push read from and written back to the
+    residual dicts and masks. Any feasible flow is a valid start: the phases
+    augment it to a maximum flow, and every maximum flow has the same value
+    and leaves the same vertices able to reach a sink.
+
+    Each phase numbers the vertices by their residual distance to the
+    nearest sink, one mask per distance, with a backward search from all
+    sinks at once; it stops at the source's distance. The depth-first
     search then walks from the source down one distance per arc: from ``v``
     at distance ``d`` it takes the lowest bit of ``out[v] & levels[d - 1]``,
-    and it drops a dead end from its level's mask. When the search cannot reach the source, the vertices it
-    reached are exactly those that can still reach a sink. A path ends at
-    the first sink it meets, so no super-sink is attached.
+    and it drops a dead end from its level's mask. When the search cannot
+    reach the source, the vertices it reached are exactly those that can
+    still reach a sink. A path ends at the first sink it meets, so no
+    super-sink is attached.
     """
     res0, masks = comp.arcs()
     res = [r.copy() for r in res0]
@@ -305,7 +322,65 @@ def _dinic(comp: _Component, s: int, sinks: list[int]) -> tuple[int, list[int]]:
     for t in sinks:
         sink_mask |= 1 << t
 
+    def push(a, b, x):
+        # x units along the residual arc a→b
+        c = res[a][b] - x
+        res[a][b] = c
+        if not c:
+            out[a] ^= 1 << b
+            inn[b] ^= 1 << a
+        r = res[b][a]
+        if not r:
+            out[b] |= 1 << a
+            inn[a] |= 1 << b
+        res[b][a] = r + x
+
+    # pre-flow along s→t, s→u→t and s→u→y→t, t a sink
     flow = 0
+    row = res[s]
+    m = out[s]
+    while m:
+        low = m & -m
+        m ^= low
+        u = low.bit_length() - 1
+        c = row[u]
+        if low & sink_mask:
+            push(s, u, c)
+            flow += c
+            continue
+        ru = res[u]
+        sent = 0
+        ts = out[u] & sink_mask
+        while ts and c:
+            lt = ts & -ts
+            ts ^= lt
+            t = lt.bit_length() - 1
+            x = min(c, ru[t])
+            push(u, t, x)
+            sent += x
+            c -= x
+        ys = out[u] & ~(sink_mask | sbit)
+        while ys and c:
+            ly = ys & -ys
+            ys ^= ly
+            y = ly.bit_length() - 1
+            ry = res[y]
+            ts = out[y] & sink_mask
+            while ts and c:
+                lt = ts & -ts
+                ts ^= lt
+                t = lt.bit_length() - 1
+                x = min(c, ru[y], ry[t])
+                push(u, y, x)
+                push(y, t, x)
+                sent += x
+                c -= x
+                if not ru[y]:
+                    break
+        if sent:
+            push(s, u, sent)
+            flow += sent
+
     while True:
         # backward search: levels[d] holds the vertices at distance d
         levels = [sink_mask]

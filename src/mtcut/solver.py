@@ -63,6 +63,15 @@ def require_integers(obj, *names: str) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def require_numbers(obj, *names: str) -> None:
+    """Raise ValueError unless every named attribute of ``obj`` is an int or
+    a float (a bool is neither)."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass
 class SolverConfig:
     """All tunables of the solver.
@@ -92,8 +101,11 @@ class SolverConfig:
     ilp_command: str | None = None
 
     def __post_init__(self):
-        require_integers(self, "ilp_edge_limit", "beta", "seed", "neighborhood_limit",
-                         "flow_candidates")
+        require_integers(self, "thread_count", "ilp_edge_limit", "beta", "seed",
+                         "neighborhood_limit", "flow_candidates")
+        require_numbers(self, "ilp_timeout_seconds", "delta")
+        if self.time_limit is not None:
+            require_numbers(self, "time_limit")
         if not isinstance(self.local_search, bool):
             raise ValueError(f"local_search must be a bool, got {self.local_search!r}")
         if self.ilp_command is not None and not isinstance(self.ilp_command, str):

@@ -1,4 +1,5 @@
 import random
+import signal
 from types import SimpleNamespace
 
 import numpy as np
@@ -212,6 +213,89 @@ class TestAgainstEnumeration:
             r2 = max_flow_st(g2, perm[s], {perm[t] for t in sinks})
             assert r1.value == r2.value
             assert {perm[v] for v in r1.source_side} == set(r2.source_side)
+
+
+class TestPreflow:
+    """The pure-Python flow first pushes flow along the residual paths s→t,
+    s→u→t and s→u→y→t (t a sink), then its phases finish from that flow;
+    each case pins (value, largest source side) on both implementations."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        # masks that disagree with the residual dicts can make the phases
+        # loop forever: fail the test instead
+        def expire(signum, frame):
+            raise TimeoutError("the flow did not finish in 20 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 20)
+        yield
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @IMPLEMENTATIONS
+    def test_arc_straight_to_a_sink(self, impl):
+        # 0→1 is saturated at once, then 0→2→1 carries 1 of 0–2's 2
+        g = ContractableGraph.from_edge_list(3, [(0, 1, 3), (0, 2, 2), (2, 1, 1)])
+        assert run_implementation(impl, g, 0, {1}) == (4, {0, 2})
+
+    @IMPLEMENTATIONS
+    def test_sink_arcs_above_and_below_the_source_arc(self, impl):
+        # 1's sink arcs (3 + 4) exceed its source arc (2), 4's (1 + 1) fall
+        # short of its source arc (5); 2 more of 4's leave over 4→1 on
+        # three-arc paths
+        edges = [(0, 1, 2), (1, 2, 3), (1, 3, 4), (0, 4, 5), (4, 2, 1), (4, 3, 1), (1, 4, 2)]
+        g = ContractableGraph.from_edge_list(5, edges)
+        assert run_implementation(impl, g, 0, {2, 3}) == (6, {0, 4})
+
+    @IMPLEMENTATIONS
+    def test_neighbour_of_several_sinks(self, impl):
+        edges = [(0, 1, 6), (1, 2, 1), (1, 3, 2), (1, 4, 2), (0, 5, 1), (5, 4, 3)]
+        g = ContractableGraph.from_edge_list(6, edges)
+        assert run_implementation(impl, g, 0, {2, 3, 4}) == (6, {0, 1})
+
+    @IMPLEMENTATIONS
+    def test_three_arc_paths_sharing_a_middle_arc(self, impl):
+        # 0→1→2→3 takes 2 of 1–2's 3, so 0→1→2→4 may take only 1
+        edges = [(0, 1, 5), (1, 2, 3), (2, 3, 2), (2, 4, 2)]
+        g = ContractableGraph.from_edge_list(5, edges)
+        assert run_implementation(impl, g, 0, {3, 4}) == (3, {0, 1})
+
+    @IMPLEMENTATIONS
+    def test_phases_send_flow_back_over_a_preflow_arc(self, impl):
+        # the pre-flow sends 1 over 0→1→2→3; every maximum flow sends a net
+        # 1 from 2 to 1, so the phases need 2→1's residual 2: the pre-flow's
+        # 1 plus the edge's own weight
+        edges = [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 4, 2), (4, 2, 2), (1, 5, 2), (5, 6, 2)]
+        g = ContractableGraph.from_edge_list(7, edges)
+        assert run_implementation(impl, g, 0, {3, 6}) == (3, {0, 1, 2, 4, 5})
+
+    @IMPLEMENTATIONS
+    def test_settled_by_the_preflow_keeps_the_largest_side(self, impl):
+        # {0}, {0, 1} and {0, 1, 3} all cut 1; once 0→1→2 is saturated,
+        # 1 and 3 reach the sink only over that path
+        g = ContractableGraph.from_edge_list(4, [(0, 1, 1), (1, 2, 1), (1, 3, 1)])
+        assert run_implementation(impl, g, 0, {2}) == (1, {0, 1, 3})
+
+    @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
+    def test_dense_graphs_where_most_vertices_touch_a_sink(self):
+        rng = random.Random(28)
+        touching = others = 0
+        for _ in range(300):
+            n = rng.randint(4, 14)
+            edges = {(rng.randrange(v), v): rng.randint(1, 9) for v in range(1, n)}
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if rng.random() < 0.6:
+                        edges.setdefault((u, v), rng.randint(1, 9))
+            g = ContractableGraph.from_edge_list(n, [(u, v, w) for (u, v), w in edges.items()])
+            s, *sinks = rng.sample(range(n), rng.randint(2, max(2, n // 2)))
+            rest = [v for v in range(n) if v not in sinks]
+            touching += sum(any(t in g.neighbors(v) for t in sinks) for v in rest)
+            others += len(rest)
+            assert run_implementation(_dinic, g, s, sinks) == \
+                run_implementation(_scipy_flow, g, s, sinks)
+        assert touching >= 0.75 * others
 
 
 @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")

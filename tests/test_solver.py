@@ -72,6 +72,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [{"thread_count": True}, {"thread_count": 1.0},
+                                        {"thread_count": "1"}, {"time_limit": True},
+                                        {"time_limit": "5"}, {"ilp_timeout_seconds": True},
+                                        {"ilp_timeout_seconds": "5"}, {"delta": False},
+                                        {"delta": "0.1"}, {"delta": None}])
+    def test_rejects_bools_and_non_numbers(self, kwargs):
+        with pytest.raises(ValueError):
+            SolverConfig(**kwargs)
+
+    def test_accepts_ints_and_floats(self):
+        cfg = SolverConfig(time_limit=5, ilp_timeout_seconds=0, delta=0)
+        assert (cfg.time_limit, cfg.ilp_timeout_seconds, cfg.delta) == (5, 0, 0)
+        assert SolverConfig(time_limit=0.5, ilp_timeout_seconds=1.5, delta=0.25).time_limit == 0.5
+
 
 class TestSelectBranchVertex:
     def test_f3_center(self):
