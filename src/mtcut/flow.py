@@ -47,6 +47,14 @@ residual network. That set is the unique largest source side among all
 minimum cuts, which is the side the contraction rules need. It is the same
 for every maximum flow, as is the value, so neither depends on the flow a
 search starts from or on the paths it takes.
+
+Sources that share one sink set can share one flow. scipy's flow takes
+several sources through a super-source, and its largest source side C*
+holds the largest side of every one of them (:func:`source_regions`, by the
+submodularity of cuts). Each source's flow then runs on its connected part
+of C* alone, with the rest of the graph merged into one sink
+(:meth:`_Component.region`, :func:`region_flow`), or none runs when that
+part is the source itself; the value and side are the full flow's.
 """
 
 from __future__ import annotations
@@ -60,7 +68,7 @@ from .graph import ArrayView, ContractableGraph, GraphError
 try:
     import numpy as np
     from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import breadth_first_order
+    from scipy.sparse.csgraph import breadth_first_order, connected_components
     from scipy.sparse.csgraph import maximum_flow as _scipy_maximum_flow
 
     HAVE_SCIPY = True
@@ -121,7 +129,9 @@ class _Component:
     scipy's matrix (:meth:`arrays`) is derived from it on first use. A
     large component is taken from the graph's array view instead
     (:meth:`from_view`): its vertices are in ascending id order and it
-    holds only the scipy arrays, so it runs only scipy's flow.
+    holds only the scipy arrays, so it runs only scipy's flow. A region
+    (:meth:`region`) is a connected vertex set with the rest of the graph
+    merged into one sink, for the pure-Python flow only.
     """
 
     __slots__ = ("vertices", "index", "inf", "_arcs", "_arrays")
@@ -185,6 +195,61 @@ class _Component:
         comp.inf = int(total) // 2 + 1
         comp._arcs = None
         comp._arrays = (matrix.indptr, matrix.indices, matrix.data.astype(np.int32))
+        return comp
+
+    @classmethod
+    def region(cls, g: ContractableGraph, source: int, inside: set[int]) -> "_Component":
+        """The connected vertex set ``inside``, which holds ``source``, with
+        every vertex outside it merged into one sink, the last index.
+
+        Built as :meth:`__init__` builds a component, by one BFS from the
+        source that fills the pure-Python flow's residual network, except
+        that an arc leaving ``inside`` joins the arc of its tail to the
+        sink. A cut that keeps the sink out weighs what it weighs in the
+        graph, so the minimum cuts between the source and the sink are the
+        graph's minimum cuts between the source and everything outside
+        ``inside`` whose source side lies in it. Only the pure-Python flow
+        runs on it.
+        """
+        r = len(inside)
+        vertices = [source]
+        index = {source: 0}
+        res: list[dict[int, int]] = []
+        masks: list[int] = []
+        sink_row: dict[int, int] = {}
+        sink_mask = 0
+        iv = 0
+        while iv < len(vertices):
+            v = vertices[iv]
+            row = {}
+            mask = 0
+            away = 0
+            for x, w in g.neighbors(v).items():
+                if x in inside:
+                    ix = index.get(x)
+                    if ix is None:
+                        ix = index[x] = len(vertices)
+                        vertices.append(x)
+                    row[ix] = w
+                    mask |= 1 << ix
+                else:
+                    away += w
+            if away:
+                row[r] = sink_row[iv] = away
+                mask |= 1 << r
+                sink_mask |= 1 << iv
+            res.append(row)
+            masks.append(mask)
+            iv += 1
+        if iv != r:
+            raise GraphError("a region must be connected")
+        res.append(sink_row)
+        masks.append(sink_mask)
+        comp = cls.__new__(cls)
+        comp.vertices = vertices
+        comp.index = index
+        comp._arcs = (res, masks)
+        comp._arrays = None
         return comp
 
     def arcs(self) -> tuple[list[dict[int, int]], list[int]] | None:
@@ -284,10 +349,84 @@ def max_flow_st(g: ContractableGraph | FlowNetwork, source: int,
     sink_ids = sorted(index[t] for t in sink_set if t in index)
     if not sink_ids:
         return FlowResult(0, frozenset(comp.vertices))
-    use_scipy = (HAVE_SCIPY and len(comp.vertices) >= SCIPY_MIN_VERTICES
-                 and comp.inf <= _INT32_MAX)
-    flow = _scipy_flow if use_scipy else _dinic
+    flow = _scipy_flow if _runs_scipy(comp) else _dinic
     value, side = flow(comp, index[source], sink_ids)
+    return FlowResult(value, frozenset(map(comp.vertices.__getitem__, side)))
+
+
+def _runs_scipy(comp: _Component) -> bool:
+    """Whether flows on ``comp`` run scipy's implementation."""
+    return HAVE_SCIPY and len(comp.vertices) >= SCIPY_MIN_VERTICES and comp.inf <= _INT32_MAX
+
+
+def source_regions(net: FlowNetwork, sources: Sequence[int],
+                   sinks: Iterable[int]) -> dict[int, list[int]]:
+    """For sources, none of them a sink, a region around each that holds
+    the source side of every minimum cut between it and the sinks.
+
+    The sources are grouped by component. A component that runs scipy's
+    flow and holds two or more sources and a sink gets one flow, from a
+    super-source over its sources to the sinks (:func:`_scipy_flow`).
+    Its side C*, what cannot reach a sink, is the largest source side of
+    the minimum cuts between all those sources and the sinks, and source
+    ``v``'s region ``U_v`` is ``v``'s connected component of the subgraph
+    that C* induces. A source whose region has ``SCIPY_MIN_VERTICES``
+    vertices or more gets none, as do the sources of any other component:
+    a region that large would run the pure-Python flow, which costs more
+    there than the source's full flow on scipy.
+
+    Why ``U_v`` holds ``v``'s largest minimum side ``S_v``, and with it
+    every minimum side: ``S_v ∩ C*`` separates ``v`` from the sinks, and
+    ``S_v ∪ C*`` separates all the sources from them. The cut function is
+    submodular, ``f(S_v ∩ C*) + f(S_v ∪ C*) <= f(S_v) + f(C*)``, and
+    neither term on the left is below its minimum on the right, so
+    ``S_v ∪ C*`` is a minimum cut of the sources, and C* being the largest
+    gives ``S_v ⊆ C*``. ``S_v`` is connected, as a part away from ``v``
+    would have an edge leaving it, and dropping it would give a lighter
+    cut. This is the submodularity step of the isolating-cuts lemma (Li
+    and Panigrahi, FOCS 2020).
+    """
+    groups: dict[int, tuple[_Component, list[int]]] = {}
+    for v in sources:
+        comp = net.component(v)
+        groups.setdefault(id(comp), (comp, []))[1].append(v)
+    sink_set = set(sinks)
+    regions = {}
+    for comp, group in groups.values():
+        if len(group) < 2 or not _runs_scipy(comp):
+            continue
+        index = comp.index
+        sink_ids = sorted(index[t] for t in sink_set if t in index)
+        if not sink_ids:
+            continue
+        starts = [index[v] for v in group]
+        side = np.asarray(_scipy_flow(comp, starts, sink_ids)[1])  # ascending
+        indptr, indices, caps = comp.arrays()
+        n = len(comp.vertices)
+        inner = csr_matrix((caps, indices, indptr), shape=(n, n))[side][:, side]
+        _, labels = connected_components(inner, directed=False)
+        sizes = np.bincount(labels)
+        for v, label in zip(group, labels[np.searchsorted(side, starts)].tolist()):
+            if sizes[label] < SCIPY_MIN_VERTICES:
+                regions[v] = list(map(comp.vertices.__getitem__, side[labels == label].tolist()))
+    return regions
+
+
+def region_flow(g: ContractableGraph, source: int, region: Sequence[int]) -> FlowResult:
+    """:func:`max_flow_st` from ``source`` to the sinks, given ``source``'s
+    region from :func:`source_regions`.
+
+    The region holds every minimum side, so the minimum cuts between the
+    source and everything outside the region, with their sides in it, are
+    those between the source and the sinks. They run on the pure-Python
+    flow, on the region with the rest of the graph merged into one sink
+    (:meth:`_Component.region`). A region of the source alone needs no
+    flow: its one cut is the source's own edges.
+    """
+    if len(region) == 1:
+        return FlowResult(g.weighted_degree(source), frozenset(region))
+    comp = _Component.region(g, source, set(region))
+    value, side = _dinic(comp, 0, [len(region)])
     return FlowResult(value, frozenset(map(comp.vertices.__getitem__, side)))
 
 
@@ -434,14 +573,22 @@ def _dinic(comp: _Component, s: int, sinks: list[int]) -> tuple[int, list[int]]:
             del path[first_sat + 1:]
 
 
-def _scipy_flow(comp: _Component, s: int, sinks: list[int]) -> tuple[int, list[int]]:
-    """scipy's max flow; returns (value, source-side indices). ``sinks``
-    must be ascending.
+def _scipy_flow(comp: _Component, s: int | Sequence[int],
+                sinks: list[int]) -> tuple[int, list[int]]:
+    """scipy's max flow; returns (value, source-side indices). ``s`` is one
+    source index or a list of several, none of them a sink; ``sinks`` must
+    be ascending.
 
     The capacity matrix is the component's kept one (:meth:`_Component.arrays`)
     plus an arc of capacity ``comp.inf`` from each sink to the super-sink
-    ``ss``, the last column, inserted at the end of the sink's row so that
-    every row stays sorted.
+    ``ss``, the column after the component's, inserted at the end of the
+    sink's row so that every row stays sorted. Several sources are joined
+    through a super-source, the row after ``ss``, with arcs of capacity
+    ``comp.inf`` to and from each source, inserted the same way; the arcs
+    into it carry no flow, and they keep the matrix's rows below ``ss``
+    symmetric in pattern, so scipy adds no entry to them. The value is then
+    the minimum cut between all the sources and the sinks, and the side
+    the largest source side of such a cut.
 
     The vertices that can still reach ``ss`` are those that a search from
     ``ss`` reaches along reversed residual arcs: ``j`` leads to ``i`` when
@@ -451,33 +598,49 @@ def _scipy_flow(comp: _Component, s: int, sinks: list[int]) -> tuple[int, list[i
     both directions with equal capacities, plus a row ``ss`` that holds
     every sink, so the search reaches every sink, even one that got no
     flow. scipy lays out the flow matrix's rows below ``ss`` on the capacity
-    matrix's pattern; then the flow is added in place, leaving out the sink
-    arcs, which lead only back to ``ss``. Any other layout is aligned by
-    sparse addition.
+    matrix's pattern; then the flow is added in place, leaving out the
+    inserted arcs: a sink arc leads only back to ``ss``, and no source,
+    so not the super-source, can reach a sink once the flow is maximum.
+    Any other layout is aligned by sparse addition.
     """
     indptr, indices, caps = comp.arrays()
     ss = len(comp.vertices)
     k = len(sinks)
     t = np.asarray(sinks, dtype=np.int32)
-    ends = indptr[t + 1]  # where each sink's row ends
+    if np.ndim(s) == 0:
+        source, size = s, ss + 1
+        tails, heads = t, ss
+    else:
+        sources = np.sort(np.asarray(s, dtype=np.int32))
+        source, size = ss + 1, ss + 2
+        tails = np.concatenate((t, sources))
+        order = np.argsort(tails, kind="stable")
+        tails = tails[order]
+        heads = np.repeat(np.array([ss, ss + 1], dtype=np.int32), (k, len(sources)))[order]
+    ends = indptr[tails + 1]  # where each row with an inserted arc ends
     bump = np.zeros(ss + 2, dtype=np.int32)
-    bump[t + 1] = 1
-    cap = csr_matrix((np.insert(caps, ends, comp.inf), np.insert(indices, ends, ss),
-                      np.append(indptr, indptr[-1]) + np.cumsum(bump, dtype=np.int32)),
-                     shape=(ss + 1, ss + 1))
-    res = _scipy_maximum_flow(cap, s, ss)
+    bump[tails + 1] = 1
+    data = np.insert(caps, ends, comp.inf)
+    cols = np.insert(indices, ends, heads)
+    rows = np.append(indptr, indptr[-1]) + np.cumsum(bump, dtype=np.int32)
+    if source > ss:
+        data = np.append(data, np.full(len(sources), comp.inf, dtype=np.int32))
+        cols = np.append(cols, sources)
+        rows = np.append(rows, rows[-1] + len(sources))
+    cap = csr_matrix((data, cols, rows), shape=(size, size))
+    res = _scipy_maximum_flow(cap, source, ss)
 
     flow = res.flow
     cols = np.concatenate((indices, t))
     back = csr_matrix((np.concatenate((caps, np.full(k, comp.inf, dtype=np.int64))), cols,
                        np.append(indptr, len(cols))), shape=(ss + 1, ss + 1))
-    n_cap = len(cap.indices)
+    below = int(cap.indptr[ss])  # the entries of the rows below ss
     if (np.array_equal(flow.indptr[:ss + 1], cap.indptr[:ss + 1])
-            and np.array_equal(flow.indices[:n_cap], cap.indices)):
-        back.data[:-k] += np.delete(flow.data[:n_cap], ends + np.arange(k))
+            and np.array_equal(flow.indices[:below], cap.indices[:below])):
+        back.data[:-k] += np.delete(flow.data[:below], ends + np.arange(len(ends)))
         back.eliminate_zeros()
     else:
-        back = back + flow  # drops the zero sums
+        back = back + flow[:ss + 1, :ss + 1]  # drops the zero sums
     order = breadth_first_order(back, ss, directed=True, return_predecessors=False)
     reach = np.zeros(ss + 1, dtype=bool)
     reach[order] = True

@@ -35,7 +35,10 @@ present, the rules read the graph's array view
 version, shared by every rule and flow until the graph changes:
 
 - the flows of ``contract_isolating_cuts`` and ``reduce_non_terminal_flows``
-  take their large components from it (see :mod:`mtcut.flow`);
+  take their large components from it (see :mod:`mtcut.flow`), and
+  ``reduce_non_terminal_flows``' sources share one flow from a
+  super-source that bounds each one's side, so that most of them need a
+  flow on a few vertices or none (:func:`_flows`);
 - ``reduce_articulation_points`` takes its DFS from scipy's
   ``depth_first_order`` on it;
 - when the view's weights, each edge counted from both ends, sum below
@@ -65,7 +68,15 @@ try:
 except ImportError:  # pragma: no cover; large_view then returns None
     pass
 
-from .flow import FlowNetwork, FlowResult, isolating_bounds, large_view, max_flow_st
+from .flow import (
+    FlowNetwork,
+    FlowResult,
+    isolating_bounds,
+    large_view,
+    max_flow_st,
+    region_flow,
+    source_regions,
+)
 from .graph import ArrayView, BoundState, ContractableGraph, GraphError, Problem
 from .localsearch import expired
 
@@ -130,12 +141,35 @@ def _flows(g: ContractableGraph, sources: Sequence[int], sinks: Sequence[int],
     is checked before each flow, so the cuts may cover a prefix of ``sources``.
     The first source's component is built before the first check, so the
     stretch up to the second check holds one flow, not a build and a flow.
+
+    Two or more sources, none of them a sink, on a graph with a
+    :func:`~mtcut.flow.large_view` first share one flow from a super-source
+    over them (:func:`~mtcut.flow.source_regions`), which bounds each
+    source's largest minimum side by a region around it. A source whose
+    region is smaller than ``SCIPY_MIN_VERTICES`` then runs its flow on the
+    region alone (:func:`~mtcut.flow.region_flow`), one whose region is
+    itself runs none, and any other runs its full flow; each gives the cut
+    its full flow gives, so no result changes. The
+    non-terminal flows' sources lie in regions of a few vertices on the
+    torus. Smaller graphs keep one flow per source: there the regions
+    averaged 15 of about 25 vertices, so the shared flow would not pay.
     """
     net = FlowNetwork(g)
     if sources:
         net.component(sources[0])
+    regions = {}
+    if len(sources) > 1 and large_view(g) is not None and not set(sources).intersection(sinks):
+        if expired(deadline):
+            return []
+        regions = source_regions(net, sources, sinks)
     flows = []
     for s in sources:
+        region = regions.get(s)
+        if region is not None:
+            if len(region) > 1 and expired(deadline):
+                break
+            flows.append(region_flow(g, s, region))
+            continue
         if expired(deadline):
             break
         flows.append(max_flow_st(net, s, [t for t in sinks if t != s]))
@@ -883,6 +917,19 @@ def reduce_non_terminal_flows(p: Problem, per_kind: int = FLOW_CANDIDATES,
     the view's arrays, and the hop distances come from one scipy search
     from a virtual root over the active terminals
     (:meth:`~mtcut.graph.ArrayView.rooted`).
+
+    On a graph with an array view the candidates share one flow, from a
+    super-source over all of them to the active terminals, whose largest
+    source side C* bounds every candidate's largest side ``S_v``:
+    ``S_v ∩ C*`` separates ``v`` from the terminals and ``S_v ∪ C*`` all
+    the candidates, so by submodularity both are minimum, and C* being the
+    largest gives ``S_v ⊆ C*`` (:func:`~mtcut.flow.source_regions`). Each
+    candidate's own flow then runs on its connected part of C*, or none
+    runs when that part is the candidate alone, and gives the full flow's
+    cut (:func:`_flows`). On the torus those parts hold a few vertices.
+    Smaller graphs keep one flow per candidate: on the branching workload's
+    graphs of about 25 vertices the parts averaged 15 of them, so the
+    shared flow would not pay.
     """
     g = p.graph
     actives = p.active_terminals()

@@ -403,13 +403,18 @@ def solve_prepared(root: Problem, config: SolverConfig | None = None) -> SolveRe
 
     kernel_v, kernel_e = search.root_kernel or (root.graph.num_vertices,
                                                 root.graph.num_edges)
+    optimal = not search.stopped and config.mode == "exact"
+    nodes = search.nodes
+    # free the open subproblems before reading the clock, so that wall_time
+    # is what the caller waits for
+    del search
     return SolveResult(
         labels=bound.best_labels,
         value=int(bound.best_value),
-        optimal=not search.stopped and config.mode == "exact",
+        optimal=optimal,
         events=list(bound.events),
         root_kernel_vertices=kernel_v,
         root_kernel_edges=kernel_e,
-        nodes=search.nodes,
+        nodes=nodes,
         wall_time=time.monotonic() - t0,
     )

@@ -113,16 +113,16 @@ def record_rule_calls(monkeypatch, bound: BoundState | None = None) -> list:
     return log
 
 
-def count_calls(monkeypatch, name: str) -> list:
-    """Wrap ``mtcut.reductions.<name>``; each call appends its arguments."""
+def count_calls(monkeypatch, name: str, module=mtcut.reductions) -> list:
+    """Wrap ``module.<name>``; each call appends its arguments."""
     calls = []
-    real = getattr(mtcut.reductions, name)
+    real = getattr(module, name)
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(mtcut.reductions, name, counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 

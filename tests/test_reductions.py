@@ -2,6 +2,9 @@ import math
 import random
 import time
 from collections import Counter
+from types import SimpleNamespace
+
+import pytest
 
 from helpers import (
     FIXTURES,
@@ -27,6 +30,7 @@ from helpers import (
 from mtcut import (
     BoundState,
     ContractableGraph,
+    FlowResult,
     Problem,
     SolverConfig,
     max_flow_st,
@@ -37,7 +41,7 @@ import mtcut.flow
 import mtcut.graph
 import mtcut.reductions
 from mtcut.bench import generate_terminals, grow_terminal_blocks
-from mtcut.flow import SCIPY_MIN_VERTICES, large_view
+from mtcut.flow import HAVE_SCIPY, SCIPY_MIN_VERTICES, large_view
 from mtcut.solver import NODE_ORDER, branch_vertex, select_branch_vertex
 from mtcut.reductions import (
     DEFAULT_ORDER,
@@ -603,6 +607,7 @@ class TestScansOnView:
     the low-degree seed and the non-terminal flows' ranking are array
     passes; each must answer as the dict code does."""
 
+    @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
     def test_view_and_dict_scans_agree(self, monkeypatch):
         opened, closed = Counter(), Counter()
         for p in view_scan_problems():
@@ -623,6 +628,7 @@ class TestScansOnView:
         assert opened["twins"] >= 15 and closed["twins"] >= 30
         assert opened["low_degree"] >= 5
 
+    @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
     def test_twin_keys_read_ids_and_the_vertex_itself(self, monkeypatch):
         # a unit torus on ids 2 to 501, whose own keys are all distinct, and
         # - either u = 0 and w = 1 with N(u) = {10, 11, 16, 20} and
@@ -663,6 +669,7 @@ class TestScansOnView:
         assert on_view == on_dicts
         assert set(range(half, half + 5)) <= set(on_view)
 
+    @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
     def test_weight_past_float_precision_takes_the_dict_path(self, monkeypatch):
         rng = random.Random(5)
         n = SCIPY_MIN_VERTICES
@@ -688,6 +695,7 @@ class TestScansOnView:
                                 q.deleted_weight, q.lower_bound, q.active))
             assert kernels[0] == kernels[1]
 
+    @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
     def test_cheap_scans_build_no_view(self, monkeypatch):
         # the low-degree seed and the connectivity count read a view only
         # when the graph's current version has one
@@ -701,6 +709,7 @@ class TestScansOnView:
         reduce_low_degree(p)
         assert len(scans) == 2
 
+    @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
     def test_torus_kernelize_builds_two_views(self, monkeypatch):
         # the isolating cuts' flows read one view of the grown root; the
         # scans after their contraction share a second
@@ -752,6 +761,7 @@ class TestArticulationPoints:
             g = ContractableGraph.from_edge_list(n, el)
             assert articulation_points(g) == naive_articulation_points(n, el)
 
+    @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
     def test_array_path_matches_dict_dfs(self, monkeypatch):
         # at and above the threshold the rule takes scipy's DFS on the array
         # view; with the threshold raised it runs _dfs_tree. Both must
@@ -908,6 +918,159 @@ class TestNonTerminalFlows:
         # the same rule without a deadline runs flows and contracts
         assert reduce_non_terminal_flows(p)[0] >= 1
         assert calls
+
+
+def one_flow_each(g, sources, sinks):
+    return [max_flow_st(g, s, [t for t in sinks if t != s]) for s in sources]
+
+
+def planted_torus():
+    """A unit 25x20 torus with 8 terminals, plus a pendant pair and a
+    six-vertex clique that hang off it. The pendant ``v`` ties its own cut
+    with that of ``{v, a}``, so its largest side holds both; two adjacent
+    clique vertices share the clique as their largest side."""
+    torus = torus_graph(25, 20)
+    n0 = torus.n_original
+    v, a = n0, n0 + 1
+    clique = list(range(n0 + 2, n0 + 8))
+    edges = [(x, y, 1) for x, y, _ in torus.edges()]
+    edges += [(v, a, 2), (a, 7, 2)]
+    edges += [(x, y, 3) for i, x in enumerate(clique) for y in clique[i + 1:]]
+    edges += [(clique[0], 130, 1), (clique[3], 260, 1)]
+    g = ContractableGraph.from_edge_list(n0 + 8, edges)
+    return g, generate_terminals(torus, 8, 0), (v, a), clique
+
+
+def bounded_flow_cases():
+    """(graph, sources, sinks) on graphs of at least SCIPY_MIN_VERTICES
+    vertices: plain and grown tori, and random graphs with m = 3n and grown
+    blocks; each source set holds random non-terminals and the neighbors
+    of one of them."""
+    rng = random.Random(43)
+    problems = []
+    for width, height in ((25, 20), (31, 23), (40, 30)):
+        g = torus_graph(width, height)
+        terminals = generate_terminals(g, 8, 0)
+        problems.append(Problem.from_instance(g, terminals))
+        if width > 25:
+            problems.append(grow_terminal_blocks(g, terminals, 0.1))
+    for n, k in ((600, 3), (600, 8), (800, 16)):
+        edges = sparse_edges(rng, n, 2 * n + 1, 9)
+        g = ContractableGraph.from_edge_list(n, edges)
+        problems.append(grow_terminal_blocks(g, generate_terminals(g, k, rng.randrange(10)), 0.1))
+    cases = []
+    for p in problems:
+        assert p.graph.num_vertices >= SCIPY_MIN_VERTICES
+        sinks = p.active_terminals()
+        free = sorted(set(p.graph.live_vertices()) - set(sinks))
+        for count in (2, 12):
+            sources = rng.sample(free, count)
+            sources += [x for x in p.graph.neighbors(sources[0]) if x not in sinks]
+            cases.append((p.graph, sorted(set(sources)), sinks))
+    return cases
+
+
+class TestBoundedFlows:
+    """On a graph with an array view, non-terminal sources share one flow
+    from a super-source that bounds each one's largest side by a region;
+    every cut must be the one its own full flow gives."""
+
+    def test_matches_one_flow_per_source(self, monkeypatch):
+        bounded = count_calls(monkeypatch, "source_regions")
+        for g, sources, sinks in bounded_flow_cases():
+            bounded.clear()
+            assert mtcut.reductions._flows(g, sources, sinks) == one_flow_each(g, sources, sinks)
+            assert len(bounded) == HAVE_SCIPY  # without scipy there is no view
+
+    def test_planted_sides_hold_more_than_the_source(self, monkeypatch):
+        g, sinks, (v, a), clique = planted_torus()
+        sources = [v, clique[0], clique[1], 40, 41]
+        regions = count_calls(monkeypatch, "region_flow")
+        got = mtcut.reductions._flows(g, sources, sinks)
+        assert got == one_flow_each(g, sources, sinks)
+        assert got[0] == FlowResult(2, frozenset({v, a}))
+        assert got[1] == got[2] == FlowResult(2, frozenset(clique))
+        # the adjacent clique vertices share one region
+        assert [len(args[2]) for args in regions[:3]] == ([2, 6, 6] if HAVE_SCIPY else [])
+
+    @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
+    def test_any_flow_layout_gives_the_same_sides(self, monkeypatch):
+        # as in test_flow: without its zero entries the flow matrix leaves
+        # the capacity matrix's pattern and is aligned by sparse addition
+        g, sinks, (v, _), clique = planted_torus()
+        sources = [v, clique[0], clique[1], 40, 41]
+        want = one_flow_each(g, sources, sinks)
+        real = mtcut.flow._scipy_maximum_flow
+        relaid = []
+
+        def relaying(cap, s, t):
+            res = real(cap, s, t)
+            flow = res.flow.copy()
+            flow.eliminate_zeros()
+            relaid.append(flow.nnz < res.flow.nnz)
+            return SimpleNamespace(flow_value=res.flow_value, flow=flow)
+
+        monkeypatch.setattr(mtcut.flow, "_scipy_maximum_flow", relaying)
+        assert mtcut.reductions._flows(g, sources, sinks) == want
+        assert relaid == [True]
+
+    def test_component_without_a_sink(self, monkeypatch):
+        # a torus with the terminals, a large random component and a small
+        # path without any; each holds several sources
+        rng = random.Random(44)
+        torus = torus_graph(25, 20)
+        n0 = torus.n_original
+        edges = [(x, y, 1) for x, y, _ in torus.edges()]
+        edges += sparse_edges(rng, SCIPY_MIN_VERTICES + 20, 200, 3, first=n0)
+        n1 = n0 + SCIPY_MIN_VERTICES + 20
+        edges += [(n1 + i, n1 + i + 1, 2) for i in range(19)]
+        g = ContractableGraph.from_edge_list(n1 + 20, edges)
+        sinks = generate_terminals(torus, 5, 0)
+        sources = [x for x in (3, 60, 61, n0 + 1, n0 + 2, n0 + 300, n1, n1 + 5) if x not in sinks]
+        bounded = count_calls(monkeypatch, "source_regions")
+        got = mtcut.reductions._flows(g, sources, sinks)
+        assert got == one_flow_each(g, sources, sinks) and len(bounded) == HAVE_SCIPY
+        assert got[-1] == FlowResult(0, frozenset(range(n1, n1 + 20)))
+
+    @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
+    def test_weights_past_int32_take_the_python_flow(self, monkeypatch):
+        torus = torus_graph(25, 20)
+        edges = [(x, y, 2**31 if (x, y) == (0, 1) else 1) for x, y, _ in torus.edges()]
+        g = ContractableGraph.from_edge_list(torus.n_original, edges)
+        sinks = generate_terminals(torus, 8, 0)
+        sources = [x for x in (0, 1, 40, 41, 200) if x not in sinks]
+        scipy_calls = count_calls(monkeypatch, "_scipy_maximum_flow", mtcut.flow)
+        assert large_view(g) is not None
+        assert mtcut.reductions._flows(g, sources, sinks) == one_flow_each(g, sources, sinks)
+        assert scipy_calls == []
+
+    def test_past_deadline_runs_no_flow(self, monkeypatch):
+        g, sinks, (v, _), clique = planted_torus()
+        scipy_calls = count_calls(monkeypatch, "_scipy_flow", mtcut.flow)
+        dinic_calls = count_calls(monkeypatch, "_dinic", mtcut.flow)
+        assert mtcut.reductions._flows(g, [v, *clique], sinks, deadline=time.monotonic() - 1) == []
+        assert scipy_calls == dinic_calls == []
+        assert len(mtcut.reductions._flows(g, [v, *clique], sinks)) == 7
+        assert len(scipy_calls) == HAVE_SCIPY and len(dinic_calls) == 7
+
+    def test_small_graphs_and_isolating_cuts_keep_one_flow_per_source(self, monkeypatch):
+        bounded = count_calls(monkeypatch, "source_regions")
+        g = torus_graph(20, 20)  # below SCIPY_MIN_VERTICES
+        sinks = generate_terminals(g, 4, 0)
+        sources = [x for x in (5, 6, 77) if x not in sinks]
+        assert mtcut.reductions._flows(g, sources, sinks) == one_flow_each(g, sources, sinks)
+        g, sinks, _, _ = planted_torus()
+        assert isolating_cuts(g, sinks) == [max_flow_st(g, t, [x for x in sinks if x != t])
+                                            for t in sinks]
+        assert bounded == []
+
+    @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
+    def test_torus_scale_root_runs_one_scipy_flow(self, monkeypatch):
+        g = torus_graph(100, 100)
+        p = grow_terminal_blocks(g, generate_terminals(g, 8, 1), 0.1)
+        scipy_calls = count_calls(monkeypatch, "_scipy_maximum_flow", mtcut.flow)
+        reduce_non_terminal_flows(p)
+        assert len(scipy_calls) == 1
 
 
 class TestReductionLoop:

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -282,6 +283,38 @@ class TestSolve:
         r = solve(g, terminals, SolverConfig(time_limit=1e-9))
         assert cut_value(g, terminals, r.labels) == r.value
         assert not r.optimal
+
+
+    def test_open_subproblems_are_freed_within_wall_time(self, monkeypatch):
+        # a time-limited solve stops with children on its open heap; every
+        # one must be freed before the clock that gives wall_time is read
+        rng = random.Random(3)
+        n = 80
+        edges = {(rng.randrange(v), v): rng.randint(1, 10) for v in range(1, n)}
+        while len(edges) < 3 * n:
+            edges.setdefault(tuple(sorted(rng.sample(range(n), 2))), rng.randint(1, 10))
+        g = ContractableGraph.from_edge_list(n, [(u, v, w) for (u, v), w in edges.items()])
+        root = grow_terminal_blocks(g, generate_terminals(g, 5, 3), 0.2)
+        starts, pending, freed = [], set(), []
+        real_bound, real_push = mtcut.solver.BoundState, _Search._push
+
+        def push(search, p):
+            if search.seq:  # a child; the root stays with the caller
+                pending.add(id(p))
+            real_push(search, p)
+
+        def freeing(p):
+            if id(p) in pending:
+                pending.remove(id(p))
+                freed.append(time.monotonic())
+
+        monkeypatch.setattr(mtcut.solver, "BoundState", lambda t0: starts.append(t0) or real_bound(t0))
+        monkeypatch.setattr(_Search, "_push", push)
+        monkeypatch.setattr(Problem, "__del__", freeing, raising=False)
+        res = solve_prepared(root, SolverConfig(time_limit=0.3))
+        assert not res.optimal and res.nodes > 1
+        assert freed and not pending
+        assert max(freed) <= starts[0] + res.wall_time
 
 
 class TestSchedule:
