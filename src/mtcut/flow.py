@@ -9,7 +9,7 @@ builds a one-shot network.
 A component is relabeled in one of two ways. On a graph with at least
 ``SCIPY_MIN_VERTICES`` live vertices, with scipy present, a component of
 at least that size is taken from the graph's array view
-(:meth:`~mtcut.graph.ContractableGraph.array_view`, built once per graph
+(:meth:`~mtcut.graph.ContractableGraph.array_view`, made once per graph
 version and shared by every network and rule on it): its vertices in
 ascending id order, and as capacities the view's weight matrix, or its
 rows and columns of the component when the graph has several. Any other

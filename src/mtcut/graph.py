@@ -33,7 +33,19 @@ the graph directly empties it too.
 
 :meth:`ContractableGraph.array_view` gives the live vertices as arrays
 (:class:`ArrayView`) for scipy's graph routines, built on first use and
-stamped with the ``version()`` in the same way; a copy starts without one.
+stamped with the ``version()`` in the same way. When only contractions
+happened since the last view, the next one is derived from it in numpy
+(:meth:`ArrayView.derived`): its rows and columns are mapped through one
+vectorized ``find`` (:meth:`ContractableGraph.find_all`), which equals the
+quotient the merges made of the dicts. A deletion drops the last view, a
+view whose weights do not sum exactly in float64 is not derived from, and
+a copy starts without one; each of those builds from the dicts again.
+
+On graphs where :func:`~mtcut.flow.large_view` gives a view,
+:meth:`Problem.project` and :func:`cut_value` (so every incumbent's score)
+run on arrays: the labels are lifted through ``find_all``, and the cut is
+summed on the original graph's view, built once, since the original
+never changes.
 """
 
 from __future__ import annotations
@@ -147,6 +159,21 @@ class ContractableGraph:
             parent[v], v = root, parent[v]
         return root
 
+    def find_all(self) -> "np.ndarray":
+        """Every original id's live representative, as :meth:`find` gives
+        it, in one array; needs numpy.
+
+        Pointer jumping over the parent links: each round replaces every
+        link by its parent's, so a chain of length d settles in about
+        log2(d) rounds.
+        """
+        root = np.array(self._parent, dtype=np.intp)
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                return root
+            root = up
+
     def version(self) -> tuple[int, int]:
         """``(num_vertices, num_edges)``, which every mutation changes.
 
@@ -159,19 +186,19 @@ class ContractableGraph:
     def array_view(self) -> "ArrayView":
         """The live vertices as arrays; needs numpy and scipy.
 
-        Built on first use and kept until the graph's :meth:`version`
-        moves, so every caller on one graph version shares one build.
+        Made on first use and kept until the graph's :meth:`version`
+        moves, so every caller on one graph version shares one view. The
+        last view is the base of the next: only contractions can have
+        happened since it was made (:meth:`delete_edge` drops it), so the
+        next is derived from it (:meth:`ArrayView.derived`) unless its
+        weights do not sum exactly in float64. A graph without a base, a
+        copy among them, builds from the dicts.
         """
-        view = self.built_view()
-        if view is None:
-            view = self._view = ArrayView(self)
-        return view
-
-    def built_view(self) -> "ArrayView | None":
-        """The array view of the current version if one is built, else None;
-        never builds one."""
         view = self._view
-        return view if view is not None and view.version == self.version() else None
+        if view is None or view.version != self.version():
+            view = self._view = (ArrayView.derived(view, self) if view is not None and view.exact
+                                 else ArrayView(self))
+        return view
 
     def is_live(self, v: int) -> bool:
         return self._adj[v] is not None
@@ -239,6 +266,7 @@ class ContractableGraph:
             raise EdgeNotFound(f"no edge ({u},{v})")
         w = a.pop(v)
         self._adj[v].pop(u)
+        self._view = None  # a view is derived only across contractions
         self._wdeg[u] -= w
         self._wdeg[v] -= w
         self.num_edges -= 1
@@ -301,24 +329,25 @@ class ArrayView:
       so that no flow takes them.
     - ``labels`` and ``sizes``: each index's connected component, numbered
       from 0, and each component's vertex count.
+    - ``exact``: whether the weights, each edge counted from both ends, sum
+      below 2**53, so that every sum of them is exact in float64.
     - ``version``: the graph's :meth:`~ContractableGraph.version` it shows.
 
-    The arrays are filled with ``np.fromiter`` over the adjacency dicts.
-    :meth:`rooted` adds a virtual root for scipy's searches from several
-    vertices at once: terminal placement's BFS and the articulation rule's
-    DFS.
+    The constructor fills the arrays with ``np.fromiter`` over the
+    adjacency dicts; :meth:`derived` makes the same arrays from an earlier
+    view of the graph. :meth:`rooted` adds a virtual root for scipy's
+    searches from several vertices at once: terminal placement's BFS and
+    the articulation rule's DFS.
     """
 
-    __slots__ = ("version", "ids", "index", "matrix", "labels", "sizes")
+    __slots__ = ("version", "ids", "index", "matrix", "labels", "sizes", "exact")
 
     def __init__(self, g: ContractableGraph):
-        self.version = g.version()
         adj = g._adj
         live = np.fromiter(map(operator.is_not, adj, repeat(None)), dtype=bool, count=len(adj))
-        self.ids = ids = np.flatnonzero(live)
+        ids = np.flatnonzero(live)
         n = len(ids)
-        self.index = index = np.full(len(adj), -1, dtype=np.int32)
-        index[ids] = np.arange(n, dtype=np.int32)
+        index = self._indexed(g, ids)
         rows = [adj[v] for v in ids.tolist()]
         nnz = 2 * g.num_edges
         indptr = np.zeros(n + 1, dtype=np.int32)
@@ -329,10 +358,50 @@ class ArrayView:
                                   dtype=np.float64, count=nnz)
         except OverflowError:
             weights = np.full(nnz, np.inf)
-        self.matrix = matrix = csr_matrix((weights, cols, indptr), shape=(n, n))
+        matrix = csr_matrix((weights, cols, indptr), shape=(n, n))
         matrix.sort_indices()
+        self._finish(matrix)
+
+    @classmethod
+    def derived(cls, base: "ArrayView", g: ContractableGraph) -> "ArrayView":
+        """The view of ``g``, made from ``base``, an earlier view of it.
+
+        Only contractions may have happened since ``base``, and its weights
+        must sum exactly (``base.exact``). Each of its indices is mapped to
+        its vertex's representative's new index; the entries that became
+        self-loops are dropped, and scipy sums the ones that became
+        parallel, as the merges summed them in the dicts. Every sum is
+        exact, so the arrays equal a fresh build's, byte for byte.
+        """
+        view = cls.__new__(cls)
+        root = g.find_all()
+        ids = np.flatnonzero(root == np.arange(g.n_original))
+        n = len(ids)
+        index = view._indexed(g, ids)
+        old = base.matrix
+        to_new = index[root[base.ids]]  # each base index's new index
+        rows = np.repeat(to_new, np.diff(old.indptr))
+        cols = to_new[old.indices]
+        kept = rows != cols
+        view._finish(csr_matrix((old.data[kept], (rows[kept], cols[kept])), shape=(n, n)))
+        return view
+
+    def _indexed(self, g: ContractableGraph, ids: np.ndarray) -> np.ndarray:
+        """Set ``version``, ``ids`` and ``index`` for ``g``'s live ``ids``;
+        returns ``index``."""
+        self.version = g.version()
+        self.ids = ids
+        self.index = index = np.full(g.n_original, -1, dtype=np.int32)
+        index[ids] = np.arange(len(ids), dtype=np.int32)
+        return index
+
+    def _finish(self, matrix: csr_matrix) -> None:
+        """Set ``matrix`` and what is read off it: the components and
+        ``exact``."""
+        self.matrix = matrix
         _, self.labels = connected_components(matrix, directed=False)
         self.sizes = np.bincount(self.labels)
+        self.exact = bool(matrix.data.sum() < 2**53)
 
     def rooted(self, roots: np.ndarray) -> csr_matrix:
         """The matrix's pattern plus a virtual root, index ``n``, whose row
@@ -356,17 +425,38 @@ def cut_value(graph: ContractableGraph, terminal_vertices: Sequence[int], labels
 
     Every terminal must carry its own block label and every label must be a
     valid block index; violations raise :class:`InfeasibleAssignment`.
+
+    Where :func:`~mtcut.flow.large_view` gives the graph's view and its
+    weights sum exactly (``ArrayView.exact``), integer labels are checked
+    and the cut summed in numpy passes over it, with the same exceptions
+    and value.
     """
     k = len(terminal_vertices)
     if len(labels) != graph.n_original:
         raise InfeasibleAssignment("assignment does not cover every vertex")
-    for i, t in enumerate(terminal_vertices):
-        if labels[t] != i:
-            raise InfeasibleAssignment(f"terminal {t} labeled {labels[t]}, expected {i}")
-    for v, b in enumerate(labels):
-        if not (0 <= b < k):
-            raise InfeasibleAssignment(f"vertex {v} has label {b} outside [0,{k})")
-    return graph.cut_value(labels)
+    view = flow.large_view(graph)
+    given = np.asarray(labels) if view is not None and view.exact else None
+    if given is None or given.dtype.kind not in "iu":
+        for i, t in enumerate(terminal_vertices):
+            if labels[t] != i:
+                raise InfeasibleAssignment(f"terminal {t} labeled {labels[t]}, expected {i}")
+        for v, b in enumerate(labels):
+            if not (0 <= b < k):
+                raise InfeasibleAssignment(f"vertex {v} has label {b} outside [0,{k})")
+        return graph.cut_value(labels)
+    wrong = np.flatnonzero(given[list(terminal_vertices)] != np.arange(k))
+    if len(wrong):
+        i = int(wrong[0])
+        t = terminal_vertices[i]
+        raise InfeasibleAssignment(f"terminal {t} labeled {labels[t]}, expected {i}")
+    outside = np.flatnonzero((given < 0) | (given >= k))
+    if len(outside):
+        v = int(outside[0])
+        raise InfeasibleAssignment(f"vertex {v} has label {labels[v]} outside [0,{k})")
+    own = given[view.ids]
+    matrix = view.matrix
+    crossing = np.repeat(own, np.diff(matrix.indptr)) != own[matrix.indices]
+    return int(matrix.data[crossing].sum()) // 2  # each edge counted from both ends
 
 
 class Problem:
@@ -531,10 +621,30 @@ class Problem:
 
         A terminal's representative keeps its terminal's block; any other
         live vertex takes its ``kernel_labels`` entry, else ``fill``.
+
+        Where :func:`~mtcut.flow.large_view` gives the original graph's
+        view, on which :meth:`solution_value` then scores the labels, this
+        runs on arrays: one label per vertex id, looked up at every id's
+        representative from :meth:`ContractableGraph.find_all`.
         """
         g = self.graph
         roots = self.block_of
         kernel = kernel_labels or {}
+        if flow.large_view(self.original) is not None:
+            label = np.zeros(g.n_original, dtype=np.int64)
+            known = np.zeros(g.n_original, dtype=bool)
+            for given in (kernel, roots):  # the terminals' blocks last, so they win
+                at = np.fromiter(given.keys(), dtype=np.intp, count=len(given))
+                label[at] = np.fromiter(given.values(), dtype=np.int64, count=len(given))
+                known[at] = True
+            rep = g.find_all()
+            out = label[rep]
+            missing = ~known[rep]
+            if missing.any():
+                if fill is None:
+                    raise IncompleteSolution(f"live vertex {rep[missing.argmax()]} has no label")
+                out[missing] = fill
+            return out.tolist()
         out = []
         for v in range(g.n_original):
             r = g.find(v)
@@ -595,3 +705,7 @@ class BoundState:
             stamp = max(0.0, now - self._t0)
         self.events.append((stamp, value))
         return True
+
+
+# flow imports the classes above, so it is imported once they exist
+from . import flow  # noqa: E402

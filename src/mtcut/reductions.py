@@ -31,7 +31,7 @@ gate skips only scans that would contract nothing.
 
 On a graph with at least ``SCIPY_MIN_VERTICES`` live vertices, with scipy
 present, the rules read the graph's array view
-(:meth:`~mtcut.graph.ContractableGraph.array_view`), one build per graph
+(:meth:`~mtcut.graph.ContractableGraph.array_view`), one view per graph
 version, shared by every rule and flow until the graph changes:
 
 - the flows of ``contract_isolating_cuts`` and ``reduce_non_terminal_flows``
@@ -45,12 +45,13 @@ version, shared by every rule and flow until the graph changes:
   2**53, so that every sum of them is exact in float64 (:class:`_ViewScan`):
   the four gates above, the first queue of ``reduce_low_degree`` and the
   ranking of ``reduce_non_terminal_flows``' sources, hop distances
-  included, are numpy passes over it. The low-degree queue and the
-  connectivity count read only a view already built for the current
-  version; the others build one if none is.
+  included, are numpy passes over it.
 
 Each gives the results of the dict-walking code it replaces there, which
-smaller graphs, and graphs with heavier weights, keep.
+smaller graphs, and graphs with heavier weights, keep. Each reader makes
+the view if the current version has none: after contractions alone it is
+derived from the last view in numpy, at a fraction of the cost of a build
+from the dicts (see :meth:`~mtcut.graph.ContractableGraph.array_view`).
 """
 
 from __future__ import annotations
@@ -278,20 +279,19 @@ class _ViewScan:
         return out
 
 
-def _view_scan(p: Problem, build: bool = True) -> _ViewScan | None:
+def _view_scan(p: Problem) -> _ViewScan | None:
     """A :class:`_ViewScan` of ``p``'s graph when :func:`large_view` gives
-    a view whose weights sum exactly in float64, else None.
+    a view whose weights sum exactly in float64 (``ArrayView.exact``), else
+    None.
 
-    With ``build`` false it reads only a view already built for the graph's
-    current version. The low-degree seed and the connectivity count pass
-    that: their dict scans cost a fifth and an eighth of a view build, so a
-    build of their own pays only if later rules share it, and where a rule
-    changes the graph before then it is lost.
+    The view is built, or derived from the last one when only contractions
+    happened since (:meth:`~mtcut.graph.ContractableGraph.array_view`), if
+    the graph's current version has none. A derivation costs a fraction of
+    a build from the dicts, so even the low-degree seed and the connectivity
+    count, whose dict scans are cheap, take the view.
     """
-    if not build and p.graph.built_view() is None:
-        return None
     view = large_view(p.graph)
-    if view is None or not view.matrix.data.sum() < 2**53:
+    if view is None or not view.exact:
         return None
     return _ViewScan(view, p.block_of)
 
@@ -333,13 +333,12 @@ def reduce_low_degree(p: Problem) -> tuple[int, int]:
     siding with the stronger neighbor is never worse than any other
     placement of the vertex.
 
-    The first queue holds such non-terminals in ascending id order. When
-    the graph's current version already has a view (see :func:`_view_scan`),
-    it is read off the view's degrees.
+    The first queue holds such non-terminals in ascending id order. On a
+    graph with a :func:`_view_scan` it is read off the view's degrees.
     """
     g = p.graph
     troots = p.block_of
-    scan = _view_scan(p, build=False)
+    scan = _view_scan(p)
     if scan is None:
         queue = deque(v for v in g.live_vertices()
                       if v not in troots and 1 <= g.degree(v) <= 2)
@@ -516,12 +515,12 @@ def capforest_bounds(g: ContractableGraph) -> dict[tuple[int, int], int]:
 def _connectivity_gate(p: Problem, best_value: float) -> bool:
     """Whether two vertices' weighted degrees exceed the connectivity
     threshold; never, for an infinite ``best_value``, which it returns at
-    once. When the graph's current version already has a view (see
-    :func:`_view_scan`), it counts the view's weighted degrees."""
+    once. On a graph with a :func:`_view_scan` it counts the view's weighted
+    degrees."""
     threshold = best_value - p.deleted_weight
     if threshold == math.inf:
         return False
-    scan = _view_scan(p, build=False)
+    scan = _view_scan(p)
     if scan is not None:
         return int(np.count_nonzero(scan.wdeg > threshold)) >= 2
     g = p.graph

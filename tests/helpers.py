@@ -16,7 +16,9 @@ import numpy as np
 
 from mtcut import (BoundState, ContractableGraph, FlowResult, GraphError, Problem, ReductionReport,
                    SolverConfig)
-from mtcut.flow import FlowNetwork, max_flow_st
+from mtcut.bench import generate_terminals, grow_terminal_blocks
+from mtcut.flow import SCIPY_MIN_VERTICES, FlowNetwork, max_flow_st
+from mtcut.graph import ArrayView
 from mtcut.localsearch import GainTable
 import mtcut.reductions
 
@@ -124,6 +126,26 @@ def count_calls(monkeypatch, name: str, module=mtcut.reductions) -> list:
 
     monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def count_view_builds(monkeypatch) -> tuple[list, list]:
+    """Spy on the array view's two makers: each build from the dicts
+    appends its graph to the first list, each derivation from an earlier
+    view appends its graph to the second."""
+    built, derived = [], []
+    build, derive = ArrayView.__init__, ArrayView.derived.__func__
+
+    def building(self, g):
+        built.append(g)
+        build(self, g)
+
+    def deriving(cls, base, g):
+        derived.append(g)
+        return derive(cls, base, g)
+
+    monkeypatch.setattr(ArrayView, "__init__", building)
+    monkeypatch.setattr(ArrayView, "derived", classmethod(deriving))
+    return built, derived
 
 
 def fresh_isolating_cut(p: Problem, t: int) -> FlowResult:
@@ -311,6 +333,15 @@ def twin_rich_instance(rng: random.Random, n_min=4, n_max=9, m_max=16, w_max=2,
     return n_all, edges, sorted(rng.sample(range(n_all), k))
 
 
+def random_nm_edges(rng, n, m, w_max=10):
+    """A random spanning tree plus random edges, m edges in all."""
+    edges = {(rng.randrange(v), v): rng.randint(1, w_max) for v in range(1, n)}
+    while len(edges) < m:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.setdefault((u, v), rng.randint(1, w_max))
+    return [(u, v, w) for (u, v), w in edges.items()]
+
+
 def torus_graph(width, height):
     """Unit-weight torus grid with width*height vertices."""
     def vid(x, y):
@@ -357,3 +388,41 @@ def adjacency_and_find(g: ContractableGraph) -> tuple[list, list[int]]:
     """Each live vertex's adjacency items in dict order, and the find map."""
     return ([(v, list(g.neighbors(v).items())) for v in g.live_vertices()],
             [g.find(v) for v in range(g.n_original)])
+
+
+def large_contraction_graphs(rng: random.Random) -> list[tuple[ContractableGraph, list[int]]]:
+    """(graph, terminals) pairs with at least SCIPY_MIN_VERTICES live
+    vertices: two tori, random graphs with m = 2n and m = 3n, the instance
+    graphs of a grown torus and a grown random graph (tombstones), and a
+    graph of three components, one of them small."""
+    n = SCIPY_MIN_VERTICES
+    graphs = [torus_graph(25, 20), torus_graph(31, 23)]
+    for factor in (2, 3):
+        size = rng.randint(n, n + 200)
+        graphs.append(ContractableGraph.from_edge_list(
+            size, random_nm_edges(rng, size, factor * size, 9)))
+    out = [(g, generate_terminals(g, rng.randint(2, 8), 0)) for g in graphs]
+    for g in (torus_graph(30, 30), ContractableGraph.from_edge_list(
+            n + 300, random_nm_edges(rng, n + 300, 3 * (n + 300), 5))):
+        grown = grow_terminal_blocks(g, generate_terminals(g, 8, 0), 0.2)
+        out.append((grown.graph, list(grown.terminal_vertices)))
+    edges = [(u, v, w) for u, v, w in hanging_tree_graph(rng, n + 40, 2).edges()]
+    edges += [(u + n + 40, v + n + 40, w) for u, v, w in hanging_tree_graph(rng, 30, 1).edges()]
+    g = ContractableGraph.from_edge_list(n + 70, edges)
+    out.append((g, rng.sample(range(n + 40), 4)))
+    return out
+
+
+def contract_randomly(rng: random.Random, g: ContractableGraph, protected=()) -> None:
+    """One random contraction of live vertices, none of them in
+    ``protected`` but the target: a vertex with some or all of its
+    neighbors, or a scattered set of vertices, adjacent or not."""
+    live = [v for v in g.live_vertices() if v not in protected]
+    u = rng.choice(live)
+    kind = rng.random()
+    if kind < 0.5:
+        nbrs = [x for x in g.neighbors(u) if x not in protected]
+        members = nbrs if kind < 0.15 else nbrs[:rng.randint(1, 3)]
+    else:
+        members = rng.sample(live, rng.randint(2, 5))
+    g.contract_vertices(members + [u], u)

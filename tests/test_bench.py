@@ -19,7 +19,7 @@ from mtcut.bench import (
 )
 import mtcut.cli
 from mtcut.cli import main
-from mtcut.flow import SCIPY_MIN_VERTICES, large_view
+from mtcut.flow import HAVE_SCIPY, SCIPY_MIN_VERTICES, large_view
 from mtcut.reductions import DEFAULT_ORDER
 from mtcut.solver import SolverConfig
 
@@ -68,6 +68,7 @@ def large_graphs():
     return graphs
 
 
+@pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
 class TestGenerateTerminalsOnView:
     """Where the graph has an array view, each BFS is one scipy call on it;
     it must pick the terminals that the Python BFS picks."""

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import mtcut.flow
-from helpers import (brute_force_min_st_cut, fixture_graph, hanging_tree_graph,
-                     random_connected_graph, torus_graph)
+from helpers import (brute_force_min_st_cut, contract_randomly, count_view_builds, fixture_graph,
+                     hanging_tree_graph, large_contraction_graphs, random_connected_graph,
+                     random_nm_edges, torus_graph)
 from mtcut import ContractableGraph, GraphError, isolating_bounds, isolating_cuts, max_flow_st
 from mtcut.flow import HAVE_SCIPY, SCIPY_MIN_VERTICES, FlowNetwork, _Component, _dinic, _scipy_flow
 
@@ -33,15 +34,6 @@ def random_flow_case(rng, **kwargs):
 
 def cycle(n, w=1):
     return ContractableGraph.from_edge_list(n, [(v, (v + 1) % n, w) for v in range(n)])
-
-
-def random_nm_edges(rng, n, m, w_max=10):
-    """A random spanning tree plus random edges, m edges in all."""
-    edges = {(rng.randrange(v), v): rng.randint(1, w_max) for v in range(1, n)}
-    while len(edges) < m:
-        u, v = sorted(rng.sample(range(n), 2))
-        edges.setdefault((u, v), rng.randint(1, w_max))
-    return [(u, v, w) for (u, v), w in edges.items()]
 
 
 def random_terminals(rng, n):
@@ -571,6 +563,18 @@ class TestFlowNetwork:
                 max_flow_st(net, 1, {n // 3})
 
 
+def assert_same_view(got, want):
+    """Two views are equal: the version, ``exact``, and every array with its
+    dtype, byte for byte."""
+    assert (got.version, got.exact) == (want.version, want.exact)
+    for view in (got, want):
+        assert view.matrix.has_sorted_indices
+    arrays = [(view.ids, view.index, view.matrix.indptr, view.matrix.indices,
+               view.matrix.data, view.labels, view.sizes) for view in (got, want)]
+    for a, b in zip(*arrays):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
 class TestArrayView:
     def _assert_shows(self, view, g):
@@ -605,6 +609,58 @@ class TestArrayView:
             self._assert_shows(fresh, g)
             view = fresh
         assert len(view.sizes) == 4  # the deletion isolated the leaf
+
+    def test_derived_views_equal_fresh_builds(self, monkeypatch):
+        # after a first build, every view of a contracted graph is derived
+        # from the one before; a copy has no view, so its view is built from
+        # the dicts, and the two must be equal, array for array, byte for
+        # byte. On a graph of several components the first contraction takes
+        # the smallest one whole, into one isolated vertex.
+        rng = random.Random(27)
+        derivations = isolated = 0
+        for g, terminals in large_contraction_graphs(rng):
+            view = g.array_view()
+            built, derived = count_view_builds(monkeypatch)
+            for step in range(12):
+                if step == 0 and len(view.sizes) > 1:
+                    small = view.ids[view.labels == view.sizes.argmin()].tolist()
+                    g.contract_vertices(small, small[0])
+                    isolated += g.degree(small[0]) == 0
+                else:
+                    contract_randomly(rng, g, protected=terminals)
+                view = g.array_view()
+                assert g.array_view() is view
+                assert_same_view(view, g.copy().array_view())
+            assert built == [c for c in built if c is not g] and len(built) == 12
+            assert derived == [g] * 12
+            derivations += len(derived)
+            monkeypatch.undo()
+        assert derivations == 12 * 7 and isolated == 1
+
+    def test_deletion_and_inexact_weights_build_from_the_dicts(self, monkeypatch):
+        # a deletion drops the last view, and a view whose weights sum to
+        # 2**53 or more (or inf) is no base: the next view is built from the
+        # dicts, and after it contractions derive again from an exact one.
+        # On the cycle with a chord of 2**53, the first contraction merges
+        # the chord with two unit edges: summed in float64 from a view they
+        # would give 2**53, where the dicts give 2**53 + 2.
+        n = SCIPY_MIN_VERTICES
+        chord = ContractableGraph.from_edge_list(
+            n, [(v, (v + 1) % n, 1) for v in range(n)] + [(0, 5, 2**53)])
+        for g, exact in ((cycle(n), True), (cycle(n, w=2**52), False),
+                         (cycle(n, w=10**400), False), (chord, False)):
+            assert g.array_view().exact is exact
+            built, derived = count_view_builds(monkeypatch)
+            g.contract_vertices([1, 5, n - 1], 1)
+            assert_same_view(g.array_view(), g.copy().array_view())
+            g.delete_edge(10, 11)
+            assert_same_view(g.array_view(), g.copy().array_view())
+            g.contract_vertices([20, 21], 20)
+            assert_same_view(g.array_view(), g.copy().array_view())
+            assert derived == ([g, g] if exact else [])
+            assert [c is g for c in built] == ([False, True, False, False] if exact
+                                               else [True, False] * 3)
+            monkeypatch.undo()
 
     def test_copy_starts_without_a_view(self):
         g = cycle(SCIPY_MIN_VERTICES)

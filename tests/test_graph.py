@@ -7,12 +7,15 @@ from helpers import (
     adjacency_and_find,
     brute_force_opt,
     check_consistency,
+    contract_randomly,
     fixture_graph,
     fixture_problem,
     fresh_isolating_cut,
+    large_contraction_graphs,
     random_instance,
     stale_kept_cuts,
 )
+import mtcut.flow
 from mtcut import (
     ContractableGraph,
     EdgeNotFound,
@@ -23,6 +26,7 @@ from mtcut import (
     Problem,
     cut_value,
 )
+from mtcut.flow import HAVE_SCIPY, SCIPY_MIN_VERTICES, large_view
 
 
 def test_fixture_optima_confirmed_by_oracle():
@@ -388,6 +392,79 @@ class TestProjection:
         p.delete_edge(0, 3)
         assert p.refresh_active() == 1 and not p.active[2]
         assert p.project(fill=0) == [0, 0, 1, 2]
+
+
+def scoring_problems():
+    """Problems on graphs where ``large_view`` applies, contracted by
+    random sets, and their original graphs' exact views."""
+    rng = random.Random(28)
+    out = []
+    for g, terminals in large_contraction_graphs(rng):
+        p = Problem.from_instance(g, terminals)
+        for _ in range(rng.randint(5, 40)):
+            contract_randomly(rng, p.graph, protected=p.block_of)
+        assert large_view(p.original).exact
+        out.append((rng, p))
+    return out
+
+
+def scores(rng, p):
+    """Labels from each kind of projection, the exceptions of infeasible
+    projections and assignments, and every cut value and message."""
+    k = p.k
+    live = list(p.graph.live_vertices())
+    labelings = [p.project(fill=b) for b in range(k)]
+    labelings.append(p.project({v: rng.randrange(k) for v in live}))
+    labelings.append(p.project({v: rng.randrange(k) for v in live[::3]}, fill=k - 1))
+    out = [labelings, [p.solution_value(labels) for labels in labelings]]
+    free = [v for v in live if v not in p.block_of]
+    for kernel in ({}, {v: 0 for v in free[1:]}):
+        with pytest.raises(IncompleteSolution) as exc:
+            p.project(kernel)
+        out.append(str(exc.value))
+    bad = labelings[-1]
+    t = rng.choice(p.terminal_vertices)
+    v = rng.choice([x for x in range(len(bad)) if x not in p.block_of])
+    for change in ((t, (bad[t] + 1) % k), (v, k), (v, -1), (t, k)):
+        labels = list(bad)
+        labels[change[0]] = change[1]
+        with pytest.raises(InfeasibleAssignment) as exc:
+            p.solution_value(labels)
+        out.append(str(exc.value))
+    with pytest.raises(InfeasibleAssignment) as exc:
+        p.solution_value(bad[:-1])
+    out.append(str(exc.value))
+    return out
+
+
+@pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
+class TestScoringOnArrays:
+    """Where ``large_view`` applies, projection and cut value run on arrays;
+    they must give what the dict code gives and raise as it raises."""
+
+    def test_array_and_dict_paths_agree(self, monkeypatch):
+        for rng, p in scoring_problems():
+            state = rng.getstate()
+            with monkeypatch.context() as m:
+                m.setattr(ContractableGraph, "cut_value", None)  # no dict sum
+                got = scores(rng, p)
+            rng.setstate(state)
+            with monkeypatch.context() as m:
+                m.setattr(mtcut.flow, "large_view", lambda g: None)
+                m.setattr(ContractableGraph, "find_all", None)  # no array find
+                assert scores(rng, p) == got
+            assert len(set(got[1])) > 1
+
+    def test_inexact_weights_sum_on_the_dicts(self):
+        n = SCIPY_MIN_VERTICES + 100
+        edges = [(v, v + 1, 2**52 if v == 7 else 1) for v in range(n - 1)]
+        g = ContractableGraph.from_edge_list(n, edges)
+        p = Problem.from_instance(g, (0, n - 1))
+        assert not large_view(g).exact
+        labels = p.project(fill=1)
+        assert labels == [0] + [1] * (n - 1)
+        assert p.solution_value(labels) == 1
+        assert p.solution_value([0] * 8 + [1] * (n - 8)) == 2**52
 
 
 class TestProperties:

@@ -14,6 +14,7 @@ from helpers import (
     brute_force_opt,
     check_consistency,
     count_calls,
+    count_view_builds,
     fixture_problem,
     hanging_tree_graph,
     kernel_opt,
@@ -588,7 +589,6 @@ def scan_results(p, monkeypatch):
         "twins": [mtcut.reductions._twin_gate(p, limit) for limit in (0, 1, 2, 3, 5)],
     }
     q = p.copy()
-    q.graph.array_view()  # the seed reads only a view that is already built
     out["low_degree"] = reduce_low_degree(q), adjacency_and_find(q.graph)
     with monkeypatch.context() as m:
         m.setattr(mtcut.reductions, "_flows", lambda g, sources, *_: [])
@@ -696,35 +696,36 @@ class TestScansOnView:
             assert kernels[0] == kernels[1]
 
     @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
-    def test_cheap_scans_build_no_view(self, monkeypatch):
-        # the low-degree seed and the connectivity count read a view only
-        # when the graph's current version has one
-        p = view_scan_problems()[0]
+    def test_cheap_scans_derive_the_view(self, monkeypatch):
+        # the low-degree seed and the connectivity count read the view of
+        # the graph as it is: after a contraction they derive it from the
+        # last one, and nothing builds from the dicts again
+        p = next(p for p in view_scan_problems() if p.graph.num_vertices > SCIPY_MIN_VERTICES)
+        built, derived = count_view_builds(monkeypatch)
         scans = count_calls(monkeypatch, "_ViewScan")
         assert mtcut.reductions._connectivity_gate(p, 10**6) is False
+        assert len(scans) == 1 and built == [p.graph] and derived == []
+        v = next(v for v in p.graph.live_vertices() if v not in p.block_of)
+        p.contract_set([v], next(iter(p.graph.neighbors(v))))
         reduce_low_degree(p)
-        assert p.graph.built_view() is None and scans == []
-        p.graph.array_view()
         assert mtcut.reductions._connectivity_gate(p, 10**6) is False
-        reduce_low_degree(p)
-        assert len(scans) == 2
+        assert len(scans) == 3 and built == [p.graph] and derived == [p.graph]
 
     @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
-    def test_torus_kernelize_builds_two_views(self, monkeypatch):
-        # the isolating cuts' flows read one view of the grown root; the
-        # scans after their contraction share a second
-        builds = []
-        real = mtcut.graph.ArrayView.__init__
-
-        def counting(self, g):
-            builds.append(g.version())
-            real(self, g)
-
+    def test_torus_kernelize_builds_one_view_from_the_dicts(self, monkeypatch):
+        # the isolating cuts' flows read the one view of the grown root
+        # built from the dicts; the scans after their contraction read one
+        # derived from it. The heuristic's labels are scored on the original
+        # graph's view, built once.
         g = torus_graph(100, 100)
         p = grow_terminal_blocks(g, generate_terminals(g, 8, 0), 0.1)
-        monkeypatch.setattr(mtcut.graph.ArrayView, "__init__", counting)
+        built, derived = count_view_builds(monkeypatch)
         report = run_reduction_loop(p, BoundState())
-        assert report.fixpoint and len(builds) == 2
+        assert report.fixpoint and report.contracted["isolating_cuts"] > 0
+        assert [q is p.graph for q in built] == [True, False] and built[1] is p.original
+        assert derived == [p.graph]
+        run_reduction_loop(p.copy(), BoundState())
+        assert len(built) == 3 and built[2] is not p.original
 
 
 class TestArticulationPoints:
