@@ -6,24 +6,21 @@ component reuses it. A rule that runs several flows on one unchanged graph
 builds one network for all of them; passing a graph to :func:`max_flow_st`
 builds a one-shot network.
 
-A component is relabeled in one of two ways. On a graph with at least
-``SCIPY_MIN_VERTICES`` live vertices, with scipy present, a component of
-at least that size is taken from the graph's array view
+Each component's flow implementation is fixed when the network builds it.
+Where :func:`large_view` gives the graph's array view
 (:meth:`~mtcut.graph.ContractableGraph.array_view`, made once per graph
-version and shared by every network and rule on it): its vertices in
-ascending id order, and as capacities the view's weight matrix, or its
-rows and columns of the component when the graph has several. Any other
-component, and one whose capacities pass int32, is relabeled by one BFS
-over the adjacency dicts, which fills the pure-Python flow's residual
-network as it numbers the vertices; the scipy matrix of such a component
-is derived from that network if a flow asks for it.
-
-The implementation is picked per flow. Components with fewer than
-``SCIPY_MIN_VERTICES`` vertices run a pure-Python blocking flow, whose
-per-call cost is below scipy's fixed overhead at that size; larger ones run
-scipy's C implementation. The pure-Python flow also runs at any size when
-scipy is missing or the capacities (super-sink included) exceed int32,
-scipy's integer type.
+version and shared by every network and rule on it), a component of at
+least ``SCIPY_MIN_VERTICES`` vertices is taken from the view, unless its
+capacities, super-sink included, pass int32, scipy's integer type: its
+vertices in ascending id order, and as capacities the view's weight
+matrix, or its rows and columns of the component when the graph has
+several. Such a component holds only scipy's CSR arrays and runs scipy's
+C implementation. Every other component is relabeled by one BFS over the
+adjacency dicts, which fills the pure-Python flow's residual network as it
+numbers the vertices, and runs the pure-Python blocking flow. Below that
+size its per-call cost is below scipy's fixed overhead; above it, it runs
+only when scipy is missing, the graph's weights are not exact, or the
+capacities pass int32.
 
 The pure-Python flow keeps its residual network in per-vertex dicts and
 neighbor bitmasks, and its levels are distances to the nearest sink, found
@@ -35,11 +32,12 @@ end at the trivial cut {s}, and those short paths carry most of their flow.
 The phases then finish from that flow. scipy needs a single sink,
 so for it a super-sink is attached with unsaturable edges (capacity
 ``inf``, one more than the total edge weight, which no finite cut can
-reach); the int32 dispatch reads the same ``inf``. Each component keeps
-one sorted CSR capacity matrix for scipy, and a flow copies it with the
-sink arcs inserted. The vertices that can still reach a sink are then
-found by one search from the super-sink along reversed residual arcs,
-whose capacities the kept matrix plus the flow matrix give directly.
+reach); the int32 test of a view's component reads the same ``inf``.
+Each such component keeps one sorted CSR capacity matrix, and a flow
+copies it with the sink arcs inserted. The vertices that can still reach
+a sink are then found by one search from the super-sink along reversed
+residual arcs, whose capacities the kept matrix plus the flow matrix give
+directly.
 
 Both extract the same canonical source side: the complement, within the
 source's component, of the vertices that can still reach a sink in the
@@ -60,7 +58,6 @@ part is the source itself; the value and side are the full flow's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Sequence
 
 from .graph import ArrayView, ContractableGraph, GraphError
@@ -123,18 +120,25 @@ class _ArrayIndex:
 class _Component:
     """One connected component relabeled to indices ``0..n-1``.
 
-    Holds the vertex list and its index (vertex id → index). A component
-    built by :meth:`__init__`, a BFS over the adjacency dicts, fills the
-    pure-Python flow's residual network (:meth:`arcs`) in that same pass;
-    scipy's matrix (:meth:`arrays`) is derived from it on first use. A
-    large component is taken from the graph's array view instead
-    (:meth:`from_view`): its vertices are in ascending id order and it
-    holds only the scipy arrays, so it runs only scipy's flow. A region
-    (:meth:`region`) is a connected vertex set with the rest of the graph
-    merged into one sink, for the pure-Python flow only.
+    Holds the vertex list and its index (vertex id → index), and the
+    network of the one flow implementation that runs on it, the other
+    field None; neither is ever changed, and each flow copies it:
+
+    - ``arcs``: the pure-Python flow's residual capacities (per vertex,
+      neighbor index → capacity) and neighbor bitmasks (bit ``u`` of entry
+      ``v`` is set when ``u`` and ``v`` are adjacent), both at zero flow.
+      A component built by :meth:`__init__`, a BFS over the adjacency
+      dicts, fills them in that same pass, and so does a region
+      (:meth:`region`), a connected vertex set with the rest of the graph
+      merged into one sink.
+    - ``arrays``: scipy's capacity matrix in CSR form, both arc
+      directions, ``(indptr, indices, caps)``, int32, each row sorted by
+      column, with ``inf`` its super-sink capacity. A component taken from
+      the graph's array view (:meth:`from_view`) has them, sliced from the
+      view's matrix, and its vertices are in ascending id order.
     """
 
-    __slots__ = ("vertices", "index", "inf", "_arcs", "_arrays")
+    __slots__ = ("vertices", "index", "inf", "arcs", "arrays")
 
     def __init__(self, g: ContractableGraph, source: int):
         # one BFS from the source numbers the vertices in visit order and
@@ -143,7 +147,6 @@ class _Component:
         self.index = index = {source: 0}
         res: list[dict[int, int]] = []
         masks: list[int] = []
-        total = 0
         iv = 0
         while iv < len(vertices):
             v = vertices[iv]
@@ -156,13 +159,11 @@ class _Component:
                     vertices.append(x)
                 row[ix] = w
                 mask |= 1 << ix
-                total += w
             res.append(row)
             masks.append(mask)
             iv += 1
-        self.inf = total // 2 + 1  # each edge was counted from both ends
-        self._arcs = (res, masks)
-        self._arrays = None
+        self.arcs = (res, masks)
+        self.arrays = None
 
     @classmethod
     def from_view(cls, view: ArrayView, label: int) -> "_Component | None":
@@ -172,8 +173,7 @@ class _Component:
         The capacity matrix is the view's whole matrix when the graph is
         connected, else its rows of the component, whose columns are all
         in the component too; renumbering them by ascending id keeps each
-        row sorted. Its weights sum exactly in float64 up to 2**53, and any
-        larger sum fails the int32 test anyway.
+        row sorted. The view's weights sum exactly in float64.
         """
         matrix = view.matrix
         if len(view.sizes) == 1:
@@ -193,8 +193,8 @@ class _Component:
         comp.vertices = ids.tolist()
         comp.index = _ArrayIndex(index)
         comp.inf = int(total) // 2 + 1
-        comp._arcs = None
-        comp._arrays = (matrix.indptr, matrix.indices, matrix.data.astype(np.int32))
+        comp.arcs = None
+        comp.arrays = (matrix.indptr, matrix.indices, matrix.data.astype(np.int32))
         return comp
 
     @classmethod
@@ -248,44 +248,21 @@ class _Component:
         comp = cls.__new__(cls)
         comp.vertices = vertices
         comp.index = index
-        comp._arcs = (res, masks)
-        comp._arrays = None
+        comp.arcs = (res, masks)
+        comp.arrays = None
         return comp
-
-    def arcs(self) -> tuple[list[dict[int, int]], list[int]] | None:
-        """Residual capacities (per vertex, neighbor index → capacity) and
-        neighbor bitmasks (bit ``u`` of entry ``v`` is set when ``u`` and
-        ``v`` are adjacent), both at zero flow, as the BFS build filled
-        them; None for a component from the view. Never changed; each flow
-        copies them."""
-        return self._arcs
-
-    def arrays(self):
-        """The component's capacity matrix in CSR form, both arc directions:
-        ``(indptr, indices, caps)``, int32, each row sorted by column, in the
-        component's own index order. A component from the view has them
-        from its build, sliced from the view's matrix; a BFS-built one
-        derives them from its residual dicts on first use. Never changed;
-        each scipy flow copies them."""
-        if self._arrays is None:
-            res = self._arcs[0]
-            n = len(res)
-            indptr = np.zeros(n + 1, dtype=np.int32)
-            np.cumsum(np.fromiter(map(len, res), dtype=np.int32, count=n), out=indptr[1:])
-            nnz = int(indptr[-1])
-            cols = np.fromiter(chain.from_iterable(res), dtype=np.int32, count=nnz)
-            caps = np.fromiter(chain.from_iterable(map(dict.values, res)),
-                               dtype=np.int32, count=nnz)
-            # sort each row by column: rows first, then columns within a row
-            order = np.lexsort((cols, np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))))
-            self._arrays = (indptr, cols[order], caps[order])
-        return self._arrays
 
 
 def large_view(g: ContractableGraph) -> ArrayView | None:
-    """``g``'s array view if scipy is present and ``g`` has at least
-    ``SCIPY_MIN_VERTICES`` live vertices, else None."""
-    if HAVE_SCIPY and g.num_vertices >= SCIPY_MIN_VERTICES:
+    """``g``'s array view if scipy is present, ``g`` has at least
+    ``SCIPY_MIN_VERTICES`` live vertices and its weights are exact
+    (:attr:`~mtcut.graph.ContractableGraph.exact`), else None.
+
+    This is the one test between the arrays and the dicts: every array
+    path, in the flows, the rules, terminal placement and scoring, runs
+    where it gives a view, and the dict code it replaces everywhere else.
+    """
+    if HAVE_SCIPY and g.exact and g.num_vertices >= SCIPY_MIN_VERTICES:
         return g.array_view()
     return None
 
@@ -304,7 +281,11 @@ class FlowNetwork:
         self._components: list[_Component] = []
 
     def component(self, v: int) -> _Component:
-        """The relabeled component holding live vertex ``v``."""
+        """The relabeled component holding live vertex ``v``, built on first
+        use: from the graph's :func:`large_view` when it has one, the
+        component has ``SCIPY_MIN_VERTICES`` vertices or more and its
+        capacities fit int32 (:meth:`_Component.from_view`), else by BFS.
+        That choice fixes the flow implementation of every flow on it."""
         g = self.graph
         if g.version() != self._version:
             raise GraphError("graph changed since the flow network was built")
@@ -329,7 +310,9 @@ def max_flow_st(g: ContractableGraph | FlowNetwork, source: int,
 
     ``g`` is a graph or a :class:`FlowNetwork` built on one. Returns the cut
     value and the largest source side. A source that cannot reach any sink
-    yields value 0 with its whole component as source side.
+    yields value 0 with its whole component as source side. The flow is
+    scipy's on a component that holds scipy's arrays, else the pure-Python
+    one (see :meth:`FlowNetwork.component`).
     """
     net = g if isinstance(g, FlowNetwork) else FlowNetwork(g)
     graph = net.graph
@@ -349,14 +332,9 @@ def max_flow_st(g: ContractableGraph | FlowNetwork, source: int,
     sink_ids = sorted(index[t] for t in sink_set if t in index)
     if not sink_ids:
         return FlowResult(0, frozenset(comp.vertices))
-    flow = _scipy_flow if _runs_scipy(comp) else _dinic
+    flow = _dinic if comp.arrays is None else _scipy_flow
     value, side = flow(comp, index[source], sink_ids)
     return FlowResult(value, frozenset(map(comp.vertices.__getitem__, side)))
-
-
-def _runs_scipy(comp: _Component) -> bool:
-    """Whether flows on ``comp`` run scipy's implementation."""
-    return HAVE_SCIPY and len(comp.vertices) >= SCIPY_MIN_VERTICES and comp.inf <= _INT32_MAX
 
 
 def source_regions(net: FlowNetwork, sources: Sequence[int],
@@ -393,7 +371,7 @@ def source_regions(net: FlowNetwork, sources: Sequence[int],
     sink_set = set(sinks)
     regions = {}
     for comp, group in groups.values():
-        if len(group) < 2 or not _runs_scipy(comp):
+        if len(group) < 2 or comp.arrays is None:
             continue
         index = comp.index
         sink_ids = sorted(index[t] for t in sink_set if t in index)
@@ -401,7 +379,7 @@ def source_regions(net: FlowNetwork, sources: Sequence[int],
             continue
         starts = [index[v] for v in group]
         side = np.asarray(_scipy_flow(comp, starts, sink_ids)[1])  # ascending
-        indptr, indices, caps = comp.arrays()
+        indptr, indices, caps = comp.arrays
         n = len(comp.vertices)
         inner = csr_matrix((caps, indices, indptr), shape=(n, n))[side][:, side]
         _, labels = connected_components(inner, directed=False)
@@ -452,7 +430,7 @@ def _dinic(comp: _Component, s: int, sinks: list[int]) -> tuple[int, list[int]]:
     still reach a sink. A path ends at the first sink it meets, so no
     super-sink is attached.
     """
-    res0, masks = comp.arcs()
+    res0, masks = comp.arcs
     res = [r.copy() for r in res0]
     out = list(masks)
     inn = list(masks)
@@ -579,7 +557,7 @@ def _scipy_flow(comp: _Component, s: int | Sequence[int],
     source index or a list of several, none of them a sink; ``sinks`` must
     be ascending.
 
-    The capacity matrix is the component's kept one (:meth:`_Component.arrays`)
+    The capacity matrix is the component's kept one (``_Component.arrays``)
     plus an arc of capacity ``comp.inf`` from each sink to the super-sink
     ``ss``, the column after the component's, inserted at the end of the
     sink's row so that every row stays sorted. Several sources are joined
@@ -603,7 +581,7 @@ def _scipy_flow(comp: _Component, s: int | Sequence[int],
     so not the super-source, can reach a sink once the flow is maximum.
     Any other layout is aligned by sparse addition.
     """
-    indptr, indices, caps = comp.arrays()
+    indptr, indices, caps = comp.arrays
     ss = len(comp.vertices)
     k = len(sinks)
     t = np.asarray(sinks, dtype=np.int32)

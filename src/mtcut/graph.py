@@ -33,25 +33,32 @@ the graph directly empties it too.
 
 :meth:`ContractableGraph.array_view` gives the live vertices as arrays
 (:class:`ArrayView`) for scipy's graph routines, built on first use and
-stamped with the ``version()`` in the same way. When only contractions
-happened since the last view, the next one is derived from it in numpy
-(:meth:`ArrayView.derived`): its rows and columns are mapped through one
-vectorized ``find`` (:meth:`ContractableGraph.find_all`), which equals the
-quotient the merges made of the dicts. A deletion drops the last view, a
-view whose weights do not sum exactly in float64 is not derived from, and
-a copy starts without one; each of those builds from the dicts again.
+stamped with the ``version()`` in the same way. Only a graph whose weights
+sum exactly in float64 has one (``ContractableGraph.exact``); that is
+decided once, when the graph is built, since no mutation raises the total.
+When only contractions happened since the last view, the next one is
+derived from it in numpy (:meth:`ArrayView.derived`): its rows and columns
+are mapped through one vectorized ``find``
+(:meth:`ContractableGraph.find_all`), which equals the quotient the merges
+made of the dicts. A deletion drops the last view and a copy starts
+without one; both build from the dicts again. A view also carries the
+degrees and weighted degrees that the reduction rules' scans read.
 
-On graphs where :func:`~mtcut.flow.large_view` gives a view,
-:meth:`Problem.project` and :func:`cut_value` (so every incumbent's score)
-run on arrays: the labels are lifted through ``find_all``, and the cut is
-summed on the original graph's view, built once, since the original
-never changes.
+One rule picks the arrays over the dicts, everywhere:
+:func:`~mtcut.flow.large_view` gives the view of a graph with at least
+``SCIPY_MIN_VERTICES`` live vertices and exact weights, scipy present,
+and None for any other graph, which keeps the dict code. Where it gives
+one, :meth:`Problem.project` and :func:`cut_value` (so every incumbent's
+score) run on arrays: the labels are lifted through ``find_all``, and the
+cut is summed on the original graph's view, built once, since the
+original never changes.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from functools import cached_property
 from itertools import chain, repeat
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -94,9 +101,16 @@ class ContractableGraph:
     (tombstone) so ids stay stable, and ``find`` maps any original id to its
     live representative. Parallel edges are merged by weight summation and
     self-loops are discarded, so the graph stays simple at all times.
+
+    ``exact`` tells whether the weights, each edge counted from both ends,
+    sum below 2**53, so that every sum of them is exact in float64. It is
+    set once, by the constructor, and copies inherit it: a contraction
+    drops twice the weight of the edge it merges and a deletion twice the
+    weight it deletes, so the total never rises.
     """
 
-    __slots__ = ("n_original", "num_vertices", "num_edges", "_adj", "_wdeg", "_parent", "_view")
+    __slots__ = ("n_original", "num_vertices", "num_edges", "exact", "_adj", "_wdeg", "_parent",
+                 "_view")
 
     def __init__(self, adj: list[dict[int, int]]):
         """The graph whose vertex ``v`` has neighbor dict ``adj[v]``, taken
@@ -108,6 +122,7 @@ class ContractableGraph:
         self.num_edges = sum(map(len, adj)) // 2
         self._adj: list[dict[int, int] | None] = adj
         self._wdeg = list(map(sum, map(dict.values, adj)))
+        self.exact = sum(self._wdeg) < 2**53
         self._parent = list(range(len(adj)))
         self._view: ArrayView | None = None
 
@@ -141,6 +156,7 @@ class ContractableGraph:
         g.n_original = self.n_original
         g.num_vertices = self.num_vertices
         g.num_edges = self.num_edges
+        g.exact = self.exact
         g._adj = [None if a is None else dict(a) for a in self._adj]
         g._wdeg = list(self._wdeg)
         g._parent = list(self._parent)
@@ -184,20 +200,21 @@ class ContractableGraph:
         return self.num_vertices, self.num_edges
 
     def array_view(self) -> "ArrayView":
-        """The live vertices as arrays; needs numpy and scipy.
+        """The live vertices as arrays; needs numpy and scipy, and a graph
+        with :attr:`exact` weights: any other raises :class:`GraphError`.
 
         Made on first use and kept until the graph's :meth:`version`
         moves, so every caller on one graph version shares one view. The
         last view is the base of the next: only contractions can have
         happened since it was made (:meth:`delete_edge` drops it), so the
-        next is derived from it (:meth:`ArrayView.derived`) unless its
-        weights do not sum exactly in float64. A graph without a base, a
-        copy among them, builds from the dicts.
+        next is derived from it (:meth:`ArrayView.derived`). A graph
+        without a base, a copy among them, builds from the dicts.
         """
         view = self._view
         if view is None or view.version != self.version():
-            view = self._view = (ArrayView.derived(view, self) if view is not None and view.exact
-                                 else ArrayView(self))
+            if not self.exact:
+                raise GraphError("weights past 2**53 in total have no array view")
+            view = self._view = ArrayView(self) if view is None else ArrayView.derived(view, self)
         return view
 
     def is_live(self, v: int) -> bool:
@@ -324,13 +341,16 @@ class ArrayView:
       tombstone.
     - ``matrix``: the weight matrix over the indices in CSR form, int32
       indices, each edge in both directions and each row sorted by column.
-      The weights are float64, as scipy's graph routines read them, and
-      exact below 2**53; if one is past float range, all read as ``inf``,
-      so that no flow takes them.
+      The weights are float64, as scipy's graph routines read them; a view
+      is made only of a graph with exact weights
+      (:attr:`ContractableGraph.exact`), so every sum of them is exact.
     - ``labels`` and ``sizes``: each index's connected component, numbered
       from 0, and each component's vertex count.
-    - ``exact``: whether the weights, each edge counted from both ends, sum
-      below 2**53, so that every sum of them is exact in float64.
+    - ``degree`` and ``wdeg``: each index's degree and weighted degree;
+      ``rows``: the indices with a neighbor, ascending. The rules' scans
+      read them, and :meth:`per_row` reduces other per-entry values. Each
+      is computed on first use, once per view, since many views are never
+      scanned.
     - ``version``: the graph's :meth:`~ContractableGraph.version` it shows.
 
     The constructor fills the arrays with ``np.fromiter`` over the
@@ -339,8 +359,6 @@ class ArrayView:
     searches from several vertices at once: terminal placement's BFS and
     the articulation rule's DFS.
     """
-
-    __slots__ = ("version", "ids", "index", "matrix", "labels", "sizes", "exact")
 
     def __init__(self, g: ContractableGraph):
         adj = g._adj
@@ -353,11 +371,8 @@ class ArrayView:
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.fromiter(map(len, rows), dtype=np.int32, count=n), out=indptr[1:])
         cols = index[np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=nnz)]
-        try:
-            weights = np.fromiter(chain.from_iterable(map(dict.values, rows)),
-                                  dtype=np.float64, count=nnz)
-        except OverflowError:
-            weights = np.full(nnz, np.inf)
+        weights = np.fromiter(chain.from_iterable(map(dict.values, rows)),
+                              dtype=np.float64, count=nnz)
         matrix = csr_matrix((weights, cols, indptr), shape=(n, n))
         matrix.sort_indices()
         self._finish(matrix)
@@ -366,12 +381,11 @@ class ArrayView:
     def derived(cls, base: "ArrayView", g: ContractableGraph) -> "ArrayView":
         """The view of ``g``, made from ``base``, an earlier view of it.
 
-        Only contractions may have happened since ``base``, and its weights
-        must sum exactly (``base.exact``). Each of its indices is mapped to
-        its vertex's representative's new index; the entries that became
-        self-loops are dropped, and scipy sums the ones that became
-        parallel, as the merges summed them in the dicts. Every sum is
-        exact, so the arrays equal a fresh build's, byte for byte.
+        Only contractions may have happened since ``base``. Each of its
+        indices is mapped to its vertex's representative's new index; the
+        entries that became self-loops are dropped, and scipy sums the ones
+        that became parallel, as the merges summed them in the dicts. Every
+        sum is exact, so the arrays equal a fresh build's, byte for byte.
         """
         view = cls.__new__(cls)
         root = g.find_all()
@@ -396,12 +410,30 @@ class ArrayView:
         return index
 
     def _finish(self, matrix: csr_matrix) -> None:
-        """Set ``matrix`` and what is read off it: the components and
-        ``exact``."""
+        """Set ``matrix`` and the components read off it."""
         self.matrix = matrix
         _, self.labels = connected_components(matrix, directed=False)
         self.sizes = np.bincount(self.labels)
-        self.exact = bool(matrix.data.sum() < 2**53)
+
+    @cached_property
+    def degree(self) -> np.ndarray:
+        return np.diff(self.matrix.indptr)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        return np.flatnonzero(self.degree)
+
+    @cached_property
+    def wdeg(self) -> np.ndarray:
+        return self.per_row(np.add, self.matrix.data)
+
+    def per_row(self, ufunc, values: np.ndarray) -> np.ndarray:
+        """``ufunc`` reduced over each row's entries of ``values`` (one per
+        stored matrix entry); 0 for a row with no neighbor."""
+        out = np.zeros(len(self.degree), dtype=values.dtype)
+        if len(self.rows):
+            out[self.rows] = ufunc.reduceat(values, self.matrix.indptr[self.rows])
+        return out
 
     def rooted(self, roots: np.ndarray) -> csr_matrix:
         """The matrix's pattern plus a virtual root, index ``n``, whose row
@@ -426,16 +458,15 @@ def cut_value(graph: ContractableGraph, terminal_vertices: Sequence[int], labels
     Every terminal must carry its own block label and every label must be a
     valid block index; violations raise :class:`InfeasibleAssignment`.
 
-    Where :func:`~mtcut.flow.large_view` gives the graph's view and its
-    weights sum exactly (``ArrayView.exact``), integer labels are checked
-    and the cut summed in numpy passes over it, with the same exceptions
-    and value.
+    Where :func:`~mtcut.flow.large_view` gives the graph's view, integer
+    labels are checked and the cut summed in numpy passes over it, with the
+    same exceptions and value.
     """
     k = len(terminal_vertices)
     if len(labels) != graph.n_original:
         raise InfeasibleAssignment("assignment does not cover every vertex")
     view = flow.large_view(graph)
-    given = np.asarray(labels) if view is not None and view.exact else None
+    given = None if view is None else np.asarray(labels)
     if given is None or given.dtype.kind not in "iu":
         for i, t in enumerate(terminal_vertices):
             if labels[t] != i:

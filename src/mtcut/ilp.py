@@ -140,13 +140,13 @@ def parse_solution(text: str, model: IlpModel) -> dict[int, int]:
     return labels
 
 
-def solve_external(model: IlpModel, command: str | None,
-                   timeout_seconds: float, workdir: str | None = None) -> IlpOutcome:
+def solve_external(model: IlpModel, command: str | None, timeout_seconds: float) -> IlpOutcome:
     """Run the configured solver command on the emitted model.
 
     The command is a template whose ``{model}`` and ``{solution}``
-    placeholders are replaced with file paths; the solver must write
-    ``name value`` lines to the solution path. Returns a solved outcome,
+    placeholders are replaced with paths in a temporary directory, removed
+    on return; the solver must write ``name value`` lines to the solution
+    path. Returns a solved outcome,
     a timeout (caller should branch instead), or unavailability (missing
     or broken solver, or a template that does not parse; caller should
     disable the ILP path).
@@ -157,11 +157,7 @@ def solve_external(model: IlpModel, command: str | None,
         return IlpOutcome(UNAVAILABLE, detail="no solver command configured")
     if timeout_seconds is not None and timeout_seconds <= 0:
         return IlpOutcome(TIMED_OUT, detail="no time budget left")
-    own_dir = None
-    if workdir is None:
-        own_dir = tempfile.TemporaryDirectory(prefix="mtcut-ilp-")
-        workdir = own_dir.name
-    try:
+    with tempfile.TemporaryDirectory(prefix="mtcut-ilp-") as workdir:
         model_path = os.path.join(workdir, "model.lp")
         solution_path = os.path.join(workdir, "model.sol")
         with open(model_path, "w") as fh:
@@ -191,9 +187,6 @@ def solve_external(model: IlpModel, command: str | None,
             return IlpOutcome(UNAVAILABLE, detail=f"malformed solution: {exc}")
         return IlpOutcome(SOLVED, labels=[labels[v] for v in model.vertices],
                           value=model.objective_value(labels))
-    finally:
-        if own_dir is not None:
-            own_dir.cleanup()
 
 
 def solve_problem(p: Problem, command: str | None, timeout_seconds: float) -> IlpOutcome:

@@ -29,8 +29,9 @@ Each gate is exact. Until a scan contracts, the graph stays as the gate
 read it, and whatever the scan would contract passes the gate, so a closed
 gate skips only scans that would contract nothing.
 
-On a graph with at least ``SCIPY_MIN_VERTICES`` live vertices, with scipy
-present, the rules read the graph's array view
+Where :func:`~mtcut.flow.large_view` gives the graph's array view (at
+least ``SCIPY_MIN_VERTICES`` live vertices, weights that sum exactly in
+float64, scipy present), the rules read it
 (:meth:`~mtcut.graph.ContractableGraph.array_view`), one view per graph
 version, shared by every rule and flow until the graph changes:
 
@@ -41,17 +42,17 @@ version, shared by every rule and flow until the graph changes:
   flow on a few vertices or none (:func:`_flows`);
 - ``reduce_articulation_points`` takes its DFS from scipy's
   ``depth_first_order`` on it;
-- when the view's weights, each edge counted from both ends, sum below
-  2**53, so that every sum of them is exact in float64 (:class:`_ViewScan`):
-  the four gates above, the first queue of ``reduce_low_degree`` and the
+- the four gates above, the first queue of ``reduce_low_degree`` and the
   ranking of ``reduce_non_terminal_flows``' sources, hop distances
-  included, are numpy passes over it.
+  included, are numpy passes over the view's degrees and weighted
+  degrees, which the view computes once; a scan adds at most its mask of
+  the non-terminals.
 
 Each gives the results of the dict-walking code it replaces there, which
-smaller graphs, and graphs with heavier weights, keep. Each reader makes
-the view if the current version has none: after contractions alone it is
-derived from the last view in numpy, at a fraction of the cost of a build
-from the dicts (see :meth:`~mtcut.graph.ContractableGraph.array_view`).
+every other graph keeps. Each reader makes the view if the current version
+has none: after contractions alone it is derived from the last view in
+numpy, at a fraction of the cost of a build from the dicts (see
+:meth:`~mtcut.graph.ContractableGraph.array_view`).
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ from .flow import (
 from .graph import ArrayView, BoundState, ContractableGraph, GraphError, Problem
 from .localsearch import expired
 
-# Defaults of the two rule parameters; SolverConfig's fields start from these.
+# SolverConfig.neighborhood_limit starts from this default
 NEIGHBORHOOD_LIMIT = 5  # largest degree reduce_equal_neighborhoods compares
 FLOW_CANDIDATES = 5  # reduce_non_terminal_flows' sources per kind
 
@@ -250,50 +251,11 @@ def contract_isolating_cuts(p: Problem, bound_state: BoundState | None = None,
 # scans on the array view
 
 
-class _ViewScan:
-    """What the root scans read off a large graph's array view.
-
-    Per view index: ``degree``, ``wdeg`` (the weighted degree) and ``free``
-    (not a terminal); ``rows`` lists the indices with a neighbor. Built only
-    when the view's weights, each edge counted from both ends, sum below
-    2**53: every partial sum is then exact, so ``wdeg`` and every sum of
-    its size are exact integers in float64.
-    """
-
-    __slots__ = ("view", "degree", "wdeg", "free", "rows")
-
-    def __init__(self, view: ArrayView, terminals):
-        self.view = view
-        self.degree = np.diff(view.matrix.indptr)
-        self.rows = np.flatnonzero(self.degree)
-        self.wdeg = self.per_row(np.add, view.matrix.data)
-        self.free = np.ones(len(view.ids), dtype=bool)
-        self.free[view.index[list(terminals)]] = False
-
-    def per_row(self, ufunc, values):
-        """``ufunc`` reduced over each row's entries of ``values`` (one per
-        stored matrix entry); 0 for a row with no neighbor."""
-        out = np.zeros(len(self.degree), dtype=values.dtype)
-        if len(self.rows):
-            out[self.rows] = ufunc.reduceat(values, self.view.matrix.indptr[self.rows])
-        return out
-
-
-def _view_scan(p: Problem) -> _ViewScan | None:
-    """A :class:`_ViewScan` of ``p``'s graph when :func:`large_view` gives
-    a view whose weights sum exactly in float64 (``ArrayView.exact``), else
-    None.
-
-    The view is built, or derived from the last one when only contractions
-    happened since (:meth:`~mtcut.graph.ContractableGraph.array_view`), if
-    the graph's current version has none. A derivation costs a fraction of
-    a build from the dicts, so even the low-degree seed and the connectivity
-    count, whose dict scans are cheap, take the view.
-    """
-    view = large_view(p.graph)
-    if view is None or not view.exact:
-        return None
-    return _ViewScan(view, p.block_of)
+def _non_terminals(view: ArrayView, troots: dict[int, int]) -> np.ndarray:
+    """Per index of ``view``, whether its vertex is not a terminal."""
+    free = np.ones(len(view.ids), dtype=bool)
+    free[view.index[list(troots)]] = False
+    return free
 
 
 def _repeats(keys) -> bool:
@@ -334,17 +296,18 @@ def reduce_low_degree(p: Problem) -> tuple[int, int]:
     placement of the vertex.
 
     The first queue holds such non-terminals in ascending id order. On a
-    graph with a :func:`_view_scan` it is read off the view's degrees.
+    graph with a :func:`~mtcut.flow.large_view` it is read off the view's
+    degrees.
     """
     g = p.graph
     troots = p.block_of
-    scan = _view_scan(p)
-    if scan is None:
+    view = large_view(g)
+    if view is None:
         queue = deque(v for v in g.live_vertices()
                       if v not in troots and 1 <= g.degree(v) <= 2)
     else:
-        seed = scan.free & (scan.degree >= 1) & (scan.degree <= 2)
-        queue = deque(scan.view.ids[seed].tolist())
+        seed = _non_terminals(view, troots) & (view.degree >= 1) & (view.degree <= 2)
+        queue = deque(view.ids[seed].tolist())
     contracted = 0
     while queue:
         v = queue.popleft()
@@ -365,12 +328,13 @@ def reduce_low_degree(p: Problem) -> tuple[int, int]:
 
 def _heavy_edge_gate(p: Problem) -> bool:
     """Whether some non-terminal's heaviest edge is at least half its
-    weighted degree; on a graph with a :func:`_view_scan`, from the view's
-    row maxima."""
-    scan = _view_scan(p)
-    if scan is not None:
-        top = scan.per_row(np.maximum, scan.view.matrix.data)
-        return bool(np.any(scan.free & (scan.degree > 0) & (2 * top >= scan.wdeg)))
+    weighted degree; on a graph with a :func:`~mtcut.flow.large_view`, from
+    the view's row maxima."""
+    view = large_view(p.graph)
+    if view is not None:
+        top = view.per_row(np.maximum, view.matrix.data)
+        free = _non_terminals(view, p.block_of)
+        return bool(np.any(free & (view.degree > 0) & (2 * top >= view.wdeg)))
     g = p.graph
     troots = p.block_of
     for v in g.live_vertices():
@@ -424,24 +388,25 @@ def _triangle_end(g: ContractableGraph, v: int) -> bool:
 def _heavy_triangle_gate(p: Problem) -> bool:
     """Whether two adjacent non-terminals pass :func:`_triangle_end`.
 
-    On a graph with a :func:`_view_scan`, ``top1`` is a row's maximum and
-    ``top2`` the maximum of the row with the first entry of ``top1`` set to
-    0, which is what :func:`_triangle_end` computes for a row of two or more
-    entries; then one pass over the matrix entries looks for an edge with
-    two passing ends.
+    On a graph with a :func:`~mtcut.flow.large_view`, ``top1`` is a row's
+    maximum and ``top2`` the maximum of the row with the first entry of
+    ``top1`` set to 0, which is what :func:`_triangle_end` computes for a
+    row of two or more entries; then one pass over the matrix entries looks
+    for an edge with two passing ends.
     """
-    scan = _view_scan(p)
-    if scan is not None:
-        matrix = scan.view.matrix
+    view = large_view(p.graph)
+    if view is not None:
+        matrix = view.matrix
         data = matrix.data
-        row_of = np.repeat(np.arange(len(scan.degree)), scan.degree)
-        top1 = scan.per_row(np.maximum, data)
+        row_of = np.repeat(np.arange(len(view.degree)), view.degree)
+        top1 = view.per_row(np.maximum, data)
         at_top = np.flatnonzero(data == top1[row_of])
         first = at_top[np.concatenate(([True], row_of[at_top[1:]] != row_of[at_top[:-1]]))]
         rest = data.copy()
         rest[first] = 0
-        top2 = scan.per_row(np.maximum, rest)
-        ends = scan.free & (scan.degree >= 2) & (2 * top1 + top2 >= scan.wdeg)
+        top2 = view.per_row(np.maximum, rest)
+        ends = (_non_terminals(view, p.block_of) & (view.degree >= 2)
+                & (2 * top1 + top2 >= view.wdeg))
         return bool(np.any(ends[row_of] & ends[matrix.indices]))
     g = p.graph
     troots = p.block_of
@@ -515,14 +480,14 @@ def capforest_bounds(g: ContractableGraph) -> dict[tuple[int, int], int]:
 def _connectivity_gate(p: Problem, best_value: float) -> bool:
     """Whether two vertices' weighted degrees exceed the connectivity
     threshold; never, for an infinite ``best_value``, which it returns at
-    once. On a graph with a :func:`_view_scan` it counts the view's weighted
-    degrees."""
+    once. On a graph with a :func:`~mtcut.flow.large_view` it counts the
+    view's weighted degrees."""
     threshold = best_value - p.deleted_weight
     if threshold == math.inf:
         return False
-    scan = _view_scan(p)
-    if scan is not None:
-        return int(np.count_nonzero(scan.wdeg > threshold)) >= 2
+    view = large_view(p.graph)
+    if view is not None:
+        return int(np.count_nonzero(view.wdeg > threshold)) >= 2
     g = p.graph
     return _two_or_more(v for v in g.live_vertices() if g.weighted_degree(v) > threshold)
 
@@ -685,7 +650,7 @@ def _hanging_subtrees_on_view(view: ArrayView, troots: dict[int, int]
     par = pos[pred[order]]
 
     own = pos[:n].copy()
-    rows = np.flatnonzero(np.diff(matrix.indptr))
+    rows = view.rows
     if len(rows):
         own[rows] = np.minimum(own[rows],
                                np.minimum.reduceat(pos[matrix.indices], matrix.indptr[rows]))
@@ -727,9 +692,8 @@ def reduce_articulation_points(p: Problem) -> tuple[int, int]:
     ascending id order. Subtrees are contracted in preorder of their roots,
     as the DFS found them.
 
-    On a graph with at least ``SCIPY_MIN_VERTICES`` live vertices (scipy
-    present) the DFS is scipy's, on the graph's array view, and ``tin``,
-    ``low`` and the subtree ends are array passes
+    On a graph with a :func:`~mtcut.flow.large_view` the DFS is scipy's,
+    on the view, and ``tin``, ``low`` and the subtree ends are array passes
     (:func:`_hanging_subtrees_on_view`); it visits the same tree in the
     same order, so it contracts the same sets.
     """
@@ -777,16 +741,16 @@ def _twin_gate(p: Problem, limit: int) -> bool:
     key have no shared id set; a shared key may also come from two distinct
     sets.
 
-    On a graph with a :func:`_view_scan` the keys are array columns: the
-    rows are sorted and the ids ascend with the index, so a row's first and
-    last entries give the minimum and maximum. An isolated vertex's open
-    key is all zeros and its closed key ``(0, v, v, v)``, so the keys match
-    exactly when the dict keys do. Equal keys are found by ``lexsort`` and a
-    compare of neighboring columns.
+    On a graph with a :func:`~mtcut.flow.large_view` the keys are array
+    columns: the rows are sorted and the ids ascend with the index, so a
+    row's first and last entries give the minimum and maximum. An isolated
+    vertex's open key is all zeros and its closed key ``(0, v, v, v)``, so
+    the keys match exactly when the dict keys do. Equal keys are found by
+    ``lexsort`` and a compare of neighboring columns.
     """
-    scan = _view_scan(p)
-    if scan is not None:
-        return _twin_gate_on_view(scan, limit)
+    view = large_view(p.graph)
+    if view is not None:
+        return _twin_gate_on_view(view, _non_terminals(view, p.block_of), limit)
     g = p.graph
     troots = p.block_of
     neighbors = g.neighbors
@@ -810,14 +774,13 @@ def _twin_gate(p: Problem, limit: int) -> bool:
     return False
 
 
-def _twin_gate_on_view(scan: _ViewScan, limit: int) -> bool:
-    """:func:`_twin_gate` on the view."""
-    view = scan.view
+def _twin_gate_on_view(view: ArrayView, free: np.ndarray, limit: int) -> bool:
+    """:func:`_twin_gate` on the view, ``free`` marking its non-terminals."""
     ids, indices, indptr = view.ids, view.matrix.indices, view.matrix.indptr
-    cand = np.flatnonzero(scan.free & (scan.degree <= limit))
-    d = scan.degree[cand]
+    cand = np.flatnonzero(free & (view.degree <= limit))
+    d = view.degree[cand]
     v = ids[cand]
-    total = scan.per_row(np.add, ids[indices])[cand]
+    total = view.per_row(np.add, ids[indices])[cand]
     has = np.flatnonzero(d)
     lo, hi = v.copy(), v.copy()
     lo[has] = ids[indices[indptr[cand[has]]]]
@@ -886,7 +849,7 @@ def hop_distances(g: ContractableGraph, sources: Sequence[int]) -> dict[int, int
     """BFS hop distance from the nearest source to every vertex reached.
 
     :func:`reduce_non_terminal_flows` calls it on graphs without a
-    :func:`_view_scan` only.
+    :func:`~mtcut.flow.large_view` only.
     """
     dist = {s: 0 for s in sources}
     queue = deque(sorted(sources))
@@ -912,9 +875,9 @@ def reduce_non_terminal_flows(p: Problem, per_kind: int = FLOW_CANDIDATES,
     sides are applied in sequence after the last flow. Flows stop at the
     deadline; the sides already computed are still contracted.
 
-    On a graph with a :func:`_view_scan` both rankings are stable sorts of
-    the view's arrays, and the hop distances come from one scipy search
-    from a virtual root over the active terminals
+    On a graph with a :func:`~mtcut.flow.large_view` both rankings are
+    stable sorts of the view's arrays, and the hop distances come from one
+    scipy search from a virtual root over the active terminals
     (:meth:`~mtcut.graph.ArrayView.rooted`).
 
     On a graph with an array view the candidates share one flow, from a
@@ -934,9 +897,10 @@ def reduce_non_terminal_flows(p: Problem, per_kind: int = FLOW_CANDIDATES,
     actives = p.active_terminals()
     if not actives:
         return 0, 0
-    scan = _view_scan(p)
-    candidates = (_flow_candidates(p, actives, per_kind) if scan is None
-                  else _flow_candidates_on_view(scan, actives, per_kind))
+    view = large_view(g)
+    candidates = (_flow_candidates(p, actives, per_kind) if view is None
+                  else _flow_candidates_on_view(view, _non_terminals(view, p.block_of),
+                                                actives, per_kind))
     if not candidates:
         return 0, 0
     flows = _flows(g, candidates, actives, deadline)
@@ -957,17 +921,17 @@ def _flow_candidates(p: Problem, actives: list[int], per_kind: int) -> list[int]
     return sorted(set(by_degree) | set(by_distance))
 
 
-def _flow_candidates_on_view(scan: _ViewScan, actives: list[int], per_kind: int) -> list[int]:
-    """:func:`_flow_candidates` on the view."""
-    view = scan.view
-    nonterms = np.flatnonzero(scan.free)
+def _flow_candidates_on_view(view: ArrayView, free: np.ndarray, actives: list[int],
+                             per_kind: int) -> list[int]:
+    """:func:`_flow_candidates` on the view, ``free`` marking its non-terminals."""
+    nonterms = np.flatnonzero(free)
     if not len(nonterms):
         return []
     n = len(view.ids)
     roots = np.sort(view.index[actives])
     hops = dijkstra(view.rooted(roots), directed=True, indices=n, unweighted=True)[:n] - 1
     hops[np.isinf(hops)] = len(view.index) + 1  # n_original + 1, as in _flow_candidates
-    by_degree = nonterms[np.argsort(-scan.wdeg[nonterms], kind="stable")[:per_kind]]
+    by_degree = nonterms[np.argsort(-view.wdeg[nonterms], kind="stable")[:per_kind]]
     by_distance = nonterms[np.argsort(-hops[nonterms], kind="stable")[:per_kind]]
     return view.ids[np.union1d(by_degree, by_distance)].tolist()
 
@@ -1043,9 +1007,7 @@ def run_reduction_loop(p: Problem, bound_state: BoundState | None = None,
     report.vertices_before = p.graph.num_vertices
     report.edges_before = p.graph.num_edges
 
-    nbhd_limit, flow_candidates = NEIGHBORHOOD_LIMIT, FLOW_CANDIDATES
-    if config is not None:
-        nbhd_limit, flow_candidates = config.neighborhood_limit, config.flow_candidates
+    nbhd_limit = NEIGHBORHOOD_LIMIT if config is None else config.neighborhood_limit
 
     def best_value() -> float:
         return bound_state.best_value if bound_state is not None else math.inf
@@ -1066,7 +1028,7 @@ def run_reduction_loop(p: Problem, bound_state: BoundState | None = None,
         "connectivity": lambda: reduce_connectivity(p, best_value()),
         "articulation": lambda: reduce_articulation_points(p),
         "equal_neighborhoods": lambda: reduce_equal_neighborhoods(p, nbhd_limit),
-        "non_terminal_flows": lambda: reduce_non_terminal_flows(p, flow_candidates, deadline),
+        "non_terminal_flows": lambda: reduce_non_terminal_flows(p, FLOW_CANDIDATES, deadline),
     }
     idle: dict[str, tuple] = {}  # rule -> the state on which it last changed nothing
 

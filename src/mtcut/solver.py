@@ -36,7 +36,7 @@ from typing import Sequence
 from . import ilp
 from .graph import BoundState, ContractableGraph, GraphError, Problem
 from .localsearch import expired, refine
-from .reductions import DEFAULT_ORDER, FLOW_CANDIDATES, NEIGHBORHOOD_LIMIT, run_reduction_loop
+from .reductions import DEFAULT_ORDER, NEIGHBORHOOD_LIMIT, run_reduction_loop
 
 
 # The rules of every node below the root, in DEFAULT_ORDER's order. The
@@ -80,8 +80,7 @@ class SolverConfig:
     factor 0.1 and branching cap 5 for the inexact mode, neighborhood
     limit 5 for the twin reduction, and the 50000-edge / 60-second
     dispatch rule for the external ILP solver. The twin reduction runs at
-    the root only, so ``neighborhood_limit`` acts there only;
-    ``flow_candidates``, the non-terminal flows' sources per kind, likewise.
+    the root only, so ``neighborhood_limit`` acts there only.
     ``thread_count`` is kept for callers that pass it; the search is
     single-threaded, so it must be 1.
     """
@@ -96,13 +95,12 @@ class SolverConfig:
     seed: int = 0
     branch_rule: str = "vertex"
     neighborhood_limit: int = NEIGHBORHOOD_LIMIT
-    flow_candidates: int = FLOW_CANDIDATES
     local_search: bool = True
     ilp_command: str | None = None
 
     def __post_init__(self):
         require_integers(self, "thread_count", "ilp_edge_limit", "beta", "seed",
-                         "neighborhood_limit", "flow_candidates")
+                         "neighborhood_limit")
         require_numbers(self, "ilp_timeout_seconds", "delta")
         if self.time_limit is not None:
             require_numbers(self, "time_limit")
@@ -126,8 +124,8 @@ class SolverConfig:
             raise ValueError("ILP limits must be non-negative")
         if not math.isfinite(self.ilp_timeout_seconds):
             raise ValueError("ilp_timeout_seconds must be finite")
-        if self.neighborhood_limit < 0 or self.flow_candidates < 0:
-            raise ValueError("neighborhood_limit and flow_candidates must be non-negative")
+        if self.neighborhood_limit < 0:
+            raise ValueError("neighborhood_limit must be non-negative")
 
 
 @dataclass

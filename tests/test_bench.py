@@ -300,7 +300,7 @@ class TestCli:
         {"instances": [{"graph": "g", "k": 2}], "taus": ["x"]},
         {"instances": [{"graph": "g", "k": 2}], "taus": 5},
         {"instances": [{"graph": "g", "k": 1}]},
-        {"instances": [], "algorithms": {"exact": {"flow_candidates": -1}}},
+        {"instances": [], "algorithms": {"exact": {"neighborhood_limit": -1}}},
         {"instances": [{"graph": "g", "k": 2.5}]},
         {"instances": [], "algorithms": {"exact": {"seed": "x"}}},
         {"instances": [], "algorithms": {"exact": {"beta": 2.5}}},
@@ -308,7 +308,7 @@ class TestCli:
         {"instances": [], "algorithms": {"exact": {"ilp_command": 5}}},
     ], ids=["instance_key", "algorithm_key", "not_an_object", "tau_below_one",
             "tau_not_a_number", "taus_not_a_list", "k_below_two",
-            "negative_flow_candidates", "k_not_an_integer", "seed_not_an_integer",
+            "negative_neighborhood_limit", "k_not_an_integer", "seed_not_an_integer",
             "beta_not_an_integer", "local_search_not_a_bool", "ilp_command_not_a_string"])
     def test_malformed_spec_exit_code(self, tmp_path, capsys, doc):
         spec = tmp_path / "spec.json"

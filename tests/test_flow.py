@@ -10,16 +10,28 @@ from helpers import (brute_force_min_st_cut, contract_randomly, count_view_build
                      hanging_tree_graph, large_contraction_graphs, random_connected_graph,
                      random_nm_edges, torus_graph)
 from mtcut import ContractableGraph, GraphError, isolating_bounds, isolating_cuts, max_flow_st
-from mtcut.flow import HAVE_SCIPY, SCIPY_MIN_VERTICES, FlowNetwork, _Component, _dinic, _scipy_flow
+from mtcut.flow import (HAVE_SCIPY, SCIPY_MIN_VERTICES, FlowNetwork, _Component, _dinic,
+                        _scipy_flow, large_view)
 
 IMPLEMENTATIONS = pytest.mark.parametrize("impl", [_dinic, _scipy_flow], ids=["python", "scipy"])
 
 
+def view_component(g, v):
+    """``v``'s component taken from ``g``'s array view, at any size."""
+    view = g.array_view()
+    return _Component.from_view(view, view.labels[view.index[v]])
+
+
 def run_implementation(impl, g, s, sinks):
-    """(value, source side) of one flow implementation, bypassing the size dispatch."""
-    if impl is _scipy_flow and not HAVE_SCIPY:
-        pytest.skip("scipy not installed")
-    comp = FlowNetwork(g).component(s)
+    """(value, source side) of one flow implementation, bypassing the size
+    dispatch: the pure-Python flow on a component built by BFS, scipy's on
+    one taken from the array view."""
+    if impl is _scipy_flow:
+        if not HAVE_SCIPY:
+            pytest.skip("scipy not installed")
+        comp = view_component(g, s)
+    else:
+        comp = _Component(g, s)
     value, side = impl(comp, comp.index[s], sorted(comp.index[t] for t in sinks))
     return value, frozenset(comp.vertices[i] for i in side)
 
@@ -370,7 +382,7 @@ class TestScipyFlow:
         monkeypatch.setattr(mtcut.flow, "_scipy_maximum_flow", recording)
         g = ContractableGraph.from_edge_list(4, [(0, 1, 3), (0, 2, 3), (0, 3, 3)])
         assert run_implementation(_scipy_flow, g, 3, {1, 2}) == (3, {3})
-        index = FlowNetwork(g).component(3).index
+        index = view_component(g, 3).index
         (flow,) = flows
         assert sorted(flow[index[t], 4] for t in (1, 2)) == [0, 3]  # 4 is the super-sink
         assert run_implementation(_dinic, g, 3, {1, 2}) == (3, {3})
@@ -381,7 +393,7 @@ class TestScipyFlow:
         big = 2**30 + 1
         edges = [(0, 5, big), (0, 1, 3), (1, 2, 2), (2, 5, 1), (1, 3, 4), (3, 4, 1), (4, 5, 2)]
         g = ContractableGraph.from_edge_list(6, edges)
-        comp = FlowNetwork(g).component(0)
+        comp = view_component(g, 0)
         assert comp.inf <= 2**31 - 1 < 2 * big
         expected = brute_force_min_st_cut(6, edges, 0, {5})
         assert expected == big + 2
@@ -393,11 +405,11 @@ class TestScipyFlow:
         n = SCIPY_MIN_VERTICES + 20
         g = ContractableGraph.from_edge_list(n, random_nm_edges(rng, n, 3 * n))
         net = FlowNetwork(g)
-        kept = [a.copy() for a in net.component(0).arrays()]
+        kept = [a.copy() for a in net.component(0).arrays]
         for size in (1, 2, 5, 9, 3):
             s, *sinks = rng.sample(range(n), size + 1)
             assert max_flow_st(net, s, sinks) == max_flow_st(g, s, sinks)
-            for a, b in zip(net.component(0).arrays(), kept):
+            for a, b in zip(net.component(0).arrays, kept):
                 assert np.array_equal(a, b)
 
     def test_any_flow_layout_gives_the_same_side(self, monkeypatch):
@@ -489,13 +501,10 @@ class TestFlowNetwork:
         comp = net.component(live[0])
         assert comp.vertices != list(range(len(comp.vertices)))
 
-    @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
     def test_bfs_build_matches_networks_rebuilt_from_the_edges(self):
-        # the BFS fills arcs() in one pass and arrays() is derived from it;
-        # both must equal networks rebuilt from g.edges() in the
-        # component's numbering, on contracted and disconnected graphs
-        from scipy.sparse import csr_matrix
-
+        # the BFS fills arcs in one pass; they must equal a network rebuilt
+        # from g.edges() in the component's numbering, on contracted and
+        # disconnected graphs, and such a component holds no scipy arrays
         rng = random.Random(27)
         checked = 0
         for _ in range(30):
@@ -516,8 +525,6 @@ class TestFlowNetwork:
                 size = len(comp.vertices)
                 res = [{} for _ in range(size)]
                 masks = [0] * size
-                dense = np.zeros((size, size), dtype=np.int64)
-                total = 0
                 for u, v, w in g.edges():
                     if u not in index:
                         continue
@@ -525,17 +532,8 @@ class TestFlowNetwork:
                     res[a][b] = res[b][a] = w
                     masks[a] |= 1 << b
                     masks[b] |= 1 << a
-                    dense[a, b] = dense[b, a] = w
-                    total += w
-                assert comp.arcs() == (res, masks)
-                assert comp.inf == total + 1
-                indptr, indices, caps = comp.arrays()
-                assert indptr.dtype == indices.dtype == caps.dtype == np.int32
-                want = csr_matrix(dense)
-                want.sort_indices()
-                assert indptr.tolist() == want.indptr.tolist()
-                assert indices.tolist() == want.indices.tolist()
-                assert caps.tolist() == want.data.tolist()
+                assert comp.arcs == (res, masks)
+                assert comp.arrays is None
                 checked += 1
         assert checked >= 300
 
@@ -564,13 +562,14 @@ class TestFlowNetwork:
 
 
 def assert_same_view(got, want):
-    """Two views are equal: the version, ``exact``, and every array with its
-    dtype, byte for byte."""
-    assert (got.version, got.exact) == (want.version, want.exact)
+    """Two views are equal: the version, and every array with its dtype,
+    byte for byte."""
+    assert got.version == want.version
     for view in (got, want):
         assert view.matrix.has_sorted_indices
     arrays = [(view.ids, view.index, view.matrix.indptr, view.matrix.indices,
-               view.matrix.data, view.labels, view.sizes) for view in (got, want)]
+               view.matrix.data, view.labels, view.sizes, view.degree, view.wdeg, view.rows)
+              for view in (got, want)]
     for a, b in zip(*arrays):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -592,6 +591,9 @@ class TestArrayView:
         for u, v, _ in g.edges():
             assert view.labels[view.index[u]] == view.labels[view.index[v]]
         assert view.sizes.tolist() == np.bincount(view.labels).tolist()
+        assert view.degree.tolist() == [g.degree(v) for v in live]
+        assert view.wdeg.tolist() == [g.weighted_degree(v) for v in live]
+        assert view.rows.tolist() == [i for i, v in enumerate(live) if g.degree(v)]
 
     def test_rebuilt_after_each_mutation(self):
         rng = random.Random(25)
@@ -637,30 +639,47 @@ class TestArrayView:
             monkeypatch.undo()
         assert derivations == 12 * 7 and isolated == 1
 
-    def test_deletion_and_inexact_weights_build_from_the_dicts(self, monkeypatch):
-        # a deletion drops the last view, and a view whose weights sum to
-        # 2**53 or more (or inf) is no base: the next view is built from the
-        # dicts, and after it contractions derive again from an exact one.
-        # On the cycle with a chord of 2**53, the first contraction merges
-        # the chord with two unit edges: summed in float64 from a view they
-        # would give 2**53, where the dicts give 2**53 + 2.
+    def test_deletion_builds_from_the_dicts(self, monkeypatch):
+        # a deletion drops the last view: the next view is built from the
+        # dicts, and after it contractions derive again
+        n = SCIPY_MIN_VERTICES
+        g = cycle(n)
+        g.array_view()
+        built, derived = count_view_builds(monkeypatch)
+        g.contract_vertices([1, 5, n - 1], 1)
+        assert_same_view(g.array_view(), g.copy().array_view())
+        g.delete_edge(10, 11)
+        assert_same_view(g.array_view(), g.copy().array_view())
+        g.contract_vertices([20, 21], 20)
+        assert_same_view(g.array_view(), g.copy().array_view())
+        assert derived == [g, g]
+        assert [c is g for c in built] == [False, True, False, False]
+
+    def test_inexact_weights_have_no_view(self):
+        # weights that sum to 2**53 or more, each edge counted from both
+        # ends, or past float range: the graph and its copies refuse a view
+        # for life, and large_view gives none; a total 992 below 2**53 stays
+        # exact. On the cycle with a chord of 2**53, the contraction merges
+        # the chord with two unit edges, which would read 2**53 summed in
+        # float64, where the dicts give 2**53 + 2.
         n = SCIPY_MIN_VERTICES
         chord = ContractableGraph.from_edge_list(
             n, [(v, (v + 1) % n, 1) for v in range(n)] + [(0, 5, 2**53)])
-        for g, exact in ((cycle(n), True), (cycle(n, w=2**52), False),
+        for g, exact in ((cycle(n, w=2**52 // n), True), (cycle(n, w=2**52), False),
                          (cycle(n, w=10**400), False), (chord, False)):
-            assert g.array_view().exact is exact
-            built, derived = count_view_builds(monkeypatch)
+            for h in (g, g.copy()):
+                assert h.exact is exact
+                assert (large_view(h) is not None) is exact
             g.contract_vertices([1, 5, n - 1], 1)
-            assert_same_view(g.array_view(), g.copy().array_view())
             g.delete_edge(10, 11)
-            assert_same_view(g.array_view(), g.copy().array_view())
-            g.contract_vertices([20, 21], 20)
-            assert_same_view(g.array_view(), g.copy().array_view())
-            assert derived == ([g, g] if exact else [])
-            assert [c is g for c in built] == ([False, True, False, False] if exact
-                                               else [True, False] * 3)
-            monkeypatch.undo()
+            for h in (g, g.copy()):
+                assert h.exact is exact
+                if exact:
+                    self._assert_shows(h.array_view(), h)
+                else:
+                    with pytest.raises(GraphError):
+                        h.array_view()
+                    assert large_view(h) is None
 
     def test_copy_starts_without_a_view(self):
         g = cycle(SCIPY_MIN_VERTICES)
@@ -675,17 +694,17 @@ class TestArrayView:
         n = SCIPY_MIN_VERTICES
         g = ContractableGraph.from_edge_list(
             n, [(v, v + 1, 10**400 if v == 7 else 1) for v in range(n - 1)] + [(0, n - 1, 1)])
-        assert np.isinf(g.array_view().matrix.data).all()
-        assert FlowNetwork(g).component(0).arcs() is not None  # built by BFS
+        assert large_view(g) is None
+        assert FlowNetwork(g).component(0).arcs is not None  # built by BFS
         r = max_flow_st(g, 0, {n // 2})
         assert r.value == 2 and r.source_side == frozenset(range(n)) - {n // 2}
 
     def test_view_and_bfs_components_agree(self, monkeypatch):
         # several components: large ones at or above the threshold, small
         # ones below it, and on odd cases a large one whose weights pass
-        # int32; the small and the heavy ones are built by BFS, the others
-        # taken from the view. Every flow must match one on BFS-built
-        # components only.
+        # int32; the small and the heavy ones are built by BFS and run the
+        # pure-Python flow, the others are taken from the view and run
+        # scipy's. Every flow must match one on BFS-built components only.
         rng = random.Random(26)
         n = SCIPY_MIN_VERTICES
         views = 0
@@ -711,7 +730,8 @@ class TestArrayView:
             for s, _ in flows:
                 comp = net.component(s)
                 from_bfs = len(comp.vertices) < n or s in heavy
-                assert (comp.arcs() is not None) == from_bfs
+                assert (comp.arcs is not None) == from_bfs
+                assert (comp.arrays is None) == from_bfs
                 views += not from_bfs
             monkeypatch.setattr(mtcut.flow, "large_view", lambda g: None)
             net = FlowNetwork(g)

@@ -22,6 +22,7 @@ from helpers import (
     naive_twin_pairs,
     random_connected_graph,
     random_instance,
+    random_nm_edges,
     record_rule_calls,
     stale_kept_cuts,
     torus_graph,
@@ -603,7 +604,7 @@ def scan_results(p, monkeypatch):
 
 
 class TestScansOnView:
-    """Where the graph has an array view with exact weights, the four gates,
+    """Where ``large_view`` gives the graph's array view, the four gates,
     the low-degree seed and the non-terminal flows' ranking are array
     passes; each must answer as the dict code does."""
 
@@ -611,7 +612,7 @@ class TestScansOnView:
     def test_view_and_dict_scans_agree(self, monkeypatch):
         opened, closed = Counter(), Counter()
         for p in view_scan_problems():
-            assert mtcut.reductions._view_scan(p) is not None
+            assert large_view(p.graph) is not None
             got = scan_results(p, monkeypatch)
             with monkeypatch.context() as m:
                 m.setattr(mtcut.reductions, "large_view", lambda g: None)
@@ -650,7 +651,7 @@ class TestScansOnView:
             if merge:
                 g.contract_vertices(merge, merge[-1])
             p = Problem.from_instance(g, (2, 262))
-            assert mtcut.reductions._view_scan(p) is not None
+            assert large_view(p.graph) is not None
             assert mtcut.reductions._twin_gate(p, NEIGHBORHOOD_LIMIT) is opens
             with monkeypatch.context() as m:
                 m.setattr(mtcut.reductions, "large_view", lambda g: None)
@@ -668,19 +669,6 @@ class TestScansOnView:
         on_view, on_dicts = (args[1] for args in calls)
         assert on_view == on_dicts
         assert set(range(half, half + 5)) <= set(on_view)
-
-    @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
-    def test_weight_past_float_precision_takes_the_dict_path(self, monkeypatch):
-        rng = random.Random(5)
-        n = SCIPY_MIN_VERTICES
-        edges = sparse_edges(rng, n, 50, 1)
-        edges[0] = (*edges[0][:2], 2**60)
-        p = make_problem(n, edges, rng.sample(range(n), 4))
-        assert large_view(p.graph) is not None and mtcut.reductions._view_scan(p) is None
-        got = scan_results(p, monkeypatch)
-        with monkeypatch.context() as m:
-            m.setattr(mtcut.reductions, "large_view", lambda g: None)
-            assert scan_results(p, monkeypatch) == got
 
     def test_reduction_loop_kernels_agree(self, monkeypatch):
         for p in view_scan_problems():
@@ -702,14 +690,13 @@ class TestScansOnView:
         # last one, and nothing builds from the dicts again
         p = next(p for p in view_scan_problems() if p.graph.num_vertices > SCIPY_MIN_VERTICES)
         built, derived = count_view_builds(monkeypatch)
-        scans = count_calls(monkeypatch, "_ViewScan")
         assert mtcut.reductions._connectivity_gate(p, 10**6) is False
-        assert len(scans) == 1 and built == [p.graph] and derived == []
+        assert built == [p.graph] and derived == []
         v = next(v for v in p.graph.live_vertices() if v not in p.block_of)
         p.contract_set([v], next(iter(p.graph.neighbors(v))))
         reduce_low_degree(p)
         assert mtcut.reductions._connectivity_gate(p, 10**6) is False
-        assert len(scans) == 3 and built == [p.graph] and derived == [p.graph]
+        assert built == [p.graph] and derived == [p.graph]
 
     @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
     def test_torus_kernelize_builds_one_view_from_the_dicts(self, monkeypatch):
@@ -726,6 +713,47 @@ class TestScansOnView:
         assert derived == [p.graph]
         run_reduction_loop(p.copy(), BoundState())
         assert len(built) == 3 and built[2] is not p.original
+
+
+@pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
+class TestInexactWeightsAtScale:
+    """Weights times 2**50 sum past 2**53, so the graph has no array view
+    and its whole kernelization runs on the dicts and the pure-Python flow.
+    Every rule is scale-invariant, so it must match the unit-weight run on
+    arrays, scaled back."""
+
+    SCALE = 2**50
+
+    def _kernelize(self, monkeypatch, n, edges, terminals, fraction, scale):
+        g = ContractableGraph.from_edge_list(n, [(u, v, w * scale) for u, v, w in edges])
+        p = grow_terminal_blocks(g, terminals, fraction)
+        assert (large_view(p.graph) is None) is (scale > 1)
+        with monkeypatch.context() as m:
+            scipy_calls = count_calls(m, "_scipy_maximum_flow", mtcut.flow)
+            bound_state = BoundState()
+            report = run_reduction_loop(p, bound_state)
+        assert (len(scipy_calls) > 0) is (scale == 1)
+        return report, p, bound_state.best_value
+
+    def test_kernelization_on_dicts_matches_arrays(self, monkeypatch):
+        # random graphs with n = 1500, m = 3000, k = 8 and n = 3000,
+        # m = 9000, k = 16, weights 1-5, without and with grown blocks. The
+        # isolating bound ceil(S / 2) does not scale exactly, so the lower
+        # bound is compared rounded up.
+        rng = random.Random(1)
+        scale = self.SCALE
+        for n, m, k, fraction in ((1500, 3000, 8, 0.0), (1500, 3000, 8, 0.2),
+                                  (3000, 9000, 16, 0.0), (3000, 9000, 16, 0.1)):
+            edges = random_nm_edges(rng, n, m, 5)
+            terminals = generate_terminals(ContractableGraph.from_edge_list(n, edges), k, 0)
+            unit, p, best = self._kernelize(monkeypatch, n, edges, terminals, fraction, 1)
+            scaled, q, scaled_best = self._kernelize(monkeypatch, n, edges, terminals, fraction,
+                                                     scale)
+            assert scaled.to_dict() == unit.to_dict()
+            assert [q.graph.find(v) for v in range(n)] == [p.graph.find(v) for v in range(n)]
+            assert q.active == p.active
+            assert (q.deleted_weight, scaled_best) == (p.deleted_weight * scale, best * scale)
+            assert -(-q.lower_bound // scale) == p.lower_bound
 
 
 class TestArticulationPoints:
@@ -1241,10 +1269,10 @@ class TestSchedule:
             run_reduction_loop(fixture_problem("F3"), BoundState(), config, order=order)
         expected = [("limit", NEIGHBORHOOD_LIMIT), ("per_kind", FLOW_CANDIDATES)]
         assert seen == expected + expected
-        config = SolverConfig(neighborhood_limit=2, flow_candidates=3)
+        config = SolverConfig(neighborhood_limit=2)
         seen.clear()
         run_reduction_loop(fixture_problem("F3"), BoundState(), config, order=order)
-        assert seen == [("limit", 2), ("per_kind", 3)]
+        assert seen == [("limit", 2), ("per_kind", FLOW_CANDIDATES)]
 
     def test_pass_cut_short_by_the_deadline_is_no_fixpoint(self, monkeypatch):
         # the deadline passes while inter_terminal runs, before any other

@@ -62,8 +62,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(time_limit=0)
         with pytest.raises(ValueError):
-            SolverConfig(flow_candidates=-1)
-        with pytest.raises(ValueError):
             SolverConfig(neighborhood_limit=-1)
 
     @pytest.mark.parametrize("kwargs", [{"time_limit": math.nan},
