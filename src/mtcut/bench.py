@@ -22,10 +22,9 @@ try:
 except ImportError:  # pragma: no cover; large_view then returns None
     pass
 
-from .flow import large_view
-from .graph import ArrayView, ContractableGraph, GraphError, Problem
+from .graph import ArrayView, ContractableGraph, GraphError, Problem, large_view
 from .graphio import parse_graph_file
-from .solver import SolverConfig, require_integers, solve_prepared
+from .solver import SolverConfig, require_integers, require_numbers, solve_prepared
 
 
 @dataclass
@@ -36,7 +35,10 @@ class InstanceSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.graph, str):
+            raise ValueError(f"graph must be a path string, got {self.graph!r}")
         require_integers(self, "k", "seed")
+        require_numbers(self, "fraction")
         if self.k < 2:
             raise ValueError("k must be at least 2")
         if not 0.0 <= self.fraction < 1.0:
@@ -82,7 +84,7 @@ def generate_terminals(g: ContractableGraph, k: int, seed: int = 0) -> list[int]
     terminals picked so far. Every BFS explores neighbors in ascending id
     order. Requires a connected graph.
 
-    When :func:`~mtcut.flow.large_view` gives the graph's array view, each
+    When :func:`~mtcut.graph.large_view` gives the graph's array view, each
     BFS is one scipy call on it (:func:`_bfs_order_on_view`); otherwise the
     neighbor lists are sorted once and every BFS walks them in Python. Both
     visit the vertices in the same order.

@@ -112,7 +112,8 @@ def _cmd_bench(args) -> int:
             algorithms[name] = SolverConfig(**overrides)
         taus = spec_doc.get("taus", list(DEFAULT_TAUS))
         if not isinstance(taus, list) or not all(
-                isinstance(t, (int, float)) and t >= 1 for t in taus):
+                isinstance(t, (int, float)) and not isinstance(t, bool) and t >= 1
+                for t in taus):
             raise ValueError(f"taus must be a list of numbers >= 1, got {taus!r}")
     except (TypeError, KeyError, AttributeError, ValueError) as exc:
         print(f"error: malformed spec {args.spec}: {exc!r}", file=sys.stderr)

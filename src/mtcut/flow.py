@@ -7,7 +7,7 @@ builds one network for all of them; passing a graph to :func:`max_flow_st`
 builds a one-shot network.
 
 Each component's flow implementation is fixed when the network builds it.
-Where :func:`large_view` gives the graph's array view
+Where :func:`~mtcut.graph.large_view` gives the graph's array view
 (:meth:`~mtcut.graph.ContractableGraph.array_view`, made once per graph
 version and shared by every network and rule on it), a component of at
 least ``SCIPY_MIN_VERTICES`` vertices is taken from the view, unless its
@@ -46,13 +46,12 @@ minimum cuts, which is the side the contraction rules need. It is the same
 for every maximum flow, as is the value, so neither depends on the flow a
 search starts from or on the paths it takes.
 
-Sources that share one sink set can share one flow. scipy's flow takes
-several sources through a super-source, and its largest source side C*
-holds the largest side of every one of them (:func:`source_regions`, by the
-submodularity of cuts). Each source's flow then runs on its connected part
-of C* alone, with the rest of the graph merged into one sink
-(:meth:`_Component.region`, :func:`region_flow`), or none runs when that
-part is the source itself; the value and side are the full flow's.
+Sources that share one sink set can share one flow, and
+:func:`source_regions` alone decides when they do, and states why its
+bound holds. Each source's flow then runs on its region alone, with the
+rest of the graph merged into one sink (:func:`region_flow`), or none runs
+when the region is the source itself; the value and side are the full
+flow's.
 """
 
 from __future__ import annotations
@@ -60,35 +59,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graph import ArrayView, ContractableGraph, GraphError
+from .graph import SCIPY_MIN_VERTICES, ArrayView, ContractableGraph, GraphError, large_view
+from .graph import HAVE_SCIPY  # noqa: F401 - callers ask this module which flow runs
 
 try:
     import numpy as np
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import breadth_first_order, connected_components
     from scipy.sparse.csgraph import maximum_flow as _scipy_maximum_flow
-
-    HAVE_SCIPY = True
-except ImportError:  # pragma: no cover
-    HAVE_SCIPY = False
+except ImportError:  # pragma: no cover; large_view then returns None
+    pass
 
 _INT32_MAX = 2**31 - 1
-
-# Components with fewer vertices run the pure-Python flow, larger ones scipy;
-# graphs with fewer live vertices build no array view. Per flow with 2-8
-# sinks, counting a fresh build (2-vCPU x86 host, scipy 1.17), the
-# pure-Python flow on its one-pass BFS build breaks even with scipy on a view
-# build near 400-450 vertices on random graphs with m = 3n and near 450-500
-# on tori, with the pre-flow as without it: with so few sinks it finds few
-# short paths. At 1000 vertices its build (about 1.8 ms) still costs more
-# than its flow (about 1.2 ms). No benchmark graph lies between 35 and 8001
-# vertices, so the value stays. On a network built once, as a rule's later
-# flows find it, the pure-Python flow is still faster at 1000 vertices.
-# Terminal placement (bench.generate_terminals, k = 5-8) runs its BFS on the
-# view from the same size on: counting the view build, that breaks even near
-# 200-300 vertices on random m = 3n graphs and on tori, and is 4-5x slower
-# than the Python BFS on grown-exact's 35-vertex graphs (0.3 against 0.07 ms).
-SCIPY_MIN_VERTICES = 500
 
 
 @dataclass(frozen=True)
@@ -127,10 +109,8 @@ class _Component:
     - ``arcs``: the pure-Python flow's residual capacities (per vertex,
       neighbor index → capacity) and neighbor bitmasks (bit ``u`` of entry
       ``v`` is set when ``u`` and ``v`` are adjacent), both at zero flow.
-      A component built by :meth:`__init__`, a BFS over the adjacency
-      dicts, fills them in that same pass, and so does a region
-      (:meth:`region`), a connected vertex set with the rest of the graph
-      merged into one sink.
+      A component or a region built by :meth:`__init__`, one BFS over the
+      adjacency dicts, fills them in that same pass.
     - ``arrays``: scipy's capacity matrix in CSR form, both arc
       directions, ``(indptr, indices, caps)``, int32, each row sorted by
       column, with ``inf`` its super-sink capacity. A component taken from
@@ -140,13 +120,25 @@ class _Component:
 
     __slots__ = ("vertices", "index", "inf", "arcs", "arrays")
 
-    def __init__(self, g: ContractableGraph, source: int):
-        # one BFS from the source numbers the vertices in visit order and
-        # fills the residual network; the vertex list doubles as the queue
+    def __init__(self, g: ContractableGraph, source: int, inside: set[int] | None = None):
+        """``source``'s component, or with ``inside`` given a region: the
+        connected vertex set ``inside``, which holds ``source``, with every
+        vertex outside it merged into one sink, the last index.
+
+        One BFS from the source numbers the vertices in visit order and
+        fills the residual network; the vertex list doubles as the queue.
+        A neighbor outside ``inside`` is never numbered: its weight joins
+        its tail's arc to the sink, and the sink's row is appended after
+        the BFS. A cut that keeps the sink out weighs what it weighs in the
+        graph, so a region's minimum cuts between the source and the sink
+        are the graph's minimum cuts between the source and everything
+        outside ``inside`` whose source side lies in it.
+        """
         self.vertices = vertices = [source]
         self.index = index = {source: 0}
         res: list[dict[int, int]] = []
         masks: list[int] = []
+        away: dict[int, int] = {}  # a tail's index -> its weight to the sink
         iv = 0
         while iv < len(vertices):
             v = vertices[iv]
@@ -155,6 +147,9 @@ class _Component:
             for x, w in g.neighbors(v).items():
                 ix = index.get(x)
                 if ix is None:
+                    if inside is not None and x not in inside:
+                        away[iv] = away.get(iv, 0) + w
+                        continue
                     ix = index[x] = len(vertices)
                     vertices.append(x)
                 row[ix] = w
@@ -162,6 +157,16 @@ class _Component:
             res.append(row)
             masks.append(mask)
             iv += 1
+        if inside is not None:
+            if iv != len(inside):
+                raise GraphError("a region must be connected")
+            sink_mask = 0
+            for i, w in away.items():
+                res[i][iv] = w
+                masks[i] |= 1 << iv
+                sink_mask |= 1 << i
+            res.append(away)
+            masks.append(sink_mask)
         self.arcs = (res, masks)
         self.arrays = None
 
@@ -196,75 +201,6 @@ class _Component:
         comp.arcs = None
         comp.arrays = (matrix.indptr, matrix.indices, matrix.data.astype(np.int32))
         return comp
-
-    @classmethod
-    def region(cls, g: ContractableGraph, source: int, inside: set[int]) -> "_Component":
-        """The connected vertex set ``inside``, which holds ``source``, with
-        every vertex outside it merged into one sink, the last index.
-
-        Built as :meth:`__init__` builds a component, by one BFS from the
-        source that fills the pure-Python flow's residual network, except
-        that an arc leaving ``inside`` joins the arc of its tail to the
-        sink. A cut that keeps the sink out weighs what it weighs in the
-        graph, so the minimum cuts between the source and the sink are the
-        graph's minimum cuts between the source and everything outside
-        ``inside`` whose source side lies in it. Only the pure-Python flow
-        runs on it.
-        """
-        r = len(inside)
-        vertices = [source]
-        index = {source: 0}
-        res: list[dict[int, int]] = []
-        masks: list[int] = []
-        sink_row: dict[int, int] = {}
-        sink_mask = 0
-        iv = 0
-        while iv < len(vertices):
-            v = vertices[iv]
-            row = {}
-            mask = 0
-            away = 0
-            for x, w in g.neighbors(v).items():
-                if x in inside:
-                    ix = index.get(x)
-                    if ix is None:
-                        ix = index[x] = len(vertices)
-                        vertices.append(x)
-                    row[ix] = w
-                    mask |= 1 << ix
-                else:
-                    away += w
-            if away:
-                row[r] = sink_row[iv] = away
-                mask |= 1 << r
-                sink_mask |= 1 << iv
-            res.append(row)
-            masks.append(mask)
-            iv += 1
-        if iv != r:
-            raise GraphError("a region must be connected")
-        res.append(sink_row)
-        masks.append(sink_mask)
-        comp = cls.__new__(cls)
-        comp.vertices = vertices
-        comp.index = index
-        comp.arcs = (res, masks)
-        comp.arrays = None
-        return comp
-
-
-def large_view(g: ContractableGraph) -> ArrayView | None:
-    """``g``'s array view if scipy is present, ``g`` has at least
-    ``SCIPY_MIN_VERTICES`` live vertices and its weights are exact
-    (:attr:`~mtcut.graph.ContractableGraph.exact`), else None.
-
-    This is the one test between the arrays and the dicts: every array
-    path, in the flows, the rules, terminal placement and scoring, runs
-    where it gives a view, and the dict code it replaces everywhere else.
-    """
-    if HAVE_SCIPY and g.exact and g.num_vertices >= SCIPY_MIN_VERTICES:
-        return g.array_view()
-    return None
 
 
 class FlowNetwork:
@@ -339,12 +275,22 @@ def max_flow_st(g: ContractableGraph | FlowNetwork, source: int,
 
 def source_regions(net: FlowNetwork, sources: Sequence[int],
                    sinks: Iterable[int]) -> dict[int, list[int]]:
-    """For sources, none of them a sink, a region around each that holds
-    the source side of every minimum cut between it and the sinks.
+    """A region around each of ``sources`` that holds the source side of
+    every minimum cut between it and the sinks, for the sources that get
+    one; :func:`region_flow` then gives each of those the cut of its full
+    flow. This is the one place that decides whether sources share a flow.
 
-    The sources are grouped by component. A component that runs scipy's
-    flow and holds two or more sources and a sink gets one flow, from a
-    super-source over its sources to the sinks (:func:`_scipy_flow`).
+    None does, and the map is empty, unless the network's graph has a
+    :func:`~mtcut.graph.large_view`, two or more sources are given and
+    none of them is a sink; that is settled before any source is grouped.
+    Smaller graphs keep one flow per source: on the branching workload's
+    graphs of about 25 vertices the regions averaged 15 of them, so the
+    shared flow would not pay. On the torus the non-terminal flows'
+    sources lie in regions of a few vertices.
+
+    Otherwise the sources are grouped by component. A component that runs
+    scipy's flow and holds two or more sources and a sink gets one flow,
+    from a super-source over its sources to the sinks (:func:`_scipy_flow`).
     Its side C*, what cannot reach a sink, is the largest source side of
     the minimum cuts between all those sources and the sinks, and source
     ``v``'s region ``U_v`` is ``v``'s connected component of the subgraph
@@ -364,11 +310,15 @@ def source_regions(net: FlowNetwork, sources: Sequence[int],
     cut. This is the submodularity step of the isolating-cuts lemma (Li
     and Panigrahi, FOCS 2020).
     """
+    if len(sources) < 2 or large_view(net.graph) is None:
+        return {}
+    sink_set = set(sinks)
+    if not sink_set.isdisjoint(sources):
+        return {}
     groups: dict[int, tuple[_Component, list[int]]] = {}
     for v in sources:
         comp = net.component(v)
         groups.setdefault(id(comp), (comp, []))[1].append(v)
-    sink_set = set(sinks)
     regions = {}
     for comp, group in groups.values():
         if len(group) < 2 or comp.arrays is None:
@@ -398,12 +348,12 @@ def region_flow(g: ContractableGraph, source: int, region: Sequence[int]) -> Flo
     source and everything outside the region, with their sides in it, are
     those between the source and the sinks. They run on the pure-Python
     flow, on the region with the rest of the graph merged into one sink
-    (:meth:`_Component.region`). A region of the source alone needs no
-    flow: its one cut is the source's own edges.
+    (:class:`_Component` given ``inside``). A region of the source alone
+    needs no flow: its one cut is the source's own edges.
     """
     if len(region) == 1:
         return FlowResult(g.weighted_degree(source), frozenset(region))
-    comp = _Component.region(g, source, set(region))
+    comp = _Component(g, source, set(region))
     value, side = _dinic(comp, 0, [len(region)])
     return FlowResult(value, frozenset(map(comp.vertices.__getitem__, side)))
 

@@ -44,14 +44,16 @@ made of the dicts. A deletion drops the last view and a copy starts
 without one; both build from the dicts again. A view also carries the
 degrees and weighted degrees that the reduction rules' scans read.
 
-One rule picks the arrays over the dicts, everywhere:
-:func:`~mtcut.flow.large_view` gives the view of a graph with at least
-``SCIPY_MIN_VERTICES`` live vertices and exact weights, scipy present,
-and None for any other graph, which keeps the dict code. Where it gives
-one, :meth:`Problem.project` and :func:`cut_value` (so every incumbent's
-score) run on arrays: the labels are lifted through ``find_all``, and the
-cut is summed on the original graph's view, built once, since the
-original never changes.
+One test picks the arrays over the dicts, everywhere, and it lives here,
+beside the view: :func:`large_view` gives the view of a graph with at
+least ``SCIPY_MIN_VERTICES`` live vertices and exact weights, scipy
+present, and None for any other graph, which keeps the dict code. The
+flows, the reduction rules and terminal placement import it from here, so
+this module imports nothing from :mod:`mtcut.flow`. Where it gives one,
+:meth:`Problem.project` and :func:`cut_value` (so every incumbent's score)
+run on arrays: the labels are lifted through ``find_all``, and the cut is
+summed on the original graph's view, built once, since the original never
+changes.
 """
 
 from __future__ import annotations
@@ -60,17 +62,32 @@ import math
 import operator
 from functools import cached_property
 from itertools import chain, repeat
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 try:
     import numpy as np
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
-except ImportError:  # pragma: no cover; array_view then cannot run
-    pass
 
-if TYPE_CHECKING:
-    from .flow import FlowResult
+    HAVE_SCIPY = True
+except ImportError:  # pragma: no cover; large_view then returns None
+    HAVE_SCIPY = False
+
+# Components with fewer vertices run the pure-Python flow, larger ones scipy;
+# graphs with fewer live vertices build no array view. Per flow with 2-8
+# sinks, counting a fresh build (2-vCPU x86 host, scipy 1.17), the
+# pure-Python flow on its one-pass BFS build breaks even with scipy on a view
+# build near 400-450 vertices on random graphs with m = 3n and near 450-500
+# on tori, with the pre-flow as without it: with so few sinks it finds few
+# short paths. At 1000 vertices its build (about 1.8 ms) still costs more
+# than its flow (about 1.2 ms). No benchmark graph lies between 35 and 8001
+# vertices, so the value stays. On a network built once, as a rule's later
+# flows find it, the pure-Python flow is still faster at 1000 vertices.
+# Terminal placement (bench.generate_terminals, k = 5-8) runs its BFS on the
+# view from the same size on: counting the view build, that breaks even near
+# 200-300 vertices on random m = 3n graphs and on tori, and is 4-5x slower
+# than the Python BFS on grown-exact's 35-vertex graphs (0.3 against 0.07 ms).
+SCIPY_MIN_VERTICES = 500
 
 
 class GraphError(Exception):
@@ -332,6 +349,20 @@ class ContractableGraph:
         self.num_vertices -= 1
 
 
+def large_view(g: ContractableGraph) -> ArrayView | None:
+    """``g``'s array view if scipy is present, ``g`` has at least
+    ``SCIPY_MIN_VERTICES`` live vertices and its weights are exact
+    (:attr:`ContractableGraph.exact`), else None.
+
+    This is the one test between the arrays and the dicts: every array
+    path, in the flows, the rules, terminal placement and scoring, runs
+    where it gives a view, and the dict code it replaces everywhere else.
+    """
+    if HAVE_SCIPY and g.exact and g.num_vertices >= SCIPY_MIN_VERTICES:
+        return g.array_view()
+    return None
+
+
 class ArrayView:
     """One version of a graph's live vertices as arrays, never changed.
 
@@ -458,14 +489,14 @@ def cut_value(graph: ContractableGraph, terminal_vertices: Sequence[int], labels
     Every terminal must carry its own block label and every label must be a
     valid block index; violations raise :class:`InfeasibleAssignment`.
 
-    Where :func:`~mtcut.flow.large_view` gives the graph's view, integer
+    Where :func:`large_view` gives the graph's view, integer
     labels are checked and the cut summed in numpy passes over it, with the
     same exceptions and value.
     """
     k = len(terminal_vertices)
     if len(labels) != graph.n_original:
         raise InfeasibleAssignment("assignment does not cover every vertex")
-    view = flow.large_view(graph)
+    view = large_view(graph)
     given = None if view is None else np.asarray(labels)
     if given is None or given.dtype.kind not in "iu":
         for i, t in enumerate(terminal_vertices):
@@ -530,7 +561,7 @@ class Problem:
         self.loose_weight: int = 0
         self.lower_bound: int = lower_bound
         self.original: ContractableGraph = original
-        self._cuts: dict[int, FlowResult] = {}
+        self._cuts: dict = {}  # terminal -> mtcut.flow.FlowResult
         self._cuts_version = graph.version()
 
     @classmethod
@@ -556,8 +587,9 @@ class Problem:
         c._cuts = dict(self.kept_cuts())
         return c
 
-    def kept_cuts(self) -> dict[int, FlowResult]:
-        """Terminal -> its kept largest minimum isolating cut (see the class).
+    def kept_cuts(self) -> dict:
+        """Terminal -> its kept largest minimum isolating cut, a
+        :class:`~mtcut.flow.FlowResult` (see the class).
 
         Emptied first if the graph was mutated other than through this
         problem. Callers may add entries computed on the current graph.
@@ -653,7 +685,7 @@ class Problem:
         A terminal's representative keeps its terminal's block; any other
         live vertex takes its ``kernel_labels`` entry, else ``fill``.
 
-        Where :func:`~mtcut.flow.large_view` gives the original graph's
+        Where :func:`large_view` gives the original graph's
         view, on which :meth:`solution_value` then scores the labels, this
         runs on arrays: one label per vertex id, looked up at every id's
         representative from :meth:`ContractableGraph.find_all`.
@@ -661,7 +693,7 @@ class Problem:
         g = self.graph
         roots = self.block_of
         kernel = kernel_labels or {}
-        if flow.large_view(self.original) is not None:
+        if large_view(self.original) is not None:
             label = np.zeros(g.n_original, dtype=np.int64)
             known = np.zeros(g.n_original, dtype=bool)
             for given in (kernel, roots):  # the terminals' blocks last, so they win
@@ -736,7 +768,3 @@ class BoundState:
             stamp = max(0.0, now - self._t0)
         self.events.append((stamp, value))
         return True
-
-
-# flow imports the classes above, so it is imported once they exist
-from . import flow  # noqa: E402

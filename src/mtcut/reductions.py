@@ -29,7 +29,7 @@ Each gate is exact. Until a scan contracts, the graph stays as the gate
 read it, and whatever the scan would contract passes the gate, so a closed
 gate skips only scans that would contract nothing.
 
-Where :func:`~mtcut.flow.large_view` gives the graph's array view (at
+Where :func:`~mtcut.graph.large_view` gives the graph's array view (at
 least ``SCIPY_MIN_VERTICES`` live vertices, weights that sum exactly in
 float64, scipy present), the rules read it
 (:meth:`~mtcut.graph.ContractableGraph.array_view`), one view per graph
@@ -39,7 +39,7 @@ version, shared by every rule and flow until the graph changes:
   take their large components from it (see :mod:`mtcut.flow`), and
   ``reduce_non_terminal_flows``' sources share one flow from a
   super-source that bounds each one's side, so that most of them need a
-  flow on a few vertices or none (:func:`_flows`);
+  flow on a few vertices or none (:func:`~mtcut.flow.source_regions`);
 - ``reduce_articulation_points`` takes its DFS from scipy's
   ``depth_first_order`` on it;
 - the four gates above, the first queue of ``reduce_low_degree`` and the
@@ -74,12 +74,11 @@ from .flow import (
     FlowNetwork,
     FlowResult,
     isolating_bounds,
-    large_view,
     max_flow_st,
     region_flow,
     source_regions,
 )
-from .graph import ArrayView, BoundState, ContractableGraph, GraphError, Problem
+from .graph import ArrayView, BoundState, ContractableGraph, GraphError, Problem, large_view
 from .localsearch import expired
 
 # SolverConfig.neighborhood_limit starts from this default
@@ -144,26 +143,20 @@ def _flows(g: ContractableGraph, sources: Sequence[int], sinks: Sequence[int],
     The first source's component is built before the first check, so the
     stretch up to the second check holds one flow, not a build and a flow.
 
-    Two or more sources, none of them a sink, on a graph with a
-    :func:`~mtcut.flow.large_view` first share one flow from a super-source
-    over them (:func:`~mtcut.flow.source_regions`), which bounds each
-    source's largest minimum side by a region around it. A source whose
-    region is smaller than ``SCIPY_MIN_VERTICES`` then runs its flow on the
-    region alone (:func:`~mtcut.flow.region_flow`), one whose region is
-    itself runs none, and any other runs its full flow; each gives the cut
-    its full flow gives, so no result changes. The
-    non-terminal flows' sources lie in regions of a few vertices on the
-    torus. Smaller graphs keep one flow per source: there the regions
-    averaged 15 of about 25 vertices, so the shared flow would not pay.
+    :func:`~mtcut.flow.source_regions` decides whether the sources first
+    share one flow, and gives the sources it bounds a region each. A source
+    with a region runs its flow on the region alone
+    (:func:`~mtcut.flow.region_flow`), or none when the region is itself;
+    any other runs its full flow. Each gives the cut its full flow gives,
+    so no result changes. The deadline is checked before the shared flow
+    too; where none is shared, that check answers as the first flow's.
     """
     net = FlowNetwork(g)
     if sources:
         net.component(sources[0])
-    regions = {}
-    if len(sources) > 1 and large_view(g) is not None and not set(sources).intersection(sinks):
-        if expired(deadline):
-            return []
-        regions = source_regions(net, sources, sinks)
+    if expired(deadline):
+        return []
+    regions = source_regions(net, sources, sinks)
     flows = []
     for s in sources:
         region = regions.get(s)
@@ -296,7 +289,7 @@ def reduce_low_degree(p: Problem) -> tuple[int, int]:
     placement of the vertex.
 
     The first queue holds such non-terminals in ascending id order. On a
-    graph with a :func:`~mtcut.flow.large_view` it is read off the view's
+    graph with a :func:`~mtcut.graph.large_view` it is read off the view's
     degrees.
     """
     g = p.graph
@@ -328,7 +321,7 @@ def reduce_low_degree(p: Problem) -> tuple[int, int]:
 
 def _heavy_edge_gate(p: Problem) -> bool:
     """Whether some non-terminal's heaviest edge is at least half its
-    weighted degree; on a graph with a :func:`~mtcut.flow.large_view`, from
+    weighted degree; on a graph with a :func:`~mtcut.graph.large_view`, from
     the view's row maxima."""
     view = large_view(p.graph)
     if view is not None:
@@ -388,7 +381,7 @@ def _triangle_end(g: ContractableGraph, v: int) -> bool:
 def _heavy_triangle_gate(p: Problem) -> bool:
     """Whether two adjacent non-terminals pass :func:`_triangle_end`.
 
-    On a graph with a :func:`~mtcut.flow.large_view`, ``top1`` is a row's
+    On a graph with a :func:`~mtcut.graph.large_view`, ``top1`` is a row's
     maximum and ``top2`` the maximum of the row with the first entry of
     ``top1`` set to 0, which is what :func:`_triangle_end` computes for a
     row of two or more entries; then one pass over the matrix entries looks
@@ -480,7 +473,7 @@ def capforest_bounds(g: ContractableGraph) -> dict[tuple[int, int], int]:
 def _connectivity_gate(p: Problem, best_value: float) -> bool:
     """Whether two vertices' weighted degrees exceed the connectivity
     threshold; never, for an infinite ``best_value``, which it returns at
-    once. On a graph with a :func:`~mtcut.flow.large_view` it counts the
+    once. On a graph with a :func:`~mtcut.graph.large_view` it counts the
     view's weighted degrees."""
     threshold = best_value - p.deleted_weight
     if threshold == math.inf:
@@ -692,7 +685,7 @@ def reduce_articulation_points(p: Problem) -> tuple[int, int]:
     ascending id order. Subtrees are contracted in preorder of their roots,
     as the DFS found them.
 
-    On a graph with a :func:`~mtcut.flow.large_view` the DFS is scipy's,
+    On a graph with a :func:`~mtcut.graph.large_view` the DFS is scipy's,
     on the view, and ``tin``, ``low`` and the subtree ends are array passes
     (:func:`_hanging_subtrees_on_view`); it visits the same tree in the
     same order, so it contracts the same sets.
@@ -741,7 +734,7 @@ def _twin_gate(p: Problem, limit: int) -> bool:
     key have no shared id set; a shared key may also come from two distinct
     sets.
 
-    On a graph with a :func:`~mtcut.flow.large_view` the keys are array
+    On a graph with a :func:`~mtcut.graph.large_view` the keys are array
     columns: the rows are sorted and the ids ascend with the index, so a
     row's first and last entries give the minimum and maximum. An isolated
     vertex's open key is all zeros and its closed key ``(0, v, v, v)``, so
@@ -849,7 +842,7 @@ def hop_distances(g: ContractableGraph, sources: Sequence[int]) -> dict[int, int
     """BFS hop distance from the nearest source to every vertex reached.
 
     :func:`reduce_non_terminal_flows` calls it on graphs without a
-    :func:`~mtcut.flow.large_view` only.
+    :func:`~mtcut.graph.large_view` only.
     """
     dist = {s: 0 for s in sources}
     queue = deque(sorted(sources))
@@ -875,23 +868,17 @@ def reduce_non_terminal_flows(p: Problem, per_kind: int = FLOW_CANDIDATES,
     sides are applied in sequence after the last flow. Flows stop at the
     deadline; the sides already computed are still contracted.
 
-    On a graph with a :func:`~mtcut.flow.large_view` both rankings are
+    On a graph with a :func:`~mtcut.graph.large_view` both rankings are
     stable sorts of the view's arrays, and the hop distances come from one
     scipy search from a virtual root over the active terminals
     (:meth:`~mtcut.graph.ArrayView.rooted`).
 
     On a graph with an array view the candidates share one flow, from a
-    super-source over all of them to the active terminals, whose largest
-    source side C* bounds every candidate's largest side ``S_v``:
-    ``S_v ∩ C*`` separates ``v`` from the terminals and ``S_v ∪ C*`` all
-    the candidates, so by submodularity both are minimum, and C* being the
-    largest gives ``S_v ⊆ C*`` (:func:`~mtcut.flow.source_regions`). Each
-    candidate's own flow then runs on its connected part of C*, or none
-    runs when that part is the candidate alone, and gives the full flow's
-    cut (:func:`_flows`). On the torus those parts hold a few vertices.
-    Smaller graphs keep one flow per candidate: on the branching workload's
-    graphs of about 25 vertices the parts averaged 15 of them, so the
-    shared flow would not pay.
+    super-source over all of them to the active terminals, which bounds
+    each candidate's side by a region around it; on the torus those hold a
+    few vertices. :func:`~mtcut.flow.source_regions` decides when, and
+    states why the bound holds; :func:`_flows` runs each candidate's flow
+    on its region.
     """
     g = p.graph
     actives = p.active_terminals()

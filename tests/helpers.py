@@ -17,8 +17,8 @@ import numpy as np
 from mtcut import (BoundState, ContractableGraph, FlowResult, GraphError, Problem, ReductionReport,
                    SolverConfig)
 from mtcut.bench import generate_terminals, grow_terminal_blocks
-from mtcut.flow import SCIPY_MIN_VERTICES, FlowNetwork, max_flow_st
-from mtcut.graph import ArrayView
+from mtcut.flow import FlowNetwork, max_flow_st
+from mtcut.graph import SCIPY_MIN_VERTICES, ArrayView
 from mtcut.localsearch import GainTable
 import mtcut.reductions
 

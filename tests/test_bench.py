@@ -19,7 +19,7 @@ from mtcut.bench import (
 )
 import mtcut.cli
 from mtcut.cli import main
-from mtcut.flow import HAVE_SCIPY, SCIPY_MIN_VERTICES, large_view
+from mtcut.graph import HAVE_SCIPY, SCIPY_MIN_VERTICES, large_view
 from mtcut.reductions import DEFAULT_ORDER
 from mtcut.solver import SolverConfig
 
@@ -170,6 +170,18 @@ class TestGeometricMean:
         assert geometric_mean([0, 5]) == 0.0
 
 
+class TestInstanceSpec:
+    @pytest.mark.parametrize("graph", [1, True, None])
+    def test_graph_must_be_a_path_string(self, graph):
+        with pytest.raises(ValueError, match="graph"):
+            InstanceSpec(graph, k=2)
+
+    def test_fraction_must_be_a_number(self):
+        with pytest.raises(ValueError, match="fraction"):
+            InstanceSpec("g", k=2, fraction=False)
+        assert InstanceSpec("g", k=2, fraction=0).fraction == 0
+
+
 class TestRunExperiment:
     def test_fixture_sweep(self, tmp_path):
         paths = []
@@ -306,15 +318,26 @@ class TestCli:
         {"instances": [], "algorithms": {"exact": {"beta": 2.5}}},
         {"instances": [], "algorithms": {"exact": {"local_search": "no"}}},
         {"instances": [], "algorithms": {"exact": {"ilp_command": 5}}},
+        {"instances": [{"graph": "g", "k": 2, "fraction": False}]},
+        {"instances": [{"graph": "g", "k": 2}], "taus": [1.0, True]},
     ], ids=["instance_key", "algorithm_key", "not_an_object", "tau_below_one",
             "tau_not_a_number", "taus_not_a_list", "k_below_two",
             "negative_neighborhood_limit", "k_not_an_integer", "seed_not_an_integer",
-            "beta_not_an_integer", "local_search_not_a_bool", "ilp_command_not_a_string"])
+            "beta_not_an_integer", "local_search_not_a_bool", "ilp_command_not_a_string",
+            "fraction_a_bool", "tau_a_bool"])
     def test_malformed_spec_exit_code(self, tmp_path, capsys, doc):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(doc))
         assert main(["bench", "--spec", str(spec)]) == 3
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_graph_not_a_string_exit_code(self, tmp_path, capsys):
+        # a number would reach open() as a file descriptor; 12345 is none
+        # this process holds, so even a run that opens it harms nothing
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"instances": [{"graph": 12345, "k": 2}]}))
+        assert main(["bench", "--spec", str(spec)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: malformed spec {spec}")
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.graph"

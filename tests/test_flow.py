@@ -9,9 +9,10 @@ import mtcut.flow
 from helpers import (brute_force_min_st_cut, contract_randomly, count_view_builds, fixture_graph,
                      hanging_tree_graph, large_contraction_graphs, random_connected_graph,
                      random_nm_edges, torus_graph)
-from mtcut import ContractableGraph, GraphError, isolating_bounds, isolating_cuts, max_flow_st
-from mtcut.flow import (HAVE_SCIPY, SCIPY_MIN_VERTICES, FlowNetwork, _Component, _dinic,
-                        _scipy_flow, large_view)
+from mtcut import (ContractableGraph, FlowResult, GraphError, isolating_bounds, isolating_cuts,
+                   max_flow_st)
+from mtcut.flow import FlowNetwork, _Component, _dinic, _scipy_flow
+from mtcut.graph import HAVE_SCIPY, SCIPY_MIN_VERTICES, large_view
 
 IMPLEMENTATIONS = pytest.mark.parametrize("impl", [_dinic, _scipy_flow], ids=["python", "scipy"])
 
@@ -536,6 +537,48 @@ class TestFlowNetwork:
                 assert comp.arrays is None
                 checked += 1
         assert checked >= 300
+
+    def test_region_build_merges_the_outside_into_one_sink(self):
+        # the same BFS with ``inside`` given: its network must equal one
+        # rebuilt from g.edges() with every outside vertex mapped to the
+        # sink, the last index, and its flow the flow to the outside merged
+        # into one vertex; a disconnected set is refused
+        rng = random.Random(28)
+        checked = 0
+        for _ in range(40):
+            n = rng.randint(8, 40)
+            g = ContractableGraph.from_edge_list(n, random_nm_edges(rng, n, rng.randint(n, 3 * n)))
+            s = rng.randrange(n)
+            inside = [s]
+            for v in inside:  # a BFS ball around s
+                inside += [x for x in g.neighbors(v) if x not in inside][:rng.randint(1, 3)]
+                if len(inside) >= n // 2:
+                    break
+            inside = set(inside)
+            comp = _Component(g, s, inside)
+            index = comp.index
+            r = len(inside)
+            assert sorted(comp.vertices) == sorted(inside) and comp.vertices[0] == s
+            res = [{} for _ in range(r + 1)]
+            masks = [0] * (r + 1)
+            for u, v, w in g.edges():
+                a, b = index.get(u, r), index.get(v, r)
+                if a != b:
+                    res[a][b] = res[b][a] = res[a].get(b, 0) + w
+                    masks[a] |= 1 << b
+                    masks[b] |= 1 << a
+            assert comp.arcs == (res, masks) and comp.arrays is None
+            outside = [v for v in range(n) if v not in inside]
+            merged = g.copy()
+            merged.contract_vertices(outside, outside[0])
+            value, side = _dinic(comp, 0, [r])
+            assert max_flow_st(merged, s, [outside[0]]) == \
+                FlowResult(value, frozenset(map(comp.vertices.__getitem__, side)))
+            checked += 1
+        assert checked == 40
+        g = cycle(6)
+        with pytest.raises(GraphError):
+            _Component(g, 0, {0, 1, 3})
 
     def test_changed_graph_is_refused(self):
         g = fixture_graph("F3")

@@ -15,7 +15,7 @@ from helpers import (
     random_instance,
     stale_kept_cuts,
 )
-import mtcut.flow
+import mtcut.graph
 from mtcut import (
     ContractableGraph,
     EdgeNotFound,
@@ -26,7 +26,7 @@ from mtcut import (
     Problem,
     cut_value,
 )
-from mtcut.flow import HAVE_SCIPY, SCIPY_MIN_VERTICES, large_view
+from mtcut.graph import HAVE_SCIPY, SCIPY_MIN_VERTICES, large_view
 
 
 def test_fixture_optima_confirmed_by_oracle():
@@ -450,7 +450,7 @@ class TestScoringOnArrays:
                 got = scores(rng, p)
             rng.setstate(state)
             with monkeypatch.context() as m:
-                m.setattr(mtcut.flow, "large_view", lambda g: None)
+                m.setattr(mtcut.graph, "large_view", lambda g: None)
                 m.setattr(ContractableGraph, "find_all", None)  # no array find
                 assert scores(rng, p) == got
             assert len(set(got[1])) > 1

@@ -8,6 +8,7 @@ from fake_milp import parse_lp, solve_lp_text
 from helpers import FIXTURES, fixture_problem
 from mtcut import ContractableGraph, GraphError, Problem, cut_value
 from mtcut import ilp
+from mtcut.graph import HAVE_SCIPY
 from mtcut.solver import SolverConfig, solve
 
 FAKE_SOLVER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fake_milp.py")
@@ -38,6 +39,7 @@ class TestModel:
         assert m.objective_value(labels) == \
             p.graph.cut_value(labels) + p.deleted_weight == 1
 
+    @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
     def test_fixture_optima_through_model(self):
         for name in ("F1", "F2", "F3"):
             p = fixture_problem(name)

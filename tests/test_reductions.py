@@ -43,7 +43,7 @@ import mtcut.flow
 import mtcut.graph
 import mtcut.reductions
 from mtcut.bench import generate_terminals, grow_terminal_blocks
-from mtcut.flow import HAVE_SCIPY, SCIPY_MIN_VERTICES, large_view
+from mtcut.graph import HAVE_SCIPY, SCIPY_MIN_VERTICES, large_view
 from mtcut.solver import NODE_ORDER, branch_vertex, select_branch_vertex
 from mtcut.reductions import (
     DEFAULT_ORDER,
@@ -809,7 +809,7 @@ class TestArticulationPoints:
             dfs_calls = count_calls(monkeypatch, "_dfs_tree")
             got = reduce_articulation_points(p)
             assert dfs_calls == []
-            monkeypatch.setattr(mtcut.flow, "SCIPY_MIN_VERTICES", g.n_original + 1)
+            monkeypatch.setattr(mtcut.graph, "SCIPY_MIN_VERTICES", g.n_original + 1)
             assert reduce_articulation_points(q) == got
             assert len(dfs_calls) == 1
             monkeypatch.undo()
@@ -999,17 +999,32 @@ def bounded_flow_cases():
     return cases
 
 
+def shared_flows(monkeypatch) -> list:
+    """Spy on ``_scipy_flow``; the returned list gets the arguments of each
+    call from several sources, the flow that sources share."""
+    calls = []
+    real = mtcut.flow._scipy_flow
+
+    def recording(comp, s, sinks):
+        if not isinstance(s, int):
+            calls.append((comp, s, sinks))
+        return real(comp, s, sinks)
+
+    monkeypatch.setattr(mtcut.flow, "_scipy_flow", recording)
+    return calls
+
+
 class TestBoundedFlows:
     """On a graph with an array view, non-terminal sources share one flow
     from a super-source that bounds each one's largest side by a region;
     every cut must be the one its own full flow gives."""
 
     def test_matches_one_flow_per_source(self, monkeypatch):
-        bounded = count_calls(monkeypatch, "source_regions")
+        shared = shared_flows(monkeypatch)
         for g, sources, sinks in bounded_flow_cases():
-            bounded.clear()
+            shared.clear()
             assert mtcut.reductions._flows(g, sources, sinks) == one_flow_each(g, sources, sinks)
-            assert len(bounded) == HAVE_SCIPY  # without scipy there is no view
+            assert len(shared) == HAVE_SCIPY  # without scipy there is no view
 
     def test_planted_sides_hold_more_than_the_source(self, monkeypatch):
         g, sinks, (v, a), clique = planted_torus()
@@ -1056,9 +1071,10 @@ class TestBoundedFlows:
         g = ContractableGraph.from_edge_list(n1 + 20, edges)
         sinks = generate_terminals(torus, 5, 0)
         sources = [x for x in (3, 60, 61, n0 + 1, n0 + 2, n0 + 300, n1, n1 + 5) if x not in sinks]
-        bounded = count_calls(monkeypatch, "source_regions")
+        shared = shared_flows(monkeypatch)
         got = mtcut.reductions._flows(g, sources, sinks)
-        assert got == one_flow_each(g, sources, sinks) and len(bounded) == HAVE_SCIPY
+        assert len(shared) == HAVE_SCIPY
+        assert got == one_flow_each(g, sources, sinks)
         assert got[-1] == FlowResult(0, frozenset(range(n1, n1 + 20)))
 
     @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
@@ -1083,15 +1099,23 @@ class TestBoundedFlows:
         assert len(scipy_calls) == HAVE_SCIPY and len(dinic_calls) == 7
 
     def test_small_graphs_and_isolating_cuts_keep_one_flow_per_source(self, monkeypatch):
-        bounded = count_calls(monkeypatch, "source_regions")
-        g = torus_graph(20, 20)  # below SCIPY_MIN_VERTICES
+        # source_regions alone decides: it gives no region, and no flow is
+        # shared, on a graph below SCIPY_MIN_VERTICES, for sources that are
+        # sinks (the isolating cuts) and for a single source
+        regions = []
+        real = mtcut.reductions.source_regions
+        monkeypatch.setattr(mtcut.reductions, "source_regions",
+                            lambda *args: regions.append(real(*args)) or regions[-1])
+        shared = shared_flows(monkeypatch)
+        g = torus_graph(20, 20)
         sinks = generate_terminals(g, 4, 0)
         sources = [x for x in (5, 6, 77) if x not in sinks]
         assert mtcut.reductions._flows(g, sources, sinks) == one_flow_each(g, sources, sinks)
-        g, sinks, _, _ = planted_torus()
+        g, sinks, (v, _), _ = planted_torus()
         assert isolating_cuts(g, sinks) == [max_flow_st(g, t, [x for x in sinks if x != t])
                                             for t in sinks]
-        assert bounded == []
+        assert mtcut.reductions._flows(g, [v], sinks) == one_flow_each(g, [v], sinks)
+        assert regions == [{}, {}, {}] and shared == []
 
     @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
     def test_torus_scale_root_runs_one_scipy_flow(self, monkeypatch):
