@@ -671,17 +671,37 @@ class TestScansOnView:
         assert set(range(half, half + 5)) <= set(on_view)
 
     def test_reduction_loop_kernels_agree(self, monkeypatch):
+        # the first arm scans on the view and lets sources share a flow;
+        # the second scans on the dicts and runs one flow per source. The
+        # kernels agree, and so do the cuts of every _flows call.
+        shared = 0
+        real_flows = mtcut.reductions._flows
         for p in view_scan_problems():
             kernels = []
             for view in (True, False):
                 q = p.copy()
+                cuts = []
+
+                def recording(g, sources, sinks, deadline=None):
+                    flows = real_flows(g, sources, sinks, deadline)
+                    cuts.append((list(sources), list(sinks), flows))
+                    return flows
+
                 with monkeypatch.context() as m:
                     if not view:
                         m.setattr(mtcut.reductions, "large_view", lambda g: None)
+                        m.setattr(mtcut.reductions, "source_regions", lambda *a: {})
+                    m.setattr(mtcut.reductions, "_flows", recording)
+                    calls = shared_flows(m)
                     report = run_reduction_loop(q, BoundState())
+                if view:
+                    shared += len(calls)
+                else:
+                    assert calls == []
                 kernels.append((report.to_dict(), adjacency_and_find(q.graph),
-                                q.deleted_weight, q.lower_bound, q.active))
+                                q.deleted_weight, q.lower_bound, q.active, cuts))
             assert kernels[0] == kernels[1]
+        assert (shared > 0) is HAVE_SCIPY
 
     @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
     def test_cheap_scans_derive_the_view(self, monkeypatch):
