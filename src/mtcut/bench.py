@@ -246,6 +246,7 @@ def run_experiment(specs: Sequence[InstanceSpec],
                 "algorithm": name,
                 "value": result.value,
                 "optimal": result.optimal,
+                "stop_reason": result.stop_reason,
                 "wall_time": round(time.monotonic() - started, 6),
                 "kernel_vertices": result.root_kernel_vertices,
                 "kernel_edges": result.root_kernel_edges,

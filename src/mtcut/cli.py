@@ -70,6 +70,7 @@ def _cmd_solve(args) -> int:
     payload = {
         "value": result.value,
         "optimal": result.optimal,
+        "stop_reason": result.stop_reason,
         "wall_time": round(result.wall_time, 6),
         "kernel_vertices": result.root_kernel_vertices,
         "kernel_edges": result.root_kernel_edges,

@@ -939,6 +939,15 @@ DEFAULT_ORDER: tuple[str, ...] = (
     "non_terminal_flows",
 )
 
+# The rules the solver runs at the root only: below it they hardly ever
+# fire, and each call scans the whole kernel. Even at the root they wait for
+# a pass in which the rules before them changed nothing.
+ROOT_ONLY: frozenset[str] = frozenset(
+    {"heavy_triangle", "articulation", "equal_neighborhoods", "non_terminal_flows"})
+
+# The rules of every node below the root, in DEFAULT_ORDER's order.
+NODE_ORDER: tuple[str, ...] = tuple(r for r in DEFAULT_ORDER if r not in ROOT_ONLY)
+
 
 def _cleanup(p: Problem, report: ReductionReport) -> None:
     """Deactivate isolated terminals and absorb isolated non-terminals."""
@@ -959,11 +968,17 @@ def run_reduction_loop(p: Problem, bound_state: BoundState | None = None,
 
     ``order`` defaults to all nine rules, which the solver's root and
     ``mtcut kernelize`` run. The solver's nodes below the root pass
-    :data:`~mtcut.solver.NODE_ORDER`, which leaves out the heavy triangles,
-    articulation points, equal neighborhoods and non-terminal flows: on a
-    child of a fixpoint they hardly ever fire, and each scans the whole
-    kernel. Each pass offers every rule a turn, in order; the loop stops
-    after a pass in which nothing changed. A rule that changed nothing is
+    :data:`NODE_ORDER`, which leaves out the rules of :data:`ROOT_ONLY`,
+    the heavy triangles, articulation points, equal neighborhoods and
+    non-terminal flows: on a child of a fixpoint they hardly ever fire, and
+    each scans the whole kernel. Each pass offers the rules a turn, in
+    order, but a rule of :data:`ROOT_ONLY` only while no earlier rule of
+    the pass has changed the graph; a pass that changed something skips the
+    rest of them without marking them idle, and the next pass offers them
+    again. The loop stops after a pass in which nothing changed, and such a
+    pass offers every rule its turn, so a fixpoint is still one at which all
+    the rules of ``order`` are idle; and since each rule is safe in any
+    order, the kernel keeps the optimum. A rule that changed nothing is
     skipped until the graph's
     :meth:`~ContractableGraph.version` or the incumbent's value moves: the
     rules are deterministic, so on a state one has already seen it would
@@ -1027,6 +1042,8 @@ def run_reduction_loop(p: Problem, bound_state: BoundState | None = None,
         for name in order:
             if expired(deadline):
                 break
+            if changed and name in ROOT_ONLY:
+                continue  # not idle: the next pass offers it again
             if idle.get(name) == state():
                 continue
             nc, nd = rules[name]()

@@ -5,17 +5,20 @@ popped problem is reduced to a fixpoint, closed if solved or dominated,
 handed to the external MILP solver when small enough, and branched
 otherwise. The root is reduced with all nine rules of
 :data:`~mtcut.reductions.DEFAULT_ORDER`; the nodes below it run the five of
-:data:`NODE_ORDER`. A child differs from its parent's fixpoint only by its
-branch (and, in inexact mode, the parent's shrinking). The inter-terminal
-deletions and the isolating cuts keep its bounds and its fixpoint sound,
-the low-degree and heavy-edge contractions act around the branch vertex,
-and the connectivity certificate reads an incumbent that falls during the
-search. The heavy triangles, articulation points, equal neighborhoods and
-non-terminal flows run at the root only: below it they hardly ever fire,
-and each call scans the whole kernel. A node below the root stops reducing
-as soon as its bound, less the weight it deleted between a terminal and a
-non-terminal, meets the incumbent: it will be discarded, and nothing it
-could still offer scores below that (see
+:data:`~mtcut.reductions.NODE_ORDER`. A child differs from its parent's
+fixpoint only by its branch (and, in inexact mode, the parent's shrinking).
+The inter-terminal deletions and the isolating cuts keep its bounds and
+its fixpoint sound, the low-degree and heavy-edge contractions act around
+the branch vertex, and the connectivity certificate reads an incumbent that
+falls during the search. The heavy triangles, articulation points, equal
+neighborhoods and non-terminal flows (:data:`~mtcut.reductions.ROOT_ONLY`)
+run at the root only: below it they hardly ever fire, and each call scans
+the whole kernel. At the root they get a turn only in a pass in which the
+other rules have changed nothing yet; the last pass changes nothing, so the
+root still reaches the fixpoint of all nine rules. A node below the root
+stops reducing as soon as its bound, less the weight it deleted between a
+terminal and a non-terminal, meets the incumbent: it will be discarded, and
+nothing it could still offer scores below that (see
 :func:`~mtcut.reductions.run_reduction_loop`). The root reduces to its
 fixpoint, whose kernel the result reports. Every incumbent is scored on the
 original graph before it is offered. A solved leaf or an ILP solution that
@@ -36,19 +39,7 @@ from typing import Sequence
 from . import ilp
 from .graph import BoundState, ContractableGraph, GraphError, Problem
 from .localsearch import expired, refine
-from .reductions import DEFAULT_ORDER, NEIGHBORHOOD_LIMIT, run_reduction_loop
-
-
-# The rules of every node below the root, in DEFAULT_ORDER's order. The
-# root runs all nine; heavy_triangle, articulation, equal_neighborhoods and
-# non_terminal_flows run there only (see the module docstring).
-NODE_ORDER: tuple[str, ...] = (
-    "inter_terminal",
-    "isolating_cuts",
-    "low_degree",
-    "heavy_edge",
-    "connectivity",
-)
+from .reductions import DEFAULT_ORDER, NEIGHBORHOOD_LIMIT, NODE_ORDER, run_reduction_loop
 
 
 class ReductionIncomplete(GraphError):
@@ -138,6 +129,8 @@ class SolveResult:
     root_kernel_edges: int
     nodes: int
     wall_time: float
+    # "time_limit" when the deadline stopped the search, else "exhausted"
+    stop_reason: str = "exhausted"
 
 
 def save_events(path: str, events: Sequence[tuple[float, int]]) -> None:
@@ -401,7 +394,8 @@ def solve_prepared(root: Problem, config: SolverConfig | None = None) -> SolveRe
 
     kernel_v, kernel_e = search.root_kernel or (root.graph.num_vertices,
                                                 root.graph.num_edges)
-    optimal = not search.stopped and config.mode == "exact"
+    stop_reason = "time_limit" if search.stopped else "exhausted"
+    optimal = stop_reason == "exhausted" and config.mode == "exact"
     nodes = search.nodes
     # free the open subproblems before reading the clock, so that wall_time
     # is what the caller waits for
@@ -415,4 +409,5 @@ def solve_prepared(root: Problem, config: SolverConfig | None = None) -> SolveRe
         root_kernel_edges=kernel_e,
         nodes=nodes,
         wall_time=time.monotonic() - t0,
+        stop_reason=stop_reason,
     )

@@ -196,6 +196,7 @@ class TestRunExperiment:
         assert len(rows) == 6
         exact_rows = [r for r in rows if r["algorithm"] == "exact"]
         assert all(r["optimal"] for r in exact_rows)
+        assert all(r["stop_reason"] == "exhausted" for r in rows)
         assert profiles["exact"][0].tau == 1.0
         assert summary["exact"]["solved"] == 3
 
@@ -203,7 +204,7 @@ class TestRunExperiment:
         missing = str(tmp_path / "nope.graph")
         rows, _, summary = run_experiment(
             [InstanceSpec(missing, k=2)], {"exact": SolverConfig()})
-        assert rows[0].get("error")
+        assert rows[0].get("error") and "stop_reason" not in rows[0]
         assert summary["exact"]["solved"] == 0
 
     def test_writers(self, tmp_path):
@@ -234,6 +235,7 @@ class TestCli:
         assert rc == 0
         payload = json.loads(out.read_text())
         assert payload["value"] == 1 and payload["optimal"]
+        assert payload["stop_reason"] == "exhausted"
         g = fixture_graph("F1")
         terms = generate_terminals(g, 2, 0)
         assert cut_value(g, terms, payload["assignment"]) == 1
@@ -259,7 +261,7 @@ class TestCli:
         contracted.update(isolating_cuts=1, low_degree=5, heavy_edge=8, non_terminal_flows=11)
         assert payload == {
             "contracted": contracted, "deleted": dict.fromkeys(contracted, 0),
-            "passes": 2, "solved": False, "fixpoint": True,
+            "passes": 3, "solved": False, "fixpoint": True,
             "vertices_before": 30, "vertices_after": 5, "edges_before": 50, "edges_after": 4,
             "deleted_weight": 0, "active_terminals": 4,
         }

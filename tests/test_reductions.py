@@ -38,6 +38,7 @@ from mtcut import (
     max_flow_st,
     run_reduction_loop,
     solve,
+    solve_prepared,
 )
 import mtcut.flow
 import mtcut.graph
@@ -49,6 +50,7 @@ from mtcut.reductions import (
     DEFAULT_ORDER,
     FLOW_CANDIDATES,
     NEIGHBORHOOD_LIMIT,
+    ROOT_ONLY,
     articulation_points,
     capforest_bounds,
     contract_isolating_cuts,
@@ -478,7 +480,7 @@ class TestDegreeGates:
             monkeypatch.setattr(mtcut.reductions, rule, checking)
 
         rng = random.Random(73)
-        for _ in range(120):
+        for _ in range(280):
             n, edges, terminals = random_instance(rng, n_min=6, n_max=14, m_max=36)
             g = ContractableGraph.from_edge_list(n, edges)
             for config in SOLVER_MODES:
@@ -1232,7 +1234,94 @@ class TestPerRuleSafetySpot:
                 assert kernel_opt(p) + p.deleted_weight == opt, name
 
 
+def schedule_problems() -> list:
+    """Makers of fresh problems: seeded random and twin-rich instances, and
+    random graphs whose terminals grew blocks of a fifth of the vertices."""
+    rng = random.Random(25)
+    specs = [random_instance(rng, n_min=6, n_max=14, m_max=36) for _ in range(60)]
+    specs += [twin_rich_instance(rng, w_max=rng.choice((1, 2))) for _ in range(60)]
+    makers = [lambda n=n, edges=edges, terminals=terminals: make_problem(n, edges, terminals)
+              for n, edges, terminals in specs]
+    for _ in range(20):
+        n, edges = random_connected_graph(rng, n_min=18, n_max=26, m_max=60)
+        g = ContractableGraph.from_edge_list(n, edges)
+        terminals = generate_terminals(g, rng.randint(3, 5), 0)
+        makers.append(lambda g=g, terminals=terminals: grow_terminal_blocks(g, terminals, 0.2))
+    return makers
+
+
+def split_passes(log: list) -> list[list]:
+    """A :func:`record_rule_calls` log cut into the loop's passes. Within a
+    pass the calls follow DEFAULT_ORDER; each pass after the first follows a
+    change, so inter_terminal, whose last state is gone, opens it."""
+    passes = []
+    for call in log:
+        if not passes or DEFAULT_ORDER.index(call[0]) <= DEFAULT_ORDER.index(passes[-1][-1][0]):
+            passes.append([])
+        passes[-1].append(call)
+    return passes
+
+
 class TestSchedule:
+    def test_root_only_rules_wait_for_a_pass_that_changed_nothing(self, monkeypatch):
+        deferred = 0
+        for make in schedule_problems():
+            p = make()
+            bound = BoundState()
+            with monkeypatch.context() as m:
+                log = record_rule_calls(m, bound)
+                report = run_reduction_loop(p, bound)
+            final = (p.graph.version(), bound.best_value)
+            passes = split_passes(log)
+            assert len(passes) == report.passes
+            at = 0  # the log position of the pass's first call
+            for calls in passes:
+                names = [name for name, *_ in calls]
+                start = calls[0][1][0]
+                for name, before, res, after in calls:
+                    if name in ROOT_ONLY:  # no earlier call of the pass changed the graph
+                        assert before[0] == start, name
+                deferred += calls is not passes[-1] and not ROOT_ONLY <= set(names)
+                # a rule of NODE_ORDER that a pass did not call had changed
+                # nothing on the state of its turn: it waits for nothing
+                for rule in set(NODE_ORDER) - set(names):
+                    later = [i for i, name in enumerate(names, start=at)
+                             if DEFAULT_ORDER.index(name) > DEFAULT_ORDER.index(rule)]
+                    turn = later[0] if later else at + len(calls)
+                    if turn == len(log) and report.solved:
+                        continue  # the loop stopped when the problem was solved
+                    state = log[turn][1] if turn < len(log) else final
+                    last = [(res, after) for name, _, res, after in log[:turn] if name == rule]
+                    assert last and last[-1] == ((0, 0), state), rule
+                at += len(calls)
+            if report.fixpoint:
+                # the last pass changed nothing, so it offered every rule, and
+                # none of the root-only rules could have been idle on its graph
+                assert ROOT_ONLY <= {name for name, *_ in passes[-1]}
+        assert deferred >= 100
+
+    def test_deferring_changes_no_kernel_and_no_value(self, monkeypatch):
+        # the old schedule, which offered the root-only rules every pass,
+        # reaches kernels of the same size and bounds and the same optima
+        root_only_calls = []
+        log = record_rule_calls(monkeypatch)
+        for root_only in (ROOT_ONLY, frozenset()):
+            monkeypatch.setattr(mtcut.reductions, "ROOT_ONLY", root_only)
+            got = []
+            calls = 0
+            for make in schedule_problems():
+                p = make()
+                log.clear()
+                run_reduction_loop(p, BoundState())
+                calls += sum(name in ROOT_ONLY for name, *_ in log)
+                got.append((p.graph.num_vertices, p.graph.num_edges, p.lower_bound,
+                            p.deleted_weight, solve_prepared(make()).value))
+            root_only_calls.append(calls)
+            if root_only:
+                expected = got
+        assert got == expected
+        assert root_only_calls[0] < root_only_calls[1]
+
     def test_no_rerun_on_a_seen_state_and_none_missed(self, monkeypatch):
         rng = random.Random(12)
         skipped = 0

@@ -14,6 +14,7 @@ from helpers import (
     random_connected_graph,
     random_instance,
     record_rule_calls,
+    torus_graph,
 )
 from mtcut import BoundState, ContractableGraph, Problem, cut_value, max_flow_st
 from mtcut.bench import generate_terminals, grow_terminal_blocks
@@ -282,6 +283,28 @@ class TestSolve:
         assert cut_value(g, terminals, r.labels) == r.value
         assert not r.optimal
 
+    def test_exhausted_search_says_so_in_both_modes(self):
+        # only exact mode's exhausted search certifies the optimum
+        rng = random.Random(37)
+        branched = 0
+        for _ in range(20):
+            n, edges, terminals = random_instance(rng, n_min=9, n_max=12)
+            g = ContractableGraph.from_edge_list(n, edges)
+            for config in SOLVER_MODES:
+                r = solve(g, terminals, config)
+                assert r.stop_reason == "exhausted"
+                assert r.optimal == (config.mode == "exact")
+                branched += r.nodes > 1
+        assert branched >= 10
+
+    def test_time_limited_torus_stops_at_the_limit(self):
+        # the exact search of a 20x20 unit torus with 8 terminals branches
+        # for seconds
+        g = torus_graph(20, 20)
+        terminals = generate_terminals(g, 8, 0)
+        r = solve(g, terminals, SolverConfig(time_limit=0.05))
+        assert (r.stop_reason, r.optimal) == ("time_limit", False)
+        assert cut_value(g, terminals, r.labels) == r.value
 
     def test_open_subproblems_are_freed_within_wall_time(self, monkeypatch):
         # a time-limited solve stops with children on its open heap; every
@@ -466,7 +489,7 @@ class TestDominatedStop:
         loops, running = self._spy_loops(monkeypatch)
         rules = self._spy_rules(monkeypatch, running)
         rng = random.Random(85)
-        for _ in range(80):
+        for _ in range(140):
             n, edges, terminals = random_instance(rng, n_min=8, n_max=14, m_max=40)
             g = ContractableGraph.from_edge_list(n, edges)
             loops.clear()
