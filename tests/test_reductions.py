@@ -1303,12 +1303,11 @@ class TestSchedule:
     def test_deferring_changes_no_kernel_and_no_value(self, monkeypatch):
         # the old schedule, which offered the root-only rules every pass,
         # reaches kernels of the same size and bounds and the same optima
-        root_only_calls = []
+        results, root_only_calls = [], []
         log = record_rule_calls(monkeypatch)
         for root_only in (ROOT_ONLY, frozenset()):
             monkeypatch.setattr(mtcut.reductions, "ROOT_ONLY", root_only)
-            got = []
-            calls = 0
+            got, calls = [], 0
             for make in schedule_problems():
                 p = make()
                 log.clear()
@@ -1316,10 +1315,9 @@ class TestSchedule:
                 calls += sum(name in ROOT_ONLY for name, *_ in log)
                 got.append((p.graph.num_vertices, p.graph.num_edges, p.lower_bound,
                             p.deleted_weight, solve_prepared(make()).value))
+            results.append(got)
             root_only_calls.append(calls)
-            if root_only:
-                expected = got
-        assert got == expected
+        assert results[0] == results[1]
         assert root_only_calls[0] < root_only_calls[1]
 
     def test_no_rerun_on_a_seen_state_and_none_missed(self, monkeypatch):
