@@ -247,6 +247,8 @@ def run_experiment(specs: Sequence[InstanceSpec],
                 "value": result.value,
                 "optimal": result.optimal,
                 "stop_reason": result.stop_reason,
+                "lower_bound": result.lower_bound,
+                "gap": result.gap,
                 "wall_time": round(time.monotonic() - started, 6),
                 "kernel_vertices": result.root_kernel_vertices,
                 "kernel_edges": result.root_kernel_edges,

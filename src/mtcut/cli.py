@@ -71,6 +71,8 @@ def _cmd_solve(args) -> int:
         "value": result.value,
         "optimal": result.optimal,
         "stop_reason": result.stop_reason,
+        "lower_bound": result.lower_bound,
+        "gap": result.gap,
         "wall_time": round(result.wall_time, 6),
         "kernel_vertices": result.root_kernel_vertices,
         "kernel_edges": result.root_kernel_edges,

@@ -40,8 +40,13 @@ When only contractions happened since the last view, the next one is
 derived from it in numpy (:meth:`ArrayView.derived`): its rows and columns
 are mapped through one vectorized ``find``
 (:meth:`ContractableGraph.find_all`), which equals the quotient the merges
-made of the dicts. A deletion drops the last view and a copy starts
-without one; both build from the dicts again. A view also carries the
+made of the dicts. A large graph's views form one lineage, rooted at the
+instance graph: :meth:`Problem.from_instance` links its working graph to
+the instance graph, which never changes, and a copy keeps the link. Such a
+graph's first view is the instance graph's own, built there once, shared
+while nothing changed and derived from after contractions. A deletion
+drops the last view and the link, and the next view is built from the
+dicts again, as is a graph's that has no link. A view also carries the
 degrees and weighted degrees that the reduction rules' scans read.
 
 One test picks the arrays over the dicts, everywhere, and it lives here,
@@ -52,8 +57,8 @@ flows, the reduction rules and terminal placement import it from here, so
 this module imports nothing from :mod:`mtcut.flow`. Where it gives one,
 :meth:`Problem.project` and :func:`cut_value` (so every incumbent's score)
 run on arrays: the labels are lifted through ``find_all``, and the cut is
-summed on the original graph's view, built once, since the original never
-changes.
+summed on the original graph's view: the root of the lineage, built once
+and shared with the working graph's first view.
 """
 
 from __future__ import annotations
@@ -127,7 +132,7 @@ class ContractableGraph:
     """
 
     __slots__ = ("n_original", "num_vertices", "num_edges", "exact", "_adj", "_wdeg", "_parent",
-                 "_view")
+                 "_view", "_lineage")
 
     def __init__(self, adj: list[dict[int, int]]):
         """The graph whose vertex ``v`` has neighbor dict ``adj[v]``, taken
@@ -142,6 +147,9 @@ class ContractableGraph:
         self.exact = sum(self._wdeg) < 2**53
         self._parent = list(range(len(adj)))
         self._view: ArrayView | None = None
+        # (instance graph, its version) whose view this graph's first view
+        # starts from; see array_view
+        self._lineage: tuple[ContractableGraph, tuple[int, int]] | None = None
 
     @classmethod
     def from_edge_list(cls, n: int, edges: Iterable[tuple[int, int, int]]) -> "ContractableGraph":
@@ -169,6 +177,9 @@ class ContractableGraph:
         return cls(adj)
 
     def copy(self) -> "ContractableGraph":
+        """An independent graph equal to this one. It starts without a view
+        and keeps this graph's link to its instance graph, so its first
+        view comes from there (see :meth:`array_view`)."""
         g = ContractableGraph.__new__(ContractableGraph)
         g.n_original = self.n_original
         g.num_vertices = self.num_vertices
@@ -178,6 +189,7 @@ class ContractableGraph:
         g._wdeg = list(self._wdeg)
         g._parent = list(self._parent)
         g._view = None
+        g._lineage = self._lineage
         return g
 
     # -- queries ---------------------------------------------------------
@@ -225,13 +237,28 @@ class ContractableGraph:
         last view is the base of the next: only contractions can have
         happened since it was made (:meth:`delete_edge` drops it), so the
         next is derived from it (:meth:`ArrayView.derived`). A graph
-        without a base, a copy among them, builds from the dicts.
+        without a view of its own takes its base from the instance graph it
+        is linked to (:meth:`Problem.from_instance` links the working
+        graph, :meth:`copy` keeps the link and :meth:`delete_edge` drops
+        it), while that graph still has the version it was linked at: the
+        instance graph's own view, built there once, which this graph shares
+        at the same version and derives from after contractions. Any other
+        graph builds from the dicts.
         """
         view = self._view
-        if view is None or view.version != self.version():
+        version = self.version()
+        if view is None or view.version != version:
             if not self.exact:
                 raise GraphError("weights past 2**53 in total have no array view")
-            view = self._view = ArrayView(self) if view is None else ArrayView.derived(view, self)
+            if view is None and self._lineage is not None:
+                instance, linked = self._lineage
+                if instance.version() == linked:
+                    view = instance.array_view()
+            if view is None:
+                view = ArrayView(self)
+            elif view.version != version:
+                view = ArrayView.derived(view, self)
+            self._view = view
         return view
 
     def is_live(self, v: int) -> bool:
@@ -300,7 +327,7 @@ class ContractableGraph:
             raise EdgeNotFound(f"no edge ({u},{v})")
         w = a.pop(v)
         self._adj[v].pop(u)
-        self._view = None  # a view is derived only across contractions
+        self._view = self._lineage = None  # a view is derived only across contractions
         self._wdeg[u] -= w
         self._wdeg[v] -= w
         self.num_edges -= 1
@@ -410,7 +437,8 @@ class ArrayView:
 
     @classmethod
     def derived(cls, base: "ArrayView", g: ContractableGraph) -> "ArrayView":
-        """The view of ``g``, made from ``base``, an earlier view of it.
+        """The view of ``g``, made from ``base``, an earlier view of it or
+        of the instance graph it was copied from.
 
         Only contractions may have happened since ``base``. Each of its
         indices is mapped to its vertex's representative's new index; the
@@ -574,7 +602,9 @@ class Problem:
         for t in terms:
             if not (0 <= t < graph.n_original) or not graph.is_live(t):
                 raise GraphError(f"terminal {t} is not a live vertex")
-        return cls(graph.copy(), terms, [True] * len(terms), 0, 0, graph)
+        work = graph.copy()
+        work._lineage = (graph, graph.version())
+        return cls(work, terms, [True] * len(terms), 0, 0, graph)
 
     @property
     def k(self) -> int:

@@ -131,6 +131,11 @@ class SolveResult:
     wall_time: float
     # "time_limit" when the deadline stopped the search, else "exhausted"
     stop_reason: str = "exhausted"
+    # exact mode: the least of the value and every open subproblem's bound,
+    # a proven bound on the optimum, and (value - lower_bound) / value (0
+    # for a value of 0); None in inexact mode, whose shrinking proves none
+    lower_bound: int | None = None
+    gap: float | None = None
 
 
 def save_events(path: str, events: Sequence[tuple[float, int]]) -> None:
@@ -397,12 +402,17 @@ def solve_prepared(root: Problem, config: SolverConfig | None = None) -> SolveRe
     stop_reason = "time_limit" if search.stopped else "exhausted"
     optimal = stop_reason == "exhausted" and config.mode == "exact"
     nodes = search.nodes
+    value = int(bound.best_value)
+    lower_bound = gap = None
+    if config.mode == "exact":
+        lower_bound = min([value, *(key for key, _, _ in search.heap)])
+        gap = (value - lower_bound) / value if value else 0.0
     # free the open subproblems before reading the clock, so that wall_time
     # is what the caller waits for
     del search
     return SolveResult(
         labels=bound.best_labels,
-        value=int(bound.best_value),
+        value=value,
         optimal=optimal,
         events=list(bound.events),
         root_kernel_vertices=kernel_v,
@@ -410,4 +420,6 @@ def solve_prepared(root: Problem, config: SolverConfig | None = None) -> SolveRe
         nodes=nodes,
         wall_time=time.monotonic() - t0,
         stop_reason=stop_reason,
+        lower_bound=lower_bound,
+        gap=gap,
     )

@@ -197,6 +197,9 @@ class TestRunExperiment:
         exact_rows = [r for r in rows if r["algorithm"] == "exact"]
         assert all(r["optimal"] for r in exact_rows)
         assert all(r["stop_reason"] == "exhausted" for r in rows)
+        assert all((r["lower_bound"], r["gap"]) == (r["value"], 0) for r in exact_rows)
+        assert all(r["lower_bound"] is None and r["gap"] is None
+                   for r in rows if r["algorithm"] == "inexact")
         assert profiles["exact"][0].tau == 1.0
         assert summary["exact"]["solved"] == 3
 
@@ -204,7 +207,7 @@ class TestRunExperiment:
         missing = str(tmp_path / "nope.graph")
         rows, _, summary = run_experiment(
             [InstanceSpec(missing, k=2)], {"exact": SolverConfig()})
-        assert rows[0].get("error") and "stop_reason" not in rows[0]
+        assert rows[0].get("error") and "stop_reason" not in rows[0] and "lower_bound" not in rows[0]
         assert summary["exact"]["solved"] == 0
 
     def test_writers(self, tmp_path):
@@ -236,6 +239,7 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert payload["value"] == 1 and payload["optimal"]
         assert payload["stop_reason"] == "exhausted"
+        assert (payload["lower_bound"], payload["gap"]) == (1, 0)
         g = fixture_graph("F1")
         terms = generate_terminals(g, 2, 0)
         assert cut_value(g, terms, payload["assignment"]) == 1

@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 
 import mtcut.flow
+import mtcut.solver
 from helpers import (brute_force_min_st_cut, contract_randomly, count_view_builds, fixture_graph,
                      hanging_tree_graph, large_contraction_graphs, random_connected_graph,
                      random_nm_edges, torus_graph)
 from mtcut import (ContractableGraph, FlowResult, GraphError, isolating_bounds, isolating_cuts,
                    max_flow_st)
+from mtcut.bench import generate_terminals, grow_terminal_blocks
 from mtcut.flow import FlowNetwork, _Component, _dinic, _scipy_flow
-from mtcut.graph import HAVE_SCIPY, SCIPY_MIN_VERTICES, large_view
+from mtcut.graph import HAVE_SCIPY, SCIPY_MIN_VERTICES, ArrayView, BoundState, Problem, large_view
+from mtcut.reductions import run_reduction_loop
+from mtcut.solver import solve_prepared
 
 IMPLEMENTATIONS = pytest.mark.parametrize("impl", [_dinic, _scipy_flow], ids=["python", "scipy"])
 
@@ -657,10 +661,10 @@ class TestArrayView:
 
     def test_derived_views_equal_fresh_builds(self, monkeypatch):
         # after a first build, every view of a contracted graph is derived
-        # from the one before; a copy has no view, so its view is built from
-        # the dicts, and the two must be equal, array for array, byte for
-        # byte. On a graph of several components the first contraction takes
-        # the smallest one whole, into one isolated vertex.
+        # from the one before, and it must equal a view built from the
+        # dicts, array for array, byte for byte. On a graph of several
+        # components the first contraction takes the smallest one whole,
+        # into one isolated vertex.
         rng = random.Random(27)
         derivations = isolated = 0
         for g, terminals in large_contraction_graphs(rng):
@@ -675,8 +679,8 @@ class TestArrayView:
                     contract_randomly(rng, g, protected=terminals)
                 view = g.array_view()
                 assert g.array_view() is view
-                assert_same_view(view, g.copy().array_view())
-            assert built == [c for c in built if c is not g] and len(built) == 12
+                assert_same_view(view, ArrayView(g))
+            assert built == [g] * 12  # the fresh builds above, no other
             assert derived == [g] * 12
             derivations += len(derived)
             monkeypatch.undo()
@@ -697,6 +701,92 @@ class TestArrayView:
         assert_same_view(g.array_view(), g.copy().array_view())
         assert derived == [g, g]
         assert [c is g for c in built] == [False, True, False, False]
+
+    def test_instance_graph_roots_one_lineage(self, monkeypatch):
+        # on a grown 100x100 torus the first kernelization builds one view
+        # from the dicts, the instance graph's, which its flows share; its
+        # scans read one derived from it. A second kernelization of a copy,
+        # and a solve that stops after its root, build none and derive one.
+        g = torus_graph(100, 100)
+        p = grow_terminal_blocks(g, generate_terminals(g, 8, 0), 0.1)
+        built, derived = count_view_builds(monkeypatch)
+        for kernelizations in (1, 2):
+            q = p.copy()
+            report = run_reduction_loop(q, BoundState())
+            assert report.contracted["isolating_cuts"] > 0
+            assert built == [p.original] and len(derived) == kernelizations
+            assert derived[-1] is q.graph
+        checks = []  # the search stops at its second check, after the root
+
+        def expired(deadline):
+            checks.append(deadline)
+            return len(checks) > 1
+
+        monkeypatch.setattr(mtcut.solver, "expired", expired)
+        q = p.copy()
+        result = solve_prepared(q)
+        assert result.nodes == 1 and result.stop_reason == "time_limit"
+        assert built == [p.original] and derived[2:] == [q.graph]
+
+    def test_deletion_ends_the_lineage(self, monkeypatch):
+        # a working graph shares its instance graph's view and derives from
+        # it across contractions; after a deletion its next view is built
+        # from the dicts, and so is a copy's, and then they derive again
+        n = SCIPY_MIN_VERTICES
+        p = Problem.from_instance(cycle(n), [0, n // 2])
+        built, derived = count_view_builds(monkeypatch)
+        assert p.graph.array_view() is p.original.array_view()
+        assert built == [p.original] and derived == []
+        p.contract_set([1, 2], 1)
+        p.graph.array_view()
+        assert built == [p.original] and derived == [p.graph]
+        p.delete_edge(10, 11)
+        p.graph.array_view()
+        assert built == [p.original, p.graph] and derived == [p.graph]
+        c = p.copy()
+        c.graph.array_view()
+        c.contract_set([20, 21], 20)
+        c.graph.array_view()
+        assert built == [p.original, p.graph, c.graph] and derived == [p.graph, c.graph]
+        monkeypatch.undo()
+        for q in (p, c):
+            assert_same_view(q.graph.array_view(), ArrayView(q.graph))
+
+    def test_link_to_a_changed_instance_graph_is_ignored(self, monkeypatch):
+        # an instance graph mutated after the link, by a contraction or a
+        # deletion, is no base: the working graph builds from the dicts
+        n = SCIPY_MIN_VERTICES
+        for mutate in (lambda g: g.contract_vertices([5, 6], 5), lambda g: g.delete_edge(5, 6)):
+            g = cycle(n)
+            p = Problem.from_instance(g, [0, n // 2])
+            before = g.array_view()
+            mutate(g)
+            with monkeypatch.context() as m:
+                built, derived = count_view_builds(m)
+                view = p.graph.array_view()
+                assert built == [p.graph] and derived == []
+            assert view is not before
+            assert_same_view(view, ArrayView(p.graph))
+
+    def test_shared_and_derived_views_equal_fresh_builds(self, monkeypatch):
+        # a working graph's first view is its instance graph's, the same
+        # object, and each later one is derived from it; each equals a
+        # build from the dicts of the graph as it was, byte for byte
+        rng = random.Random(28)
+        for g, terminals in large_contraction_graphs(rng):
+            p = Problem.from_instance(g, terminals)
+            built, derived = count_view_builds(monkeypatch)
+            views = []
+            for step in range(6):
+                if step:
+                    contract_randomly(rng, p.graph, protected=terminals)
+                views.append((p.graph.array_view(), p.graph.copy()))
+            assert views[0][0] is g.array_view()
+            assert len(built) <= 1 and p.graph not in built
+            assert derived == [p.graph] * 5
+            monkeypatch.undo()
+            for view, then in views:
+                assert_same_view(view, ArrayView(then))
 
     def test_inexact_weights_have_no_view(self):
         # weights that sum to 2**53 or more, each edge counted from both

@@ -708,33 +708,36 @@ class TestScansOnView:
     @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
     def test_cheap_scans_derive_the_view(self, monkeypatch):
         # the low-degree seed and the connectivity count read the view of
-        # the graph as it is: after a contraction they derive it from the
-        # last one, and nothing builds from the dicts again
+        # the graph as it is: first the instance graph's, which terminal
+        # placement built, then, after a contraction, one derived from it;
+        # nothing builds from the dicts
         p = next(p for p in view_scan_problems() if p.graph.num_vertices > SCIPY_MIN_VERTICES)
         built, derived = count_view_builds(monkeypatch)
         assert mtcut.reductions._connectivity_gate(p, 10**6) is False
-        assert built == [p.graph] and derived == []
+        assert built == [] and derived == []
+        assert p.graph.array_view() is p.original.array_view()
         v = next(v for v in p.graph.live_vertices() if v not in p.block_of)
         p.contract_set([v], next(iter(p.graph.neighbors(v))))
         reduce_low_degree(p)
         assert mtcut.reductions._connectivity_gate(p, 10**6) is False
-        assert built == [p.graph] and derived == [p.graph]
+        assert built == [] and derived == [p.graph]
 
     @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
     def test_torus_kernelize_builds_one_view_from_the_dicts(self, monkeypatch):
-        # the isolating cuts' flows read the one view of the grown root
-        # built from the dicts; the scans after their contraction read one
-        # derived from it. The heuristic's labels are scored on the original
-        # graph's view, built once.
+        # the isolating cuts' flows read the grown root's first view, the
+        # original graph's, built from the dicts; the scans after their
+        # contraction read one derived from it. The heuristic's labels are
+        # scored on the original graph's view, the same one. A copy of the
+        # kernel, which deleted no edge, derives its view from it too.
         g = torus_graph(100, 100)
         p = grow_terminal_blocks(g, generate_terminals(g, 8, 0), 0.1)
         built, derived = count_view_builds(monkeypatch)
         report = run_reduction_loop(p, BoundState())
         assert report.fixpoint and report.contracted["isolating_cuts"] > 0
-        assert [q is p.graph for q in built] == [True, False] and built[1] is p.original
+        assert built == [p.original]
         assert derived == [p.graph]
         run_reduction_loop(p.copy(), BoundState())
-        assert len(built) == 3 and built[2] is not p.original
+        assert built == [p.original] and len(derived) == 2
 
 
 @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")

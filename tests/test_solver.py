@@ -18,6 +18,7 @@ from helpers import (
 )
 from mtcut import BoundState, ContractableGraph, Problem, cut_value, max_flow_st
 from mtcut.bench import generate_terminals, grow_terminal_blocks
+from mtcut.graph import HAVE_SCIPY
 import mtcut.reductions
 import mtcut.solver
 from mtcut.reductions import DEFAULT_ORDER, run_reduction_loop
@@ -294,8 +295,37 @@ class TestSolve:
                 r = solve(g, terminals, config)
                 assert r.stop_reason == "exhausted"
                 assert r.optimal == (config.mode == "exact")
+                if config.mode == "exact":
+                    assert (r.lower_bound, r.gap) == (r.value, 0)
+                else:
+                    assert r.lower_bound is None and r.gap is None
                 branched += r.nodes > 1
         assert branched >= 10
+
+    def test_stopped_search_bounds_the_optimum(self, monkeypatch):
+        # stopped after 1 to 12 deadline checks, an exact search's
+        # lower_bound lies at or below the optimum, and its gap is read
+        # off it; an inexact one reports neither
+        rng = random.Random(38)
+        checks = []
+        monkeypatch.setattr(mtcut.solver, "expired",
+                            lambda deadline: checks.append(deadline) or len(checks) > stop)
+        open_bounds = 0
+        for _ in range(25):
+            n, edges, terminals = random_instance(rng, n_min=9, n_max=12)
+            g = ContractableGraph.from_edge_list(n, edges)
+            opt, _ = brute_force_opt(n, edges, terminals)
+            for stop in (1, 2, 4, 12):
+                for config in SOLVER_MODES[::2]:
+                    checks.clear()
+                    r = solve(g, terminals, config)
+                    if config.mode == "inexact":
+                        assert r.lower_bound is None and r.gap is None
+                        continue
+                    assert r.lower_bound <= opt <= r.value
+                    assert r.gap == (r.value - r.lower_bound) / r.value
+                    open_bounds += r.lower_bound < r.value
+        assert open_bounds >= 20
 
     def test_time_limited_torus_stops_at_the_limit(self):
         # the exact search of a 20x20 unit torus with 8 terminals branches
@@ -305,6 +335,19 @@ class TestSolve:
         r = solve(g, terminals, SolverConfig(time_limit=0.05))
         assert (r.stop_reason, r.optimal) == ("time_limit", False)
         assert cut_value(g, terminals, r.labels) == r.value
+
+    @pytest.mark.skipif(not HAVE_SCIPY, reason="without scipy the root's reduction takes the limit")
+    def test_time_limited_grown_torus_keeps_its_root_bound(self):
+        # the grown 100x100 torus's search stops with subproblems open;
+        # each of them has at least the root kernel's bound
+        g = torus_graph(100, 100)
+        p = grow_terminal_blocks(g, generate_terminals(g, 8, 0), 0.1)
+        root = p.copy()
+        assert run_reduction_loop(root, BoundState()).fixpoint
+        r = solve_prepared(p.copy(), SolverConfig(time_limit=0.5))
+        assert r.stop_reason == "time_limit"
+        assert root.lower_bound <= r.lower_bound < r.value
+        assert r.gap == (r.value - r.lower_bound) / r.value
 
     def test_open_subproblems_are_freed_within_wall_time(self, monkeypatch):
         # a time-limited solve stops with children on its open heap; every
