@@ -122,7 +122,9 @@ def grow_terminal_blocks(g: ContractableGraph, terminals: Sequence[int],
     contracted into their terminals. The contracted graph is the instance:
     the grown blocks are committed, and reported cut values count their
     boundaries. Deterministic for fixed inputs (the seed is accepted for
-    interface symmetry).
+    interface symmetry). When ``g`` holds an array view, as terminal
+    placement leaves a large graph, the instance graph's first view is
+    derived from it (:meth:`~mtcut.graph.ContractableGraph.derive_view`).
     """
     del seed
     quota = math.floor(fraction * g.num_vertices)
@@ -152,6 +154,7 @@ def grow_terminal_blocks(g: ContractableGraph, terminals: Sequence[int],
     for i, t in enumerate(terminals):
         if blocks[i]:
             work.contract_vertices(blocks[i] + [t], t)
+    work.derive_view(g)
     return Problem.from_instance(work, terminals)
 
 

@@ -365,10 +365,11 @@ def _dinic(comp: _Component, s: int, sinks: list[int]) -> tuple[int, list[int]]:
     to and from. A pre-flow first visits each residual arc s→u in ascending
     ``u``: it saturates an arc straight to a sink, and otherwise sends what
     it can from ``u`` over its sink arcs, then over paths u→y→t with ``y``
-    neither a sink nor ``s``, every push read from and written back to the
-    residual dicts and masks. Any feasible flow is a valid start: the phases
-    augment it to a maximum flow, and every maximum flow has the same value
-    and leaves the same vertices able to reach a sink.
+    neither a sink nor ``s``. Each push is written out in place, with no
+    call: most flows of a branch node are little more than this pre-flow.
+    Any feasible flow is a valid start: the phases augment it to a maximum
+    flow, and every maximum flow has the same value and leaves the same
+    vertices able to reach a sink.
 
     Each phase numbers the vertices by their residual distance to the
     nearest sink, one mask per distance, with a backward search from all
@@ -377,8 +378,9 @@ def _dinic(comp: _Component, s: int, sinks: list[int]) -> tuple[int, list[int]]:
     at distance ``d`` it takes the lowest bit of ``out[v] & levels[d - 1]``,
     and it drops a dead end from its level's mask. When the search cannot
     reach the source, the vertices it reached are exactly those that can
-    still reach a sink. A path ends at the first sink it meets, so no
-    super-sink is attached.
+    still reach a sink, and the source side is read off the other bits one
+    set bit at a time, so a side of the source alone costs one step. A
+    path ends at the first sink it meets, so no super-sink is attached.
     """
     res0, masks = comp.arcs
     res = [r.copy() for r in res0]
@@ -389,20 +391,9 @@ def _dinic(comp: _Component, s: int, sinks: list[int]) -> tuple[int, list[int]]:
     for t in sinks:
         sink_mask |= 1 << t
 
-    def push(a, b, x):
-        # x units along the residual arc a→b
-        c = res[a][b] - x
-        res[a][b] = c
-        if not c:
-            out[a] ^= 1 << b
-            inn[b] ^= 1 << a
-        r = res[b][a]
-        if not r:
-            out[b] |= 1 << a
-            inn[a] |= 1 << b
-        res[b][a] = r + x
-
-    # pre-flow along s→t, s→u→t and s→u→y→t, t a sink
+    # pre-flow along s→t, s→u→t and s→u→y→t, t a sink, each push written
+    # out: no path leaves a sink or enters s, so the arcs out of a sink and
+    # into s only gain residual capacity, and their mask bits stay set
     flow = 0
     row = res[s]
     m = out[s]
@@ -411,11 +402,14 @@ def _dinic(comp: _Component, s: int, sinks: list[int]) -> tuple[int, list[int]]:
         m ^= low
         u = low.bit_length() - 1
         c = row[u]
+        ru = res[u]
         if low & sink_mask:
-            push(s, u, c)
+            row[u] = 0
+            out[s] ^= low
+            inn[u] ^= sbit
+            ru[s] += c
             flow += c
             continue
-        ru = res[u]
         sent = 0
         ts = out[u] & sink_mask
         while ts and c:
@@ -423,7 +417,11 @@ def _dinic(comp: _Component, s: int, sinks: list[int]) -> tuple[int, list[int]]:
             ts ^= lt
             t = lt.bit_length() - 1
             x = min(c, ru[t])
-            push(u, t, x)
+            left = ru[t] = ru[t] - x
+            if not left:
+                out[u] ^= lt
+                inn[t] ^= low
+            res[t][u] += x
             sent += x
             c -= x
         ys = out[u] & ~(sink_mask | sbit)
@@ -438,14 +436,29 @@ def _dinic(comp: _Component, s: int, sinks: list[int]) -> tuple[int, list[int]]:
                 ts ^= lt
                 t = lt.bit_length() - 1
                 x = min(c, ru[y], ry[t])
-                push(u, y, x)
-                push(y, t, x)
+                left = ry[t] = ry[t] - x
+                if not left:
+                    out[y] ^= lt
+                    inn[t] ^= ly
+                res[t][y] += x
+                back = ry[u]
+                if not back:
+                    out[y] |= low
+                    inn[u] |= ly
+                ry[u] = back + x
                 sent += x
                 c -= x
-                if not ru[y]:
+                left = ru[y] = ru[y] - x
+                if not left:
+                    out[u] ^= ly
+                    inn[y] ^= low
                     break
         if sent:
-            push(s, u, sent)
+            left = row[u] = row[u] - sent
+            if not left:
+                out[s] ^= low
+                inn[u] ^= sbit
+            ru[s] += sent
             flow += sent
 
     while True:
@@ -464,7 +477,12 @@ def _dinic(comp: _Component, s: int, sinks: list[int]) -> tuple[int, list[int]]:
             levels.append(frontier)
         if not seen & sbit:
             side = ~seen & ((1 << len(res)) - 1)
-            return flow, [i for i, bit in enumerate(reversed(bin(side))) if bit == "1"]
+            ids = []
+            while side:
+                low = side & -side
+                ids.append(low.bit_length() - 1)
+                side ^= low
+            return flow, ids
         top = len(levels) - 1
         levels[top] = sbit
         # path[i] sits at distance top - i

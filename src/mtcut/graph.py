@@ -29,7 +29,8 @@ the old ones that cross the edge, all inside the kept side. An edge
 between two terminals lies outside every other terminal's cuts and leaves
 them as they are; any other cut the deletion does not cross is dropped.
 The map is stamped with the graph's ``version()``, so a mutation made on
-the graph directly empties it too.
+the graph directly empties it too. A vertex branch also fills the maps of
+its children, from one flow per joined child and the parent's cuts.
 
 :meth:`ContractableGraph.array_view` gives the live vertices as arrays
 (:class:`ArrayView`) for scipy's graph routines, built on first use and
@@ -260,6 +261,15 @@ class ContractableGraph:
                 view = ArrayView.derived(view, self)
             self._view = view
         return view
+
+    def derive_view(self, base: "ContractableGraph") -> None:
+        """Make this graph's first view from ``base``'s, if ``base`` holds a
+        view of its current version; else do nothing, so a graph without a
+        view builds none here. This graph must be ``base`` as it is now,
+        copied and then only contracted (:meth:`ArrayView.derived`)."""
+        view = base._view
+        if self._view is None and view is not None and view.version == base.version():
+            self._view = ArrayView.derived(view, self)
 
     def is_live(self, v: int) -> bool:
         return self._adj[v] is not None
@@ -574,7 +584,11 @@ class Problem:
     return, its side mapped through ``find``. :meth:`contract_set` and
     :meth:`delete_edge` keep it, and the map is stamped with the graph's
     ``version()`` so that a mutation behind the problem's back empties it.
-    Copies share the entries, which are immutable.
+    Copies share the entries, which are immutable. Entries come from the
+    problem's own flows and from a vertex branch
+    (:func:`~mtcut.solver.branch_vertex`): a joined child keeps the flow
+    it runs there, and the cut-all child keeps cuts derived from its
+    parent's and that flow, each equal to a fresh flow's.
     """
 
     __slots__ = ("graph", "terminal_vertices", "block_of", "active", "deleted_weight",

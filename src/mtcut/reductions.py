@@ -189,12 +189,15 @@ def _contract_source_sides(p: Problem, sources: Sequence[int],
 
     The sides are mapped through ``find`` and applied in order. A side
     keeps out every terminal but the source's own, so no two terminals
-    ever merge.
+    ever merge. A side of one vertex, most of them below the root, maps to
+    at most one vertex and is skipped.
     """
     g = p.graph
     troots = p.block_of
     contracted = 0
     for source, res in zip(sources, flows):
+        if len(res.source_side) < 2:
+            continue
         root = g.find(source)
         own = troots.get(root)
         side = {x for x in map(g.find, res.source_side) if troots.get(x, own) == own}
@@ -238,6 +241,56 @@ def contract_isolating_cuts(p: Problem, bound_state: BoundState | None = None,
             labels = p.project(fill=heaviest)
             bound_state.improve(p.solution_value(labels), labels, now=time.monotonic())
     return contracted, 0
+
+
+def share_sibling_cuts(p: Problem, x: int, joined: dict[int, Problem], cut_all: Problem,
+                       deadline: float | None = None) -> None:
+    """Give the branch child ``cut_all`` the isolating cut of each terminal
+    r of ``joined`` from the one flow its joined sibling needs anyway.
+
+    ``p`` was branched on ``x``; ``cut_all`` is its child that deleted every
+    edge from x to a terminal, and ``joined[r]`` its child that merged x
+    into r. ``joined[r]`` runs and keeps its flow from r, and ``cut_all``
+    keeps the cut derived from that flow and p's kept cut of r, which a
+    fresh flow would give; :func:`~mtcut.solver.branch_vertex` states why,
+    and when a terminal is skipped. Once ``deadline`` passes no flow starts
+    and no later terminal is shared.
+    """
+    kept = p.kept_cuts()
+    shared = cut_all.kept_cuts()
+    adj = p.graph.neighbors(x)
+    for r, child in joined.items():
+        k_r = kept.get(r)
+        if k_r is None or x in k_r.source_side or r in shared:
+            continue
+        flows = _flows(child.graph, [r], child.active_terminals(), deadline)
+        if not flows:
+            return
+        j_r = child.kept_cuts()[r] = flows[0]
+        outside = k_r.value - adj[r]
+        side = k_r.source_side
+        if j_r.value <= outside:
+            union = j_r.source_side | {x}
+            if j_r.value == outside:
+                union |= side
+            if j_r.value < outside or _reaches(cut_all.graph, x, r, union):
+                side = union
+        shared[r] = FlowResult(min(outside, j_r.value), side)
+
+
+def _reaches(g: ContractableGraph, a: int, b: int, inside: frozenset[int]) -> bool:
+    """Whether live vertex ``a`` reaches ``b`` in ``g`` through live
+    vertices of ``inside``."""
+    seen = {a}
+    stack = [a]
+    while stack:
+        for y in g.neighbors(stack.pop()):
+            if y == b:
+                return True
+            if y in inside and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -7,24 +7,29 @@ otherwise. The root is reduced with all nine rules of
 :data:`~mtcut.reductions.DEFAULT_ORDER`; the nodes below it run the five of
 :data:`~mtcut.reductions.NODE_ORDER`. A child differs from its parent's
 fixpoint only by its branch (and, in inexact mode, the parent's shrinking).
-The inter-terminal deletions and the isolating cuts keep its bounds and
-its fixpoint sound, the low-degree and heavy-edge contractions act around
-the branch vertex, and the connectivity certificate reads an incumbent that
-falls during the search. The heavy triangles, articulation points, equal
-neighborhoods and non-terminal flows (:data:`~mtcut.reductions.ROOT_ONLY`)
-run at the root only: below it they hardly ever fire, and each call scans
-the whole kernel. At the root they get a turn only in a pass in which the
-other rules have changed nothing yet; the last pass changes nothing, so the
-root still reaches the fixpoint of all nine rules. A node below the root
-stops reducing as soon as its bound, less the weight it deleted between a
-terminal and a non-terminal, meets the incumbent: it will be discarded, and
-nothing it could still offer scores below that (see
-:func:`~mtcut.reductions.run_reduction_loop`). The root reduces to its
-fixpoint, whose kernel the result reports. Every incumbent is scored on the
-original graph before it is offered. A solved leaf or an ILP solution that
-improves the incumbent is then polished by local search; the trivial start
-and the isolating-cut heuristic are not. The search runs in the calling
-thread: under the GIL, worker threads only added contention.
+The inter-terminal deletions and the isolating cuts keep its bounds and its
+fixpoint sound, the low-degree and heavy-edge contractions act around the
+branch vertex, and the connectivity certificate reads an incumbent that
+falls during the search. A vertex branch's children share their
+isolating-cut flows: the child that cuts the branch vertex from every
+adjacent terminal derives its cut of each such terminal from the one flow
+that the sibling joining the vertex to that terminal runs anyway, and runs
+flows only for the other terminals (see :func:`branch_vertex`). The heavy
+triangles, articulation points, equal neighborhoods and non-terminal flows
+(:data:`~mtcut.reductions.ROOT_ONLY`) run at the root only: below it they
+hardly ever fire, and each call scans the whole kernel. At the root they
+get a turn only in a pass in which the other rules have changed nothing
+yet; the last pass changes nothing, so the root still reaches the fixpoint
+of all nine rules. A node below the root stops reducing as soon as its
+bound, less the weight it deleted between a terminal and a non-terminal,
+meets the incumbent: it will be discarded, and nothing it could still offer
+scores below that (see :func:`~mtcut.reductions.run_reduction_loop`). The
+root reduces to its fixpoint, whose kernel the result reports. Every
+incumbent is scored on the original graph before it is offered. A solved
+leaf or an ILP solution that improves the incumbent is then polished by
+local search; the trivial start and the isolating-cut heuristic are not.
+The search runs in the calling thread: under the GIL, worker threads only
+added contention.
 """
 
 from __future__ import annotations
@@ -39,7 +44,13 @@ from typing import Sequence
 from . import ilp
 from .graph import BoundState, ContractableGraph, GraphError, Problem
 from .localsearch import expired, refine
-from .reductions import DEFAULT_ORDER, NEIGHBORHOOD_LIMIT, NODE_ORDER, run_reduction_loop
+from .reductions import (
+    DEFAULT_ORDER,
+    NEIGHBORHOOD_LIMIT,
+    NODE_ORDER,
+    run_reduction_loop,
+    share_sibling_cuts,
+)
 
 
 class ReductionIncomplete(GraphError):
@@ -187,7 +198,7 @@ def _child(p: Problem, x: int, cut: Sequence[int], join: int | None = None) -> P
 
 
 def branch_vertex(p: Problem, x: int, best_value: float,
-                  beta: int | None = None) -> list[Problem]:
+                  beta: int | None = None, deadline: float | None = None) -> list[Problem]:
     """Split on the block of x, one child per viable adjacent terminal.
 
     A terminal whose edge to x plus all of x's non-terminal weight cannot
@@ -196,7 +207,42 @@ def branch_vertex(p: Problem, x: int, best_value: float,
     no adjacent terminal when its non-terminal weight alone dominates.
     With ``beta`` set, only the beta heaviest surviving children are kept.
     Ties go to the lower block: ``active_terminals`` is in block order, and
-    ``max`` and ``sorted`` keep the first of equal keys.
+    ``max`` and ``sorted`` keep the first of equal keys. Only children whose
+    bound is below ``best_value`` are returned.
+
+    The children share flows. ``p`` is reduced, so no edge joins two
+    terminals, and at a fixpoint its kept cuts (:meth:`Problem.kept_cuts`)
+    cover its active terminals, each side its terminal alone. A joined
+    child, x merged into r, then keeps every cut but r's: the merge splits
+    only r's side, and its deletions lie between terminals. The cut-all
+    child, which deletes every edge from x to a terminal, keeps none of
+    them once x has two terminal neighbors, as each deletion drops the
+    cuts it does not cross. When the cut-all child
+    is returned, each returned joined child runs the flow ``J_r`` it lacks
+    here, under ``deadline``, and the cut-all child derives its cut of r
+    from it and from p's kept cut ``K_r``, without a flow
+    (:func:`~mtcut.reductions.share_sibling_cuts`). With w the weight of
+    the edge x–r, the cut-all child's cuts of r split in two families:
+
+    - those that leave x out cross only the deleted edge x–r, so the
+      lightest weighs ``K_r.value - w``, and its largest side is
+      ``K_r``'s, which leaves x out;
+    - those that hold x cross every other deleted edge, and each weighs
+      what the same side with x merged into r weighs in the joined
+      child, so the lightest weighs ``J_r.value``, and its largest side
+      is ``J_r``'s with x added.
+
+    The lighter family gives the cut. On a tie the union of both sides is
+    the largest minimum side, unless x does not reach r inside it; then
+    x's part of it is a component with no edge leaving it, which no flow
+    from r reaches, and the side is ``K_r``'s. Each terminal is skipped,
+    and its cut left to the child's own flow, in three cases: p keeps no
+    ``K_r`` (after inexact mode's shrinking, say), as the first family
+    then has no known minimum; x lies in ``K_r``'s side, as then the
+    lightest cut without x is not ``K_r``; or the cut-all child already
+    keeps r's cut, as when x has one terminal neighbor and the one
+    deletion crosses ``K_r``. A joined child that the cut-all child does
+    not need runs its flow when it is reduced, if it ever is.
     """
     g = p.graph
     adj = g.neighbors(x)
@@ -214,13 +260,19 @@ def branch_vertex(p: Problem, x: int, best_value: float,
     def assign(r: int) -> Problem:
         return _child(p, x, [r2 for r2 in adj_terms if r2 != r], r)
 
-    children = [assign(r) for r in surviving]
+    joined = {r: assign(r) for r in surviving}
+    children = list(joined.values())
+    cut_all = None
     if w_nonterm > w_max and len(adj_terms) < p.active_count():
-        children.append(_child(p, x, adj_terms))
+        cut_all = _child(p, x, adj_terms)
+        children.append(cut_all)
     if not children:
         # every candidate block was pruned; the heaviest-edge block is never
         # worse than any of them, so keep exactly that one
         children.append(assign(max(adj_terms, key=adj.get)))
+    if cut_all is not None and cut_all.lower_bound < best_value:
+        share_sibling_cuts(p, x, {r: c for r, c in joined.items() if c.lower_bound < best_value},
+                           cut_all, deadline)
     return [c for c in children if c.lower_bound < best_value]
 
 
@@ -351,7 +403,7 @@ class _Search:
         if cfg.branch_rule == "edge":
             return branch_edge(p, x, best)
         beta = cfg.beta if cfg.mode == "inexact" else None
-        return branch_vertex(p, x, best, beta)
+        return branch_vertex(p, x, best, beta, self.deadline)
 
     def run(self) -> None:
         """Best-first loop: pop the lowest bound, prune, process, push."""

@@ -148,6 +148,19 @@ def count_view_builds(monkeypatch) -> tuple[list, list]:
     return built, derived
 
 
+def assert_same_view(got, want):
+    """Two views are equal: the version, and every array with its dtype,
+    byte for byte."""
+    assert got.version == want.version
+    for view in (got, want):
+        assert view.matrix.has_sorted_indices
+    arrays = [(view.ids, view.index, view.matrix.indptr, view.matrix.indices,
+               view.matrix.data, view.labels, view.sizes, view.degree, view.wdeg, view.rows)
+              for view in (got, want)]
+    for a, b in zip(*arrays):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def fresh_isolating_cut(p: Problem, t: int) -> FlowResult:
     """Terminal t's largest minimum isolating cut against the other active
     terminals, from one flow on a fresh network of the current graph."""

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from helpers import FIXTURES, fixture_graph, random_connected_graph, torus_graph
+from helpers import (FIXTURES, assert_same_view, count_view_builds, fixture_graph,
+                     random_connected_graph, torus_graph)
 from mtcut import ContractableGraph, GraphError, cut_value, write_graph
 import mtcut.bench
 from mtcut.bench import (
@@ -13,13 +14,14 @@ from mtcut.bench import (
     geometric_mean,
     grow_terminal_blocks,
     performance_profile,
+    prepare_instance,
     run_experiment,
     write_profile_csv,
     write_results_jsonl,
 )
 import mtcut.cli
 from mtcut.cli import main
-from mtcut.graph import HAVE_SCIPY, SCIPY_MIN_VERTICES, large_view
+from mtcut.graph import HAVE_SCIPY, SCIPY_MIN_VERTICES, ArrayView, large_view
 from mtcut.reductions import DEFAULT_ORDER
 from mtcut.solver import SolverConfig
 
@@ -99,6 +101,27 @@ class TestGenerateTerminalsOnView:
 
 
 class TestGrowBlocks:
+    @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
+    def test_one_shot_instance_derives_its_view(self, monkeypatch, tmp_path):
+        # a one-shot set-up builds the parsed graph's view for terminal
+        # placement, and the instance graph's first view is derived from
+        # it after the block contractions; the working graph shares it.
+        # A graph without a view gets none.
+        path = tmp_path / "torus.graph"
+        path.write_text(write_graph(torus_graph(30, 30)))
+        built, derived = count_view_builds(monkeypatch)
+        p = prepare_instance(InstanceSpec(str(path), 8, 0.1))
+        assert len(built) == 1 and built[0] is not p.original and derived == [p.original]
+        view = p.graph.array_view()
+        assert view is p.original.array_view() and len(built) == 1 and len(derived) == 1
+        terminals = generate_terminals(torus_graph(30, 30), 8, 0)
+        built.clear()
+        q = grow_terminal_blocks(torus_graph(30, 30), terminals, 0.1)
+        assert built == [] and derived == [p.original]
+        monkeypatch.undo()
+        assert_same_view(view, ArrayView(p.original))
+        assert q.graph.array_view() is not view
+
     def test_zero_fraction_identity(self):
         g = path_graph(10)
         p = grow_terminal_blocks(g, [0, 9], 0.0)

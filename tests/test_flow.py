@@ -7,9 +7,10 @@ import pytest
 
 import mtcut.flow
 import mtcut.solver
-from helpers import (brute_force_min_st_cut, contract_randomly, count_view_builds, fixture_graph,
-                     hanging_tree_graph, large_contraction_graphs, random_connected_graph,
-                     random_nm_edges, torus_graph)
+from helpers import (assert_same_view, brute_force_min_st_cut, contract_randomly,
+                     count_view_builds, fixture_graph, hanging_tree_graph,
+                     large_contraction_graphs, random_connected_graph, random_nm_edges,
+                     torus_graph)
 from mtcut import (ContractableGraph, FlowResult, GraphError, isolating_bounds, isolating_cuts,
                    max_flow_st)
 from mtcut.bench import generate_terminals, grow_terminal_blocks
@@ -608,19 +609,6 @@ class TestFlowNetwork:
                 max_flow_st(net, 1, {n // 3})
 
 
-def assert_same_view(got, want):
-    """Two views are equal: the version, and every array with its dtype,
-    byte for byte."""
-    assert got.version == want.version
-    for view in (got, want):
-        assert view.matrix.has_sorted_indices
-    arrays = [(view.ids, view.index, view.matrix.indptr, view.matrix.indices,
-               view.matrix.data, view.labels, view.sizes, view.degree, view.wdeg, view.rows)
-              for view in (got, want)]
-    for a, b in zip(*arrays):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
 @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
 class TestArrayView:
     def _assert_shows(self, view, g):
@@ -703,12 +691,14 @@ class TestArrayView:
         assert [c is g for c in built] == [False, True, False, False]
 
     def test_instance_graph_roots_one_lineage(self, monkeypatch):
-        # on a grown 100x100 torus the first kernelization builds one view
-        # from the dicts, the instance graph's, which its flows share; its
-        # scans read one derived from it. A second kernelization of a copy,
-        # and a solve that stops after its root, build none and derive one.
-        g = torus_graph(100, 100)
-        p = grow_terminal_blocks(g, generate_terminals(g, 8, 0), 0.1)
+        # on a grown 100x100 torus whose terminals were placed on another
+        # graph, as the benchmark places them, the first kernelization
+        # builds one view from the dicts, the instance graph's, which its
+        # flows share; its scans read one derived from it. A second
+        # kernelization of a copy, and a solve that stops after its root,
+        # build none and derive one.
+        terminals = generate_terminals(torus_graph(100, 100), 8, 0)
+        p = grow_terminal_blocks(torus_graph(100, 100), terminals, 0.1)
         built, derived = count_view_builds(monkeypatch)
         for kernelizations in (1, 2):
             q = p.copy()

@@ -222,32 +222,39 @@ class TestKeptCuts:
             assert networks == []
             monkeypatch.undo()
 
-    def test_branch_child_runs_one_flow_for_the_joined_terminal(self, monkeypatch):
-        # at a fixpoint every side is its terminal alone: merging x into
-        # join splits only join's side, and the deleted edges from join to
-        # the other terminals lower their cuts without a flow
+    def test_branch_children_share_the_joined_terminals_flows(self, monkeypatch):
+        # at a fixpoint every side is its terminal alone: merging x into r
+        # splits only r's side, and the deleted edges from r to the other
+        # terminals lower their cuts without a flow. With a cut-all sibling,
+        # the child that cuts x from every adjacent terminal, each joined
+        # child runs its flow at the branch, and the cut-all child derives
+        # its cut of r from it; every other cut of the cut-all child is
+        # dropped by its deletions, unless x has one adjacent terminal
         rng = random.Random(67)
-        children = 0
-        while children < 20:
+        joined_seen = shared_seen = 0
+        while joined_seen < 20 or shared_seen < 10:
             p = make_problem(*random_instance(rng, n_min=8, n_max=14, m_max=36))
             run_reduction_loop(p)
             if p.is_solved() or p.active_count() < 3:
                 continue
             x = select_branch_vertex(p)
-            for c in branch_vertex(p, x, math.inf):
-                joined = c.graph.find(x) in c.block_of
-                kept = len(c.kept_cuts())
+            adjacent = [r for r in p.active_terminals() if p.graph.has_edge(x, r)]
+            children = branch_vertex(p, x, math.inf)
+            cut_all = next((c for c in children if c.graph.is_live(x)), None)
+            joined = {c.graph.find(x) for c in children if c is not cut_all}
+            for c in children:
+                assert stale_kept_cuts(c) == []
+                kept = set(c.kept_cuts())
                 flows = count_calls(monkeypatch, "max_flow_st")
                 contract_isolating_cuts(c)
-                if joined:
-                    assert len(flows) == 1 < c.active_count()
-                    children += 1
+                if c is cut_all:
+                    assert kept == joined
+                    assert len(flows) == c.active_count() - len(kept)
+                    shared_seen += len(adjacent) > 1
                 else:
-                    # the child that cuts x from every adjacent terminal:
-                    # each deletion drops the cuts it does not cross, so a
-                    # cut survives only when x had one adjacent terminal
-                    single = sum(p.graph.has_edge(x, r) for r in p.active_terminals()) == 1
-                    assert kept == single and len(flows) == c.active_count() - kept
+                    shared = cut_all is not None and len(adjacent) > 1
+                    assert len(flows) == (0 if shared else 1) < c.active_count()
+                    joined_seen += 1
                 monkeypatch.undo()
 
 
@@ -725,12 +732,13 @@ class TestScansOnView:
     @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
     def test_torus_kernelize_builds_one_view_from_the_dicts(self, monkeypatch):
         # the isolating cuts' flows read the grown root's first view, the
-        # original graph's, built from the dicts; the scans after their
-        # contraction read one derived from it. The heuristic's labels are
-        # scored on the original graph's view, the same one. A copy of the
-        # kernel, which deleted no edge, derives its view from it too.
-        g = torus_graph(100, 100)
-        p = grow_terminal_blocks(g, generate_terminals(g, 8, 0), 0.1)
+        # original graph's, built from the dicts, as the terminals were
+        # placed on another graph; the scans after their contraction read
+        # one derived from it. The heuristic's labels are scored on the
+        # original graph's view, the same one. A copy of the kernel, which
+        # deleted no edge, derives its view from it too.
+        terminals = generate_terminals(torus_graph(100, 100), 8, 0)
+        p = grow_terminal_blocks(torus_graph(100, 100), terminals, 0.1)
         built, derived = count_view_builds(monkeypatch)
         report = run_reduction_loop(p, BoundState())
         assert report.fixpoint and report.contracted["isolating_cuts"] > 0

@@ -14,11 +14,13 @@ from helpers import (
     random_connected_graph,
     random_instance,
     record_rule_calls,
+    stale_kept_cuts,
     torus_graph,
 )
 from mtcut import BoundState, ContractableGraph, Problem, cut_value, max_flow_st
 from mtcut.bench import generate_terminals, grow_terminal_blocks
 from mtcut.graph import HAVE_SCIPY
+import mtcut.flow
 import mtcut.reductions
 import mtcut.solver
 from mtcut.reductions import DEFAULT_ORDER, run_reduction_loop
@@ -606,6 +608,124 @@ class TestChild:
                 assert new.deleted_weight == old.deleted_weight
                 assert new.lower_bound == max(p.lower_bound, old.deleted_weight)
                 compared += 1
+
+
+def sibling_cut_instances(rng: random.Random) -> list[Problem]:
+    """Root problems whose searches branch: random graphs, and random
+    graphs with farthest-point terminals and grown blocks."""
+    problems = []
+    for _ in range(40):
+        n, edges, terminals = random_instance(rng, n_min=14, n_max=26, m_max=70, ks=(3, 4, 5))
+        problems.append(make_problem(n, edges, terminals))
+    for _ in range(20):
+        n, edges = random_connected_graph(rng, n_min=24, n_max=34, m_max=90)
+        g = ContractableGraph.from_edge_list(n, edges)
+        terminals = generate_terminals(g, rng.randint(4, 5), seed=rng.randrange(100))
+        problems.append(grow_terminal_blocks(g, terminals, 0.2))
+    return problems
+
+
+class TestSiblingCuts:
+    def test_shared_cuts_change_no_result(self, monkeypatch):
+        # the same solves without the cuts a cut-all child takes from its
+        # joined siblings: values, labels, node counts, events and bounds
+        # all agree, in both modes
+        real = mtcut.solver.share_sibling_cuts
+        shared = 0
+
+        def counting(p, x, joined, cut_all, deadline=None):
+            nonlocal shared
+            before = len(cut_all.kept_cuts())
+            real(p, x, joined, cut_all, deadline)
+            shared += len(cut_all.kept_cuts()) - before
+
+        def record(r) -> tuple:
+            return r.value, r.labels, r.nodes, [v for _, v in r.events], r.lower_bound
+
+        rng = random.Random(89)
+        for p in sibling_cut_instances(rng):
+            for config in (SolverConfig(), SolverConfig(mode="inexact"),
+                           SolverConfig(mode="inexact", delta=0.0, beta=3)):
+                with monkeypatch.context() as m:
+                    m.setattr(mtcut.solver, "share_sibling_cuts", counting)
+                    got = solve_prepared(p.copy(), config)
+                with monkeypatch.context() as m:
+                    m.setattr(mtcut.solver, "share_sibling_cuts", lambda *args: None)
+                    assert record(solve_prepared(p.copy(), config)) == record(got)
+        assert shared >= 500
+
+    def test_deadline_in_a_branch_keeps_only_confirmed_cuts(self, monkeypatch):
+        # the deadline passes once a branch has run one flow and checks it
+        # again: that joined child keeps its flow, the cut-all child the one
+        # cut derived from it, no later flow runs and the search stops;
+        # every child keeps only cuts a fresh flow confirms
+        real = mtcut.solver.branch_vertex
+        branching = past = False
+        stops = flows = 0  # flows: those the current or last branch ran
+
+        def expired(deadline):
+            nonlocal past
+            past = past or (branching and flows > 0)
+            return past
+
+        def counting_flows(*args):
+            nonlocal flows
+            results = real_flows(*args)
+            flows += branching and len(results)
+            return results
+
+        def branch(p, x, best_value, beta=None, deadline=None):
+            nonlocal branching, stops, flows
+            branching = True
+            flows = 0
+            try:
+                children = real(p, x, best_value, beta, deadline)
+            finally:
+                branching = False
+            for c in children:
+                assert stale_kept_cuts(c) == []
+            if past:
+                # one joined child holds every cut, and the cut-all child
+                # the one derived from it; the other joined children miss one
+                full = [c for c in children if len(c.kept_cuts()) == c.active_count()]
+                cut_all = children[-1]
+                assert len(full) == 1 and cut_all.graph.is_live(x)
+                assert len(cut_all.kept_cuts()) == 1 and len(children) >= 3
+                stops += 1
+            return children
+
+        real_flows = mtcut.reductions._flows
+        monkeypatch.setattr(mtcut.solver, "branch_vertex", branch)
+        monkeypatch.setattr(mtcut.solver, "expired", expired)
+        monkeypatch.setattr(mtcut.reductions, "expired", expired)
+        monkeypatch.setattr(mtcut.reductions, "_flows", counting_flows)
+        rng = random.Random(97)
+        for p in sibling_cut_instances(rng):
+            past = False
+            r = solve_prepared(p.copy(), SolverConfig(time_limit=60.0))
+            if past:
+                assert r.stop_reason == "time_limit" and flows == 1
+            assert r.value == cut_value(p.original, p.terminal_vertices, r.labels)
+        assert stops >= 20
+
+    def test_tie_apart_from_the_terminal_keeps_the_parents_side(self):
+        # x = 4 hangs the clique {4, 5, 6, 7} on terminals 0, 1 and 2; 8
+        # joins every terminal. Cut from them, the clique is a component
+        # of its own, so the cut of 0 that holds x weighs what the parent's
+        # cut of 0 less the edge 4-0 weighs, and a flow from 0 never
+        # reaches x: the cut-all child keeps the side {0}
+        edges = [(4, r, 1) for r in (0, 1, 2)] + [(8, r, 2) for r in (0, 1, 2, 3)]
+        edges += [(u, v, 1) for u in (4, 5, 6, 7) for v in (4, 5, 6, 7) if u < v]
+        p = make_problem(9, edges, (0, 1, 2, 3))
+        mtcut.reductions.contract_isolating_cuts(p)
+        assert p.kept_cuts()[0] == mtcut.flow.FlowResult(3, frozenset({0}))
+        children = branch_vertex(p, 4, math.inf)
+        cut_all = children[-1]
+        assert cut_all.graph.is_live(4) and len(children) == 4
+        assert cut_all.kept_cuts()[0] == mtcut.flow.FlowResult(2, frozenset({0}))
+        assert children[0].kept_cuts()[0].value == 2
+        for c in children:
+            assert stale_kept_cuts(c) == []
 
 
 class TestPublish:
