@@ -122,9 +122,10 @@ def grow_terminal_blocks(g: ContractableGraph, terminals: Sequence[int],
     contracted into their terminals. The contracted graph is the instance:
     the grown blocks are committed, and reported cut values count their
     boundaries. Deterministic for fixed inputs (the seed is accepted for
-    interface symmetry). When ``g`` holds an array view, as terminal
-    placement leaves a large graph, the instance graph's first view is
-    derived from it (:meth:`~mtcut.graph.ContractableGraph.derive_view`).
+    interface symmetry). The instance graph is a copy of ``g``, so when
+    ``g`` holds an array view, as terminal placement leaves a large graph,
+    the instance graph's first view is derived from it
+    (:meth:`~mtcut.graph.ContractableGraph.array_view`).
     """
     del seed
     quota = math.floor(fraction * g.num_vertices)
@@ -154,7 +155,6 @@ def grow_terminal_blocks(g: ContractableGraph, terminals: Sequence[int],
     for i, t in enumerate(terminals):
         if blocks[i]:
             work.contract_vertices(blocks[i] + [t], t)
-    work.derive_view(g)
     return Problem.from_instance(work, terminals)
 
 
@@ -220,9 +220,10 @@ def run_experiment(specs: Sequence[InstanceSpec],
     """Solve every instance with every configured algorithm.
 
     Returns (rows, profiles, summary): one result row per (instance,
-    algorithm) pair, performance profiles over the completed objectives,
-    and per-algorithm aggregates including the geometric mean value.
-    Per-instance failures are recorded and the run continues.
+    algorithm) pair, performance profiles, and per-algorithm aggregates
+    including the geometric mean value. Per-instance failures are recorded
+    and the run continues. The profiles cover the instances that some
+    algorithm completed and the algorithms that completed some instance.
     """
     rows: list[dict] = []
     objectives: dict[str, list[float | None]] = {a: [] for a in algorithms}
@@ -258,7 +259,8 @@ def run_experiment(specs: Sequence[InstanceSpec],
                 "nodes": result.nodes,
             })
             objectives[name].append(result.value)
-    valid = {a: v for a, v in objectives.items()
+    done = [i for i in range(len(specs)) if any(v[i] is not None for v in objectives.values())]
+    valid = {a: [v[i] for i in done] for a, v in objectives.items()
              if any(x is not None for x in v)}
     profiles = performance_profile(valid, taus) if valid else {}
     summary = {}

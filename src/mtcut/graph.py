@@ -37,18 +37,18 @@ its children, from one flow per joined child and the parent's cuts.
 stamped with the ``version()`` in the same way. Only a graph whose weights
 sum exactly in float64 has one (``ContractableGraph.exact``); that is
 decided once, when the graph is built, since no mutation raises the total.
-When only contractions happened since the last view, the next one is
-derived from it in numpy (:meth:`ArrayView.derived`): its rows and columns
-are mapped through one vectorized ``find``
-(:meth:`ContractableGraph.find_all`), which equals the quotient the merges
-made of the dicts. A large graph's views form one lineage, rooted at the
-instance graph: :meth:`Problem.from_instance` links its working graph to
-the instance graph, which never changes, and a copy keeps the link. Such a
-graph's first view is the instance graph's own, built there once, shared
-while nothing changed and derived from after contractions. A deletion
-drops the last view and the link, and the next view is built from the
-dicts again, as is a graph's that has no link. A view also carries the
-degrees and weighted degrees that the reduction rules' scans read.
+A graph keeps its last view in a one-element cell that its unchanged
+copies share: a graph and its copies see one view, built by whichever
+asks first. A contraction gives the graph a fresh cell that holds the old
+view, and the next view is derived from it in numpy
+(:meth:`ArrayView.derived`): its rows and columns are mapped through one
+vectorized ``find`` (:meth:`ContractableGraph.find_all`), which equals the
+quotient the merges made of the dicts. A deletion gives the graph an
+empty cell, and its next view is built from the dicts. So the working
+graph of a :class:`Problem` shares the instance graph's view until it
+changes, and a branch child that only contracts derives from its parent's.
+A view also carries the degrees and weighted degrees that the reduction
+rules' scans read.
 
 One test picks the arrays over the dicts, everywhere, and it lives here,
 beside the view: :func:`large_view` gives the view of a graph with at
@@ -58,8 +58,8 @@ flows, the reduction rules and terminal placement import it from here, so
 this module imports nothing from :mod:`mtcut.flow`. Where it gives one,
 :meth:`Problem.project` and :func:`cut_value` (so every incumbent's score)
 run on arrays: the labels are lifted through ``find_all``, and the cut is
-summed on the original graph's view: the root of the lineage, built once
-and shared with the working graph's first view.
+summed on the original graph's view, which the working graph shares until
+its first change.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ class ContractableGraph:
     """
 
     __slots__ = ("n_original", "num_vertices", "num_edges", "exact", "_adj", "_wdeg", "_parent",
-                 "_view", "_lineage")
+                 "_views")
 
     def __init__(self, adj: list[dict[int, int]]):
         """The graph whose vertex ``v`` has neighbor dict ``adj[v]``, taken
@@ -147,10 +147,8 @@ class ContractableGraph:
         self._wdeg = list(map(sum, map(dict.values, adj)))
         self.exact = sum(self._wdeg) < 2**53
         self._parent = list(range(len(adj)))
-        self._view: ArrayView | None = None
-        # (instance graph, its version) whose view this graph's first view
-        # starts from; see array_view
-        self._lineage: tuple[ContractableGraph, tuple[int, int]] | None = None
+        # the last view, in a cell shared with the unchanged copies; see array_view
+        self._views: list[ArrayView | None] = [None]
 
     @classmethod
     def from_edge_list(cls, n: int, edges: Iterable[tuple[int, int, int]]) -> "ContractableGraph":
@@ -178,9 +176,8 @@ class ContractableGraph:
         return cls(adj)
 
     def copy(self) -> "ContractableGraph":
-        """An independent graph equal to this one. It starts without a view
-        and keeps this graph's link to its instance graph, so its first
-        view comes from there (see :meth:`array_view`)."""
+        """An independent graph equal to this one. It shares this graph's
+        view until either of them changes (see :meth:`array_view`)."""
         g = ContractableGraph.__new__(ContractableGraph)
         g.n_original = self.n_original
         g.num_vertices = self.num_vertices
@@ -189,8 +186,7 @@ class ContractableGraph:
         g._adj = [None if a is None else dict(a) for a in self._adj]
         g._wdeg = list(self._wdeg)
         g._parent = list(self._parent)
-        g._view = None
-        g._lineage = self._lineage
+        g._views = self._views
         return g
 
     # -- queries ---------------------------------------------------------
@@ -234,42 +230,21 @@ class ContractableGraph:
         with :attr:`exact` weights: any other raises :class:`GraphError`.
 
         Made on first use and kept until the graph's :meth:`version`
-        moves, so every caller on one graph version shares one view. The
-        last view is the base of the next: only contractions can have
-        happened since it was made (:meth:`delete_edge` drops it), so the
-        next is derived from it (:meth:`ArrayView.derived`). A graph
-        without a view of its own takes its base from the instance graph it
-        is linked to (:meth:`Problem.from_instance` links the working
-        graph, :meth:`copy` keeps the link and :meth:`delete_edge` drops
-        it), while that graph still has the version it was linked at: the
-        instance graph's own view, built there once, which this graph shares
-        at the same version and derives from after contractions. Any other
-        graph builds from the dicts.
+        moves, in a cell shared with the graph's unchanged copies, so every
+        caller on one graph version, in this graph or a copy, shares one
+        view. Graphs that share a cell are equal, since each mutation
+        first gives its graph a cell of its own: :meth:`contract_vertices`
+        one that holds the last view, from which the next is then derived
+        (:meth:`ArrayView.derived`), and :meth:`delete_edge` an empty one,
+        so the next view is built from the dicts.
         """
-        view = self._view
-        version = self.version()
-        if view is None or view.version != version:
+        cell = self._views
+        view = cell[0]
+        if view is None or view.version != self.version():
             if not self.exact:
                 raise GraphError("weights past 2**53 in total have no array view")
-            if view is None and self._lineage is not None:
-                instance, linked = self._lineage
-                if instance.version() == linked:
-                    view = instance.array_view()
-            if view is None:
-                view = ArrayView(self)
-            elif view.version != version:
-                view = ArrayView.derived(view, self)
-            self._view = view
+            view = cell[0] = ArrayView(self) if view is None else ArrayView.derived(view, self)
         return view
-
-    def derive_view(self, base: "ContractableGraph") -> None:
-        """Make this graph's first view from ``base``'s, if ``base`` holds a
-        view of its current version; else do nothing, so a graph without a
-        view builds none here. This graph must be ``base`` as it is now,
-        copied and then only contracted (:meth:`ArrayView.derived`)."""
-        view = base._view
-        if self._view is None and view is not None and view.version == base.version():
-            self._view = ArrayView.derived(view, self)
 
     def is_live(self, v: int) -> bool:
         return self._adj[v] is not None
@@ -337,7 +312,7 @@ class ContractableGraph:
             raise EdgeNotFound(f"no edge ({u},{v})")
         w = a.pop(v)
         self._adj[v].pop(u)
-        self._view = self._lineage = None  # a view is derived only across contractions
+        self._views = [None]  # a view is derived only across contractions
         self._wdeg[u] -= w
         self._wdeg[v] -= w
         self.num_edges -= 1
@@ -350,6 +325,7 @@ class ContractableGraph:
         ``into`` are merged by relabeling, which the reduction rules rely on
         when they contract scattered vertex sets.
         """
+        self._views = [self._views[0]]  # the copies keep the cell; the view is the next base
         target = self.find(into)
         members = sorted({self.find(x) for x in vertices} - {target})
         for v in members:
@@ -447,8 +423,8 @@ class ArrayView:
 
     @classmethod
     def derived(cls, base: "ArrayView", g: ContractableGraph) -> "ArrayView":
-        """The view of ``g``, made from ``base``, an earlier view of it or
-        of the instance graph it was copied from.
+        """The view of ``g``, made from ``base``, an earlier view of ``g``
+        or of a graph that ``g`` was copied from.
 
         Only contractions may have happened since ``base``. Each of its
         indices is mapped to its vertex's representative's new index; the
@@ -616,9 +592,7 @@ class Problem:
         for t in terms:
             if not (0 <= t < graph.n_original) or not graph.is_live(t):
                 raise GraphError(f"terminal {t} is not a live vertex")
-        work = graph.copy()
-        work._lineage = (graph, graph.version())
-        return cls(work, terms, [True] * len(terms), 0, 0, graph)
+        return cls(graph.copy(), terms, [True] * len(terms), 0, 0, graph)
 
     @property
     def k(self) -> int:

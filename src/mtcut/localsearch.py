@@ -217,7 +217,10 @@ def refine(graph: ContractableGraph, terminal_vertices: Sequence[int],
     kl_rounds()
 
     rng = random.Random(seed)
-    pairs = sorted(_pair_weights(graph, labels))
+    # the pair weights of the current labels, which only a pairwise flow
+    # that changed them makes stale
+    weights = _pair_weights(graph, labels)
+    pairs = sorted(weights)
     rng.shuffle(pairs)
     queue = deque(pairs)
     queued = set(pairs)
@@ -226,23 +229,20 @@ def refine(graph: ContractableGraph, terminal_vertices: Sequence[int],
     while queue and budget > 0 and not expired(deadline):
         pair = queue.popleft()
         queued.discard(pair)
-        current = _pair_weights(graph, labels)
-        w = current.get(pair, 0)
+        w = weights.get(pair, 0)
         if w == 0 or last_seen.get(pair) == w:
             last_seen[pair] = w
             continue
         budget -= 1
-        changed = pairwise_flow_refine(graph, terminal_vertices, labels,
-                                       pair[0], pair[1], anchors)
-        after = _pair_weights(graph, labels)
-        last_seen[pair] = after.get(pair, 0)
-        if changed:
-            for other in sorted(set(after) | set(last_seen)):
+        if pairwise_flow_refine(graph, terminal_vertices, labels, pair[0], pair[1], anchors):
+            weights = _pair_weights(graph, labels)
+            for other in sorted(set(weights) | set(last_seen)):
                 if other == pair or other in queued:
                     continue
                 if pair[0] in other or pair[1] in other:
-                    if last_seen.get(other) != after.get(other, 0):
+                    if last_seen.get(other) != weights.get(other, 0):
                         queue.append(other)
                         queued.add(other)
+        last_seen[pair] = weights.get(pair, 0)
     kl_rounds()
     return labels, cut_value(graph, terminal_vertices, labels)

@@ -105,19 +105,19 @@ class TestGrowBlocks:
     def test_one_shot_instance_derives_its_view(self, monkeypatch, tmp_path):
         # a one-shot set-up builds the parsed graph's view for terminal
         # placement, and the instance graph's first view is derived from
-        # it after the block contractions; the working graph shares it.
-        # A graph without a view gets none.
+        # it after the block contractions, when first asked for; the
+        # working graph shares it. A graph without a view gets none.
         path = tmp_path / "torus.graph"
         path.write_text(write_graph(torus_graph(30, 30)))
         built, derived = count_view_builds(monkeypatch)
         p = prepare_instance(InstanceSpec(str(path), 8, 0.1))
-        assert len(built) == 1 and built[0] is not p.original and derived == [p.original]
+        assert len(built) == 1 and derived == []
         view = p.graph.array_view()
         assert view is p.original.array_view() and len(built) == 1 and len(derived) == 1
         terminals = generate_terminals(torus_graph(30, 30), 8, 0)
         built.clear()
         q = grow_terminal_blocks(torus_graph(30, 30), terminals, 0.1)
-        assert built == [] and derived == [p.original]
+        assert built == [] and len(derived) == 1
         monkeypatch.undo()
         assert_same_view(view, ArrayView(p.original))
         assert q.graph.array_view() is not view
@@ -332,6 +332,27 @@ class TestCli:
         assert prof.read_text().startswith("algorithm,tau,fraction")
         summary = json.loads(capsys.readouterr().out)
         assert summary["exact"]["geometric_mean"] == pytest.approx(1.0)
+
+    def test_bench_goes_on_past_an_instance_that_fails_everywhere(self, tmp_path, capsys):
+        # the missing graph fails for every algorithm, the other instance
+        # completes: the sweep exits 0, writes both rows, and profiles the
+        # completed instance alone
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "instances": [{"graph": self._write_f1(tmp_path), "k": 2},
+                          {"graph": str(tmp_path / "nope.graph"), "k": 2}],
+            "taus": [1.0, 1.5],
+        }))
+        out = tmp_path / "rows.jsonl"
+        prof = tmp_path / "prof.csv"
+        assert main(["bench", "--spec", str(spec), "--output", str(out),
+                     "--profile", str(prof)]) == 0
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert rows[0]["value"] == 1 and "error" not in rows[0]
+        assert len(rows) == 2 and "nope.graph" in rows[1]["instance"] and rows[1]["error"]
+        assert prof.read_text().splitlines() == [
+            "algorithm,tau,fraction", "exact,1.0,1.000000", "exact,1.5,1.000000"]
+        assert json.loads(capsys.readouterr().out)["exact"]["solved"] == 1
 
     @pytest.mark.parametrize("doc", [
         {"instances": [{"graph": "g", "k": 2, "frac": 0.1}]},
