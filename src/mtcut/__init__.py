@@ -8,10 +8,11 @@ from .graph import (
     InfeasibleAssignment,
     IncompleteSolution,
     InvalidContraction,
+    FlowResult,
     Problem,
     cut_value,
 )
-from .flow import FlowResult, isolating_bounds, max_flow_st
+from .flow import isolating_bounds, max_flow_st
 from .reductions import ReductionReport, isolating_cuts, run_reduction_loop
 from .localsearch import refine
 from .solver import SolveResult, SolverConfig, solve, solve_prepared

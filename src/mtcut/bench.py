@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import random
-import time
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Sequence
@@ -220,10 +219,12 @@ def run_experiment(specs: Sequence[InstanceSpec],
     """Solve every instance with every configured algorithm.
 
     Returns (rows, profiles, summary): one result row per (instance,
-    algorithm) pair, performance profiles, and per-algorithm aggregates
-    including the geometric mean value. Per-instance failures are recorded
-    and the run continues. The profiles cover the instances that some
-    algorithm completed and the algorithms that completed some instance.
+    algorithm) pair, the solve's :meth:`~mtcut.solver.SolveResult.record`
+    under the instance's and the algorithm's names, performance profiles,
+    and per-algorithm aggregates including the geometric mean value.
+    Per-instance failures are recorded and the run continues. The profiles
+    cover the instances that some algorithm completed and the algorithms
+    that completed some instance.
     """
     rows: list[dict] = []
     objectives: dict[str, list[float | None]] = {a: [] for a in algorithms}
@@ -237,28 +238,13 @@ def run_experiment(specs: Sequence[InstanceSpec],
                 objectives[name].append(None)
             continue
         for name, config in algorithms.items():
-            started = time.monotonic()
+            row = {"instance": spec.name(), "algorithm": name}
             try:
-                result = solve_prepared(problem.copy(), config)
+                row.update(solve_prepared(problem.copy(), config).record())
             except Exception as exc:  # noqa: BLE001
-                rows.append({"instance": spec.name(), "algorithm": name,
-                             "error": str(exc)})
-                objectives[name].append(None)
-                continue
-            rows.append({
-                "instance": spec.name(),
-                "algorithm": name,
-                "value": result.value,
-                "optimal": result.optimal,
-                "stop_reason": result.stop_reason,
-                "lower_bound": result.lower_bound,
-                "gap": result.gap,
-                "wall_time": round(time.monotonic() - started, 6),
-                "kernel_vertices": result.root_kernel_vertices,
-                "kernel_edges": result.root_kernel_edges,
-                "nodes": result.nodes,
-            })
-            objectives[name].append(result.value)
+                row["error"] = str(exc)
+            rows.append(row)
+            objectives[name].append(row.get("value"))
     done = [i for i in range(len(specs)) if any(v[i] is not None for v in objectives.values())]
     valid = {a: [v[i] for i in done] for a, v in objectives.items()
              if any(x is not None for x in v)}

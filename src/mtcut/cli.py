@@ -64,27 +64,19 @@ def _prepare_instance(args):
     return prepare_instance(InstanceSpec(args.graph, args.k, args.preset_fraction, args.seed))
 
 
-def _cmd_solve(args) -> int:
-    problem = _prepare_instance(args)
-    result = solve_prepared(problem, _config_from(args))
-    payload = {
-        "value": result.value,
-        "optimal": result.optimal,
-        "stop_reason": result.stop_reason,
-        "lower_bound": result.lower_bound,
-        "gap": result.gap,
-        "wall_time": round(result.wall_time, 6),
-        "kernel_vertices": result.root_kernel_vertices,
-        "kernel_edges": result.root_kernel_edges,
-        "nodes": result.nodes,
-        "assignment": result.labels,
-    }
+def _write_json(payload: dict, path: str | None) -> None:
     text = json.dumps(payload)
-    if args.output:
-        with open(args.output, "w") as fh:
+    if path:
+        with open(path, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _cmd_solve(args) -> int:
+    problem = _prepare_instance(args)
+    result = solve_prepared(problem, _config_from(args))
+    _write_json({**result.record(), "assignment": result.labels}, args.output)
     if args.progress:
         save_events(args.progress, result.events)
     return EXIT_OK
@@ -93,15 +85,8 @@ def _cmd_solve(args) -> int:
 def _cmd_kernelize(args) -> int:
     problem = _prepare_instance(args)
     report = run_reduction_loop(problem, BoundState())
-    payload = report.to_dict()
-    payload["deleted_weight"] = problem.deleted_weight
-    payload["active_terminals"] = problem.active_count()
-    text = json.dumps(payload)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_json({**report.to_dict(), "deleted_weight": problem.deleted_weight,
+                 "active_terminals": problem.active_count()}, args.output)
     return EXIT_OK
 
 

@@ -56,10 +56,10 @@ flow's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graph import SCIPY_MIN_VERTICES, ArrayView, ContractableGraph, GraphError, large_view
+from .graph import (SCIPY_MIN_VERTICES, ArrayView, ContractableGraph, FlowResult, GraphError,
+                    large_view)
 from .graph import HAVE_SCIPY  # noqa: F401 - callers ask this module which flow runs
 
 try:
@@ -71,12 +71,6 @@ except ImportError:  # pragma: no cover; large_view then returns None
     pass
 
 _INT32_MAX = 2**31 - 1
-
-
-@dataclass(frozen=True)
-class FlowResult:
-    value: int
-    source_side: frozenset[int]
 
 
 class _ArrayIndex:

@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import math
 import operator
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence
@@ -535,6 +536,14 @@ def cut_value(graph: ContractableGraph, terminal_vertices: Sequence[int], labels
     return int(matrix.data[crossing].sum()) // 2  # each edge counted from both ends
 
 
+@dataclass(frozen=True)
+class FlowResult:
+    """A minimum isolating cut: its value and its largest source side."""
+
+    value: int
+    source_side: frozenset[int]
+
+
 class Problem:
     """One subproblem of the branch tree.
 
@@ -548,6 +557,8 @@ class Problem:
     from the subproblem may leave such an edge uncut, when its non-terminal
     end later joins the terminal at its other end, and then scores up to
     that much below the subproblem's bounds on the original graph.
+    ``lower_bound`` is never below ``deleted_weight``: the constructor and
+    :meth:`delete_edge` keep it there.
 
     Every terminal is its own live representative; :meth:`contract_set` is
     the one guarded merge, so the working graph is only ever contracted
@@ -577,9 +588,9 @@ class Problem:
         self.active: list[bool] = active
         self.deleted_weight: int = deleted_weight
         self.loose_weight: int = 0
-        self.lower_bound: int = lower_bound
+        self.lower_bound: int = max(lower_bound, deleted_weight)
         self.original: ContractableGraph = original
-        self._cuts: dict = {}  # terminal -> mtcut.flow.FlowResult
+        self._cuts: dict[int, FlowResult] = {}  # terminal -> its kept cut
         self._cuts_version = graph.version()
 
     @classmethod
@@ -605,9 +616,8 @@ class Problem:
         c._cuts = dict(self.kept_cuts())
         return c
 
-    def kept_cuts(self) -> dict:
-        """Terminal -> its kept largest minimum isolating cut, a
-        :class:`~mtcut.flow.FlowResult` (see the class).
+    def kept_cuts(self) -> dict[int, FlowResult]:
+        """Terminal -> its kept largest minimum isolating cut (see the class).
 
         Emptied first if the graph was mutated other than through this
         problem. Callers may add entries computed on the current graph.
@@ -655,14 +665,14 @@ class Problem:
         cuts = self.kept_cuts()
         w = self.graph.delete_edge(u, v)
         self.deleted_weight += w
+        self.lower_bound = max(self.lower_bound, self.deleted_weight)
         between_terminals = u in self.block_of and v in self.block_of
         if not between_terminals:
             self.loose_weight += w
         for t, res in list(cuts.items()):
             side = res.source_side
             if (u in side) != (v in side):
-                # a FlowResult: flow imports graph, not the reverse
-                cuts[t] = type(res)(res.value - w, side)
+                cuts[t] = FlowResult(res.value - w, side)
             elif not between_terminals:
                 del cuts[t]
         self._cuts_version = self.graph.version()
@@ -763,7 +773,7 @@ class Problem:
 
 
 class BoundState:
-    """Best-known solution of one search, owned by the thread that runs it.
+    """Best-known solution of one search.
 
     ``best_value`` only ever decreases. Every source offers its labels at
     their :meth:`Problem.solution_value`, so it equals the cut value of

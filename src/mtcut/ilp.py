@@ -46,13 +46,6 @@ class IlpModel:
         names += [self.var_z(u, v) for u, v, _ in self.edges]
         return names
 
-    def objective_value(self, labels) -> int:
-        total = self.offset
-        for u, v, w in self.edges:
-            if labels[u] != labels[v]:
-                total += w
-        return total
-
 
 @dataclass
 class IlpOutcome:
@@ -140,6 +133,14 @@ def parse_solution(text: str, model: IlpModel) -> dict[int, int]:
     return labels
 
 
+def resolve_command(command: str | None) -> str | None:
+    """The solver command to run: ``command``, or ``MTCUT_ILP_CMD`` when it
+    is None; None, so no solver runs, when that is empty or unset."""
+    if command is None:
+        command = os.environ.get(ENV_COMMAND)
+    return command or None
+
+
 def solve_external(model: IlpModel, command: str | None, timeout_seconds: float) -> IlpOutcome:
     """Run the configured solver command on the emitted model.
 
@@ -149,11 +150,10 @@ def solve_external(model: IlpModel, command: str | None, timeout_seconds: float)
     path. Returns a solved outcome,
     a timeout (caller should branch instead), or unavailability (missing
     or broken solver, or a template that does not parse; caller should
-    disable the ILP path).
+    disable the ILP path). ``command`` is read by :func:`resolve_command`.
     """
+    command = resolve_command(command)
     if command is None:
-        command = os.environ.get(ENV_COMMAND)
-    if not command:
         return IlpOutcome(UNAVAILABLE, detail="no solver command configured")
     if timeout_seconds is not None and timeout_seconds <= 0:
         return IlpOutcome(TIMED_OUT, detail="no time budget left")
@@ -185,8 +185,7 @@ def solve_external(model: IlpModel, command: str | None, timeout_seconds: float)
             labels = parse_solution(text, model)
         except ValueError as exc:
             return IlpOutcome(UNAVAILABLE, detail=f"malformed solution: {exc}")
-        return IlpOutcome(SOLVED, labels=[labels[v] for v in model.vertices],
-                          value=model.objective_value(labels))
+        return IlpOutcome(SOLVED, labels=[labels[v] for v in model.vertices])
 
 
 def solve_problem(p: Problem, command: str | None, timeout_seconds: float) -> IlpOutcome:

@@ -72,13 +72,13 @@ except ImportError:  # pragma: no cover; large_view then returns None
 
 from .flow import (
     FlowNetwork,
-    FlowResult,
     isolating_bounds,
     max_flow_st,
     region_flow,
     source_regions,
 )
-from .graph import ArrayView, BoundState, ContractableGraph, GraphError, Problem, large_view
+from .graph import (ArrayView, BoundState, ContractableGraph, FlowResult, GraphError, Problem,
+                    large_view)
 from .localsearch import expired
 
 # SolverConfig.neighborhood_limit starts from this default
@@ -1043,7 +1043,7 @@ def run_reduction_loop(p: Problem, bound_state: BoundState | None = None,
 
     With ``stop_when_dominated``, which the solver passes below the root,
     the loop stops after the first rule call that leaves
-    ``max(p.lower_bound, p.deleted_weight) - p.loose_weight`` at or above
+    ``p.lower_bound - p.loose_weight`` at or above
     the incumbent, unless that call solved the problem. The solver then
     discards the node, as it would have after a full loop. What the node
     could still offer, the isolating-cut heuristic's labels or a solved
@@ -1071,8 +1071,7 @@ def run_reduction_loop(p: Problem, bound_state: BoundState | None = None,
         return p.graph.version(), best_value()
 
     def dominated() -> bool:
-        return (stop_when_dominated
-                and max(p.lower_bound, p.deleted_weight) - p.loose_weight >= best_value())
+        return stop_when_dominated and p.lower_bound - p.loose_weight >= best_value()
 
     rules: dict[str, Callable[[], tuple[int, int]]] = {
         "inter_terminal": lambda: delete_inter_terminal_edges(p),
@@ -1118,7 +1117,6 @@ def run_reduction_loop(p: Problem, bound_state: BoundState | None = None,
             break
 
     report.solved = p.is_solved()
-    p.lower_bound = max(p.lower_bound, p.deleted_weight)
     report.vertices_after = p.graph.num_vertices
     report.edges_after = p.graph.num_edges
     return report

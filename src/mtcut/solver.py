@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -148,6 +147,21 @@ class SolveResult:
     lower_bound: int | None = None
     gap: float | None = None
 
+    def record(self) -> dict:
+        """The solve's report, shared by ``mtcut solve``'s JSON, which adds
+        the assignment, and each row of ``mtcut bench``."""
+        return {
+            "value": self.value,
+            "optimal": self.optimal,
+            "stop_reason": self.stop_reason,
+            "lower_bound": self.lower_bound,
+            "gap": self.gap,
+            "wall_time": round(self.wall_time, 6),
+            "kernel_vertices": self.root_kernel_vertices,
+            "kernel_edges": self.root_kernel_edges,
+            "nodes": self.nodes,
+        }
+
 
 def save_events(path: str, events: Sequence[tuple[float, int]]) -> None:
     """Write the (time, best value) progress log as CSV."""
@@ -193,7 +207,6 @@ def _child(p: Problem, x: int, cut: Sequence[int], join: int | None = None) -> P
         x = join
     for r in cut:
         c.delete_edge(x, r)
-    c.lower_bound = max(p.lower_bound, c.deleted_weight)
     return c
 
 
@@ -337,9 +350,7 @@ class _Search:
         self.nodes = 0
         self.refines = 0
         self.root_kernel: tuple[int, int] | None = None
-        command = config.ilp_command or os.environ.get(ilp.ENV_COMMAND)
-        self.ilp_command = command
-        self.ilp_enabled = bool(command)
+        self.ilp_command = ilp.resolve_command(config.ilp_command)  # None: no ILP
         self._push(root)
 
     def _push(self, p: Problem) -> None:
@@ -380,7 +391,7 @@ class _Search:
             self.stopped = True
             return [p]
 
-        if (self.ilp_enabled and p.active_count() >= 2
+        if (self.ilp_command is not None and p.active_count() >= 2
                 and 1 <= p.graph.num_edges < cfg.ilp_edge_limit):
             budget = cfg.ilp_timeout_seconds
             if self.deadline is not None:
@@ -390,7 +401,7 @@ class _Search:
                 self.publish(p, out.labels)
                 return []
             if out.status == ilp.UNAVAILABLE:
-                self.ilp_enabled = False
+                self.ilp_command = None
 
         if cfg.mode == "inexact":
             shrink_terminals(p, cfg.delta)

@@ -354,6 +354,30 @@ class TestCli:
             "algorithm,tau,fraction", "exact,1.0,1.000000", "exact,1.5,1.000000"]
         assert json.loads(capsys.readouterr().out)["exact"]["solved"] == 1
 
+    def test_solve_and_bench_report_one_record(self, tmp_path, capsys):
+        # `mtcut solve`'s JSON and a `mtcut bench` row carry one record, the
+        # clock reading aside; the JSON keeps its key order
+        n, edges = random_connected_graph(random.Random(15), 30, 30, 80, 10)
+        graph = tmp_path / "r30.graph"
+        graph.write_text(write_graph(ContractableGraph.from_edge_list(n, edges)))
+        out = tmp_path / "solve.json"
+        assert main(["solve", "--graph", str(graph), "--k", "4", "--seed", "1",
+                     "--output", str(out)]) == 0
+        solved = json.loads(out.read_text())
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"instances": [{"graph": str(graph), "k": 4, "seed": 1}],
+                                    "algorithms": {"exact": {"seed": 1}}}))
+        rows = tmp_path / "rows.jsonl"
+        assert main(["bench", "--spec", str(spec), "--output", str(rows)]) == 0
+        [row] = [json.loads(line) for line in rows.read_text().splitlines()]
+        keys = ["value", "optimal", "stop_reason", "lower_bound", "gap", "wall_time",
+                "kernel_vertices", "kernel_edges", "nodes"]
+        assert list(solved) == keys + ["assignment"]
+        assert set(row) == set(keys) | {"instance", "algorithm"}
+        assert solved["stop_reason"] == "exhausted" and solved["nodes"] > 1
+        shared = [k for k in keys if k != "wall_time"]
+        assert [solved[k] for k in shared] == [row[k] for k in shared]
+
     @pytest.mark.parametrize("doc", [
         {"instances": [{"graph": "g", "k": 2, "frac": 0.1}]},
         {"instances": [], "algorithms": {"exact": {"thread": 1}}},

@@ -32,11 +32,15 @@ class TestModel:
         assert m.offset == 0
 
     def test_objective_matches_cut_plus_offset(self):
+        # the emitted objective, read back by an independent LP reader and
+        # evaluated at the labelling's cut variables
         p = fixture_problem("F1")
         p.delete_edge(1, 2)
         m = ilp.build_model(p)
         labels = {0: 0, 1: 0, 2: 1}
-        assert m.objective_value(labels) == \
+        obj, const, _, _ = parse_lp(ilp.emit_lp(m))
+        z = {m.var_z(u, v): int(labels[u] != labels[v]) for u, v, _ in m.edges}
+        assert const + sum(coef * z[name] for name, coef in obj.items()) == \
             p.graph.cut_value(labels) + p.deleted_weight == 1
 
     @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
@@ -114,6 +118,13 @@ class TestSolveExternal:
         m = ilp.build_model(fixture_problem("F1"))
         assert ilp.solve_external(m, None, 10).status == ilp.UNAVAILABLE
 
+    def test_empty_command_unavailable_despite_env(self, monkeypatch):
+        monkeypatch.setenv(ilp.ENV_COMMAND, FAKE_CMD)
+        assert ilp.resolve_command("") is None
+        assert ilp.resolve_command(None) == FAKE_CMD
+        out = ilp.solve_problem(fixture_problem("F2"), "", 60.0)
+        assert out.status == ilp.UNAVAILABLE
+
     def test_env_command_is_picked_up(self, monkeypatch):
         monkeypatch.setenv(ilp.ENV_COMMAND, FAKE_CMD)
         p = fixture_problem("F2")
@@ -159,6 +170,27 @@ class TestSolverIntegration:
             assisted = solve(g, case.terminals,
                              SolverConfig(ilp_command=FAKE_CMD, ilp_timeout_seconds=60))
             assert plain.value == assisted.value == case.opt
+
+    def test_empty_command_switches_the_env_command_off(self, corpus, monkeypatch):
+        # None reads MTCUT_ILP_CMD; an empty command, as
+        # `mtcut solve --ilp-command ""` passes, dispatches no ILP
+        monkeypatch.setenv(ilp.ENV_COMMAND, FAKE_CMD)
+        real = ilp.solve_problem
+        calls = []
+
+        def spy(p, command, timeout_seconds):
+            calls.append(command)
+            return real(p, command, timeout_seconds)
+
+        monkeypatch.setattr(ilp, "solve_problem", spy)
+        for command, dispatched in (("", False), (None, True)):
+            calls.clear()
+            for case in corpus[:10]:
+                g = ContractableGraph.from_edge_list(case.n, case.edges)
+                res = solve(g, case.terminals, SolverConfig(ilp_command=command))
+                assert res.value == case.opt
+            assert bool(calls) == dispatched
+            assert all(c == FAKE_CMD for c in calls)
 
     def test_unavailable_solver_falls_back_cleanly(self, corpus):
         case = corpus[0]

@@ -1,6 +1,8 @@
 import math
 import random
+import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -608,6 +610,28 @@ class TestChild:
                 assert new.deleted_weight == old.deleted_weight
                 assert new.lower_bound == max(p.lower_bound, old.deleted_weight)
                 compared += 1
+
+
+class TestBoundFloor:
+    def test_every_deletion_keeps_the_bound_at_the_deleted_weight(self, monkeypatch):
+        # Problem keeps lower_bound >= deleted_weight itself, so no caller
+        # of delete_edge raises the bound after its deletions
+        real = Problem.delete_edge
+        callers = Counter()
+
+        def delete_edge(p, u, v):
+            w = real(p, u, v)
+            assert p.lower_bound >= p.deleted_weight
+            callers[sys._getframe(1).f_code.co_name] += 1
+            return w
+
+        monkeypatch.setattr(Problem, "delete_edge", delete_edge)
+        configs = [SolverConfig(), SolverConfig(mode="inexact", delta=0.5, beta=2)]
+        for p in sibling_cut_instances(random.Random(83)):
+            for config in configs:
+                solve_prepared(p.copy(), config)
+        for name in ("delete_inter_terminal_edges", "_child", "shrink_terminals"):
+            assert callers[name] >= 20, callers
 
 
 def sibling_cut_instances(rng: random.Random) -> list[Problem]:
